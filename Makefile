@@ -64,10 +64,10 @@ bench:
 	$(GO) test -bench=. -benchmem .
 
 # bench-sched measures the scheduler hot path — ns/event, allocs/event and
-# events/sec across the task-count x load matrix for the reference and
-# fast-path EUA* cores — and refreshes the committed BENCH_sched.json
-# baseline. Run on a quiet machine; the harness keeps the minimum of 3
-# repetitions per cell.
+# events/sec across the task-count x load matrix for EUA* on one core
+# (eua) and partitioned on 1, 2 and 4 cores (eua-part) — and refreshes
+# the committed BENCH_sched.json baseline. Run on a quiet machine; the
+# harness keeps the minimum of 5 repetitions per cell.
 bench-sched:
 	$(GO) run ./cmd/euabench -out BENCH_sched.json
 
@@ -90,9 +90,9 @@ telemetry-smoke:
 	$(GO) test -count=1 -run 'TestTelemetrySmoke' -v ./cmd/euad/
 
 # cover runs the tests with coverage and enforces the floors: the
-# scheduler core internal/sched/eua (reference + fast path + oracle
-# suite), the admission analyzer internal/admission (unit +
-# differential + golden threshold suites), the optimality oracles
+# scheduler core internal/sched/eua (the production core under its unit
+# and reference-oracle suites), the admission analyzer internal/admission
+# (unit + differential + golden threshold suites), the optimality oracles
 # internal/oracle (unit + soundness + cross-oracle suites), the
 # multi-tenant admission controller internal/tenancy, the
 # fault-injectable filesystem internal/storage and the multiprocessor

@@ -1,7 +1,6 @@
-// Command euabench benchmarks the EUA* scheduler cores across a task
-// count × arrival intensity matrix and reports nanoseconds, allocations
-// and events-per-second per simulation event for the reference and
-// fast-path implementations.
+// Command euabench benchmarks EUA* — on one core and partitioned over
+// several — across a task count × arrival intensity matrix and reports
+// nanoseconds, allocations and events-per-second per simulation event.
 //
 // Usage:
 //
@@ -46,7 +45,7 @@ func run(args []string, out, diag io.Writer) error {
 		horizon   = fs.Float64("horizon", 0.4, "arrival horizon per run in seconds")
 		seed      = fs.Uint64("seed", 1, "workload seed")
 		quick     = fs.Bool("quick", false, "small matrix and short horizon for smoke runs")
-		overhead  = fs.Bool("overhead", false, "measure the enabled-telemetry cost instead of the ref/fast matrix")
+		overhead  = fs.Bool("overhead", false, "measure the enabled-telemetry cost of the eua cells instead of the matrix")
 		maxOver   = fs.Float64("max-overhead", 5, "fail -overhead when the median cost exceeds this percent")
 		coresFlag = fs.String("cores", "", "comma-separated core counts for the partitioned eua-part rows (default 1,2,4)")
 		partFlag  = fs.String("partition", "", "placement policy for the eua-part rows: ff|wf (default ff)")
@@ -94,8 +93,6 @@ func run(args []string, out, diag io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintln(out, "speedup (reference vs fast path):")
-	bench.WriteSpeedups(out, rep)
 
 	if *outPath != "" {
 		f, err := os.Create(*outPath)
@@ -150,7 +147,7 @@ func runOverhead(out io.Writer, reps int, horizon float64, seed uint64, quick bo
 	}
 	var costs []float64
 	for _, n := range tasks {
-		c := bench.Cell{Tasks: n, Load: 1.0, Scheme: bench.SchemeFast, Seed: seed, Horizon: horizon}
+		c := bench.Cell{Tasks: n, Load: 1.0, Scheme: bench.SchemeEUA, Seed: seed, Horizon: horizon}
 		o, err := bench.MeasureOverhead(c, reps)
 		if err != nil {
 			return err

@@ -96,7 +96,6 @@ func runWithSignals(args []string, out, diag io.Writer, sigs <-chan os.Signal) e
 		checkpoint = fs.String("checkpoint", "", "persist completed sweep cells to this JSON file (atomic writes)")
 		resume     = fs.Bool("resume", false, "reuse completed cells from the -checkpoint file instead of recomputing")
 		faultSpec  = fs.String("faults", "", "deterministic fault plan, e.g. seed=7,overrun=0.1,sticky=0.05 (see README)")
-		fastpath   = fs.Bool("fastpath", false, "run EUA*-family schedulers on the incremental fast-path core (bit-identical decisions, see DESIGN.md §8)")
 		stats      = fs.Bool("stats", false, "print an end-of-run telemetry snapshot (decision latencies, preemptions, frequency switches) to stderr")
 		remote     = fs.String("remote", "", "submit sweeps to a euad daemon at this base URL instead of running locally (fig2|fig3|assurance|ablation)")
 		jobID      = fs.String("job-id", "", "idempotency-key prefix for -remote submissions (default: random per invocation)")
@@ -169,7 +168,6 @@ func runWithSignals(args []string, out, diag io.Writer, sigs <-chan os.Signal) e
 			seeds:    *seeds,
 			horizon:  *horizon,
 			faults:   *faultSpec,
-			fastpath: *fastpath,
 			jsonPath: *jsonPath,
 		}, out, diag, sigs)
 	}
@@ -180,7 +178,6 @@ func runWithSignals(args []string, out, diag io.Writer, sigs <-chan os.Signal) e
 		Workers:   *workers,
 		Timeout:   *timeout,
 		Retries:   *retries,
-		FastPath:  *fastpath,
 		Oracles:   *oracles,
 		Cores:     *cores,
 		Partition: *partFlag,

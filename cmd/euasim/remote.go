@@ -26,7 +26,6 @@ type remoteOpts struct {
 	seeds    int
 	horizon  float64
 	faults   string
-	fastpath bool
 	jsonPath string
 }
 
@@ -88,7 +87,6 @@ func runRemote(opts remoteOpts, out, diag io.Writer, sigs <-chan os.Signal) erro
 			Seeds:      opts.seeds,
 			Horizon:    opts.horizon,
 			Faults:     opts.faults,
-			FastPath:   opts.fastpath,
 		}
 		st, err := c.Run(ctx, spec)
 		if err != nil {

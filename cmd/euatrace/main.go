@@ -82,7 +82,6 @@ func run(args []string, out io.Writer) error {
 		gantt     = fs.Bool("gantt", false, "render an ASCII Gantt chart of the schedule")
 		width     = fs.Int("width", 100, "Gantt chart width in columns")
 		faultSpec = fs.String("faults", "", "deterministic fault plan, e.g. seed=7,overrun=0.1,sticky=0.05 (see README)")
-		fastpath  = fs.Bool("fastpath", false, "run EUA*-family schedulers on the incremental fast-path core (bit-identical decisions, see DESIGN.md §8)")
 		cores     = fs.Int("cores", 0, "number of DVS cores (0 or 1 = uniprocessor)")
 		partFlag  = fs.String("partition", "ff", "multicore placement when -cores > 1: ff|wf|global")
 	)
@@ -101,30 +100,18 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *fastpath {
-		if s, ok := scheduler.(*eua.Scheduler); ok {
-			s.EnableFastPath()
-		} else {
-			return fmt.Errorf("-fastpath applies only to EUA*-family schedulers, not %q", *schedName)
-		}
-	}
 	if *cores > 1 {
 		switch *partFlag {
 		case "global":
 			scheduler = partition.NewGlobal(*cores)
 		case "ff", "wf":
-			name, fp := *schedName, *fastpath
+			name := *schedName
 			policy, err := partition.ParsePolicy(*partFlag)
 			if err != nil {
 				return err
 			}
 			scheduler = partition.New(*cores, policy, func() sched.Scheduler {
 				s, _, _ := newScheduler(name)
-				if fp {
-					if e, ok := s.(*eua.Scheduler); ok {
-						e.EnableFastPath()
-					}
-				}
 				return s
 			})
 		default:

@@ -1,15 +1,12 @@
 // Package bench measures the scheduler hot path: wall-clock nanoseconds
 // and heap allocations per simulation event, across a matrix of task
-// count × arrival intensity × scheduler core (reference vs fast path).
-//
-// The harness exists to keep the fast path honest twice over: the
-// differential oracle (internal/sched/eua) proves it bit-identical, and
-// this package proves it actually faster. Results serialize to
-// BENCH_sched.json; Compare gates regressions against a committed
-// baseline (see `make bench-check`).
+// count × arrival intensity × core count, for EUA* on one core and
+// partitioned over several. Results serialize to BENCH_sched.json;
+// Compare gates regressions against a committed baseline (see `make
+// bench-check`).
 //
 // Methodology: each cell runs the full discrete-event engine on a
-// synthesized workload (per-cell seed, so ref and fast see the same
+// synthesized workload (per-cell seed, so every scheme sees the same
 // realization), repeats Reps times, and keeps the *minimum* ns/event —
 // the minimum is the least noisy location statistic for a deterministic
 // computation under scheduler/GC interference. Allocations are counted
@@ -36,10 +33,9 @@ import (
 	"github.com/euastar/euastar/internal/workload"
 )
 
-// Scheme names for the EUA* cores under measurement.
+// Scheme names for the configurations under measurement.
 const (
-	SchemeRef  = "eua-ref"  // reference implementation (sort-based Decide)
-	SchemeFast = "eua-fast" // incremental fast-path core (fastpath.go)
+	SchemeEUA  = "eua"      // EUA* on one core
 	SchemePart = "eua-part" // partitioned EUA* on Cell.Cores DVS cores
 )
 
@@ -51,7 +47,7 @@ type Cell struct {
 	Seed    uint64  `json:"seed"`
 	Horizon float64 `json:"horizon"`
 	// Cores is the DVS core count for SchemePart cells; zero (the
-	// uniprocessor schemes) keeps the pre-multicore JSON shape.
+	// uniprocessor scheme) keeps the pre-multicore JSON shape.
 	Cores int `json:"cores,omitempty"`
 	// Partition is the SchemePart placement policy ("ff" when empty).
 	Partition string `json:"partition,omitempty"`
@@ -142,9 +138,9 @@ func benchApp(n int) workload.App {
 	return a
 }
 
-// cellConfig builds the engine configuration for a cell. Ref and fast
-// share it exactly (same seed → same workload realization), differing
-// only in the scheduler's fast-path toggle.
+// cellConfig builds the engine configuration for a cell. Cells that
+// differ only in scheme and core count share the workload realization
+// exactly (same seed).
 func cellConfig(c Cell) (engine.Config, error) {
 	ft := cpu.PowerNowK6()
 	model, err := energy.NewPreset(energy.E1, ft.Max())
@@ -171,10 +167,6 @@ func cellConfig(c Cell) (engine.Config, error) {
 			}
 		}
 		s = partition.New(m, policy, func() sched.Scheduler { return eua.New() })
-	case SchemeFast:
-		e := eua.New()
-		e.EnableFastPath()
-		s = e
 	default:
 		s = eua.New()
 	}
@@ -197,7 +189,7 @@ func Run(c Cell, reps int) (Measurement, error) { return measure(c, reps, nil) }
 // measure is Run with an optional telemetry registry attached to every
 // engine run — the instrumented side of the overhead comparison.
 func measure(c Cell, reps int, reg *telemetry.Registry) (Measurement, error) {
-	if c.Scheme != SchemeRef && c.Scheme != SchemeFast && c.Scheme != SchemePart {
+	if c.Scheme != SchemeEUA && c.Scheme != SchemePart {
 		return Measurement{}, fmt.Errorf("bench: unknown scheme %q", c.Scheme)
 	}
 	if reps <= 0 {
@@ -284,16 +276,13 @@ func MeasureOverhead(c Cell, reps int) (Overhead, error) {
 // Sweep runs the full matrix and returns the report, cells ordered by
 // (tasks, load, scheme, cores) for stable diffs. The partitioned rows
 // (SchemePart, one per Options.Cores entry) measure the multiprocessor
-// engine's per-event cost next to the uniprocessor schemes.
+// engine's per-event cost next to the uniprocessor scheme.
 func Sweep(opts Options) (Report, error) {
 	o := opts.withDefaults()
 	rep := Report{Version: 1, Go: runtime.Version()}
 	for _, n := range o.Tasks {
 		for _, load := range o.Loads {
-			cells := []Cell{
-				{Tasks: n, Load: load, Scheme: SchemeRef, Seed: o.Seed, Horizon: o.Horizon},
-				{Tasks: n, Load: load, Scheme: SchemeFast, Seed: o.Seed, Horizon: o.Horizon},
-			}
+			cells := []Cell{{Tasks: n, Load: load, Scheme: SchemeEUA, Seed: o.Seed, Horizon: o.Horizon}}
 			for _, cores := range o.Cores {
 				cells = append(cells, Cell{Tasks: n, Load: load, Scheme: SchemePart,
 					Seed: o.Seed, Horizon: o.Horizon, Cores: cores, Partition: o.Partition})
@@ -396,59 +385,4 @@ func Compare(current, baseline Report, tolerance float64) ([]Regression, float64
 	}
 	sort.Slice(regs, func(i, j int) bool { return regs[i].Key < regs[j].Key })
 	return regs, drift
-}
-
-// Speedup pairs ref and fast measurements of the same (tasks, load,
-// seed, horizon) coordinate and reports ref/fast ns-per-event ratios,
-// sorted by coordinate.
-type Speedup struct {
-	Tasks   int
-	Load    float64
-	RefNs   float64
-	FastNs  float64
-	Speedup float64
-}
-
-// Speedups extracts the ref-vs-fast ratios from a report.
-func Speedups(rep Report) []Speedup {
-	type coord struct {
-		tasks   int
-		load    float64
-		seed    uint64
-		horizon float64
-	}
-	ref := make(map[coord]float64)
-	fast := make(map[coord]float64)
-	for _, m := range rep.Cells {
-		k := coord{m.Tasks, m.Load, m.Seed, m.Horizon}
-		switch m.Scheme {
-		case SchemeRef:
-			ref[k] = m.NsPerEvent
-		case SchemeFast:
-			fast[k] = m.NsPerEvent
-		}
-	}
-	var out []Speedup
-	for k, r := range ref {
-		f, ok := fast[k]
-		if !ok || f <= 0 {
-			continue
-		}
-		out = append(out, Speedup{Tasks: k.tasks, Load: k.load, RefNs: r, FastNs: f, Speedup: r / f})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Tasks != out[j].Tasks {
-			return out[i].Tasks < out[j].Tasks
-		}
-		return out[i].Load < out[j].Load
-	})
-	return out
-}
-
-// WriteSpeedups renders the speedup table.
-func WriteSpeedups(w io.Writer, rep Report) {
-	fmt.Fprintf(w, "%-6s %-6s %12s %12s %9s\n", "tasks", "load", "ref ns/ev", "fast ns/ev", "speedup")
-	for _, s := range Speedups(rep) {
-		fmt.Fprintf(w, "%-6d %-6g %12.0f %12.0f %8.2fx\n", s.Tasks, s.Load, s.RefNs, s.FastNs, s.Speedup)
-	}
 }

@@ -9,8 +9,7 @@ import (
 // measurement must carry positive rates and a nonzero event count.
 func TestRunSmoke(t *testing.T) {
 	cells := []Cell{
-		{Tasks: 4, Load: 0.8, Scheme: SchemeRef, Seed: 1, Horizon: 0.05},
-		{Tasks: 4, Load: 0.8, Scheme: SchemeFast, Seed: 1, Horizon: 0.05},
+		{Tasks: 4, Load: 0.8, Scheme: SchemeEUA, Seed: 1, Horizon: 0.05},
 		{Tasks: 4, Load: 0.8, Scheme: SchemePart, Seed: 1, Horizon: 0.05, Cores: 2},
 		{Tasks: 4, Load: 0.8, Scheme: SchemePart, Seed: 1, Horizon: 0.05, Cores: 2, Partition: "wf"},
 	}
@@ -29,8 +28,8 @@ func TestRunSmoke(t *testing.T) {
 // byte-identical to the pre-multicore format, and the core count joins
 // the key only when it is a real multiprocessor cell.
 func TestCellKey(t *testing.T) {
-	uni := Cell{Tasks: 8, Load: 0.5, Scheme: SchemeRef, Seed: 1, Horizon: 0.4}
-	if got, want := uni.Key(), "8/0.5/eua-ref/1/0.4"; got != want {
+	uni := Cell{Tasks: 8, Load: 0.5, Scheme: SchemeEUA, Seed: 1, Horizon: 0.4}
+	if got, want := uni.Key(), "8/0.5/eua/1/0.4"; got != want {
 		t.Fatalf("uniprocessor key %q, want %q", got, want)
 	}
 	one := Cell{Tasks: 8, Load: 0.5, Scheme: SchemePart, Seed: 1, Horizon: 0.4, Cores: 1}
@@ -59,16 +58,16 @@ func TestCompare(t *testing.T) {
 		}
 	}
 	baseline := Report{Version: 1, Cells: []Measurement{
-		cell(8, 0.5, SchemeFast, 1000),
-		cell(8, 1.0, SchemeFast, 1000),
-		cell(8, 1.6, SchemeFast, 1000),
-		cell(24, 1.0, SchemeFast, 1000),
+		cell(8, 0.5, SchemeEUA, 1000),
+		cell(8, 1.0, SchemeEUA, 1000),
+		cell(8, 1.6, SchemeEUA, 1000),
+		cell(24, 1.0, SchemeEUA, 1000),
 	}}
 	current := Report{Version: 1, Cells: []Measurement{
-		cell(8, 0.5, SchemeFast, 1000),
-		cell(8, 1.0, SchemeFast, 1100),  // +10%: inside 15% tolerance
-		cell(24, 1.0, SchemeFast, 1300), // +30%: regression
-		cell(64, 1.0, SchemeFast, 9999), // not in baseline: ignored
+		cell(8, 0.5, SchemeEUA, 1000),
+		cell(8, 1.0, SchemeEUA, 1100),  // +10%: inside 15% tolerance
+		cell(24, 1.0, SchemeEUA, 1300), // +30%: regression
+		cell(64, 1.0, SchemeEUA, 9999), // not in baseline: ignored
 	}}
 	regs, drift := Compare(current, baseline, 0.15)
 	if drift != 1 {
@@ -95,7 +94,7 @@ func TestCompare(t *testing.T) {
 func TestCompareNormalizesDrift(t *testing.T) {
 	cell := func(tasks int, load float64, ns float64) Measurement {
 		return Measurement{
-			Cell:       Cell{Tasks: tasks, Load: load, Scheme: SchemeFast, Seed: 1, Horizon: 0.4},
+			Cell:       Cell{Tasks: tasks, Load: load, Scheme: SchemeEUA, Seed: 1, Horizon: 0.4},
 			NsPerEvent: ns,
 		}
 	}
@@ -124,7 +123,7 @@ func TestCompareNormalizesDrift(t *testing.T) {
 // TestReportRoundTrip checks WriteJSON/ReadJSON and the version guard.
 func TestReportRoundTrip(t *testing.T) {
 	rep := Report{Version: 1, Go: "go-test", Cells: []Measurement{{
-		Cell:       Cell{Tasks: 8, Load: 0.5, Scheme: SchemeRef, Seed: 1, Horizon: 0.4},
+		Cell:       Cell{Tasks: 8, Load: 0.5, Scheme: SchemeEUA, Seed: 1, Horizon: 0.4},
 		NsPerEvent: 123, AllocsPerEvent: 4.5, EventsPerSec: 1e6, Events: 1000, Reps: 3,
 	}}}
 	var sb strings.Builder
@@ -140,31 +139,5 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadJSON(strings.NewReader(`{"version":2}`)); err == nil {
 		t.Fatal("want version guard error")
-	}
-}
-
-// TestSpeedups checks the ref/fast pairing and ordering.
-func TestSpeedups(t *testing.T) {
-	rep := Report{Version: 1, Cells: []Measurement{
-		{Cell: Cell{Tasks: 24, Load: 1, Scheme: SchemeRef, Seed: 1, Horizon: 0.4}, NsPerEvent: 3000},
-		{Cell: Cell{Tasks: 24, Load: 1, Scheme: SchemeFast, Seed: 1, Horizon: 0.4}, NsPerEvent: 1000},
-		{Cell: Cell{Tasks: 8, Load: 1, Scheme: SchemeRef, Seed: 1, Horizon: 0.4}, NsPerEvent: 500},
-		{Cell: Cell{Tasks: 8, Load: 1, Scheme: SchemeFast, Seed: 1, Horizon: 0.4}, NsPerEvent: 250},
-		{Cell: Cell{Tasks: 64, Load: 1, Scheme: SchemeRef, Seed: 1, Horizon: 0.4}, NsPerEvent: 100}, // unpaired
-	}}
-	sp := Speedups(rep)
-	if len(sp) != 2 {
-		t.Fatalf("got %d speedups, want 2 (unpaired ref ignored)", len(sp))
-	}
-	if sp[0].Tasks != 8 || sp[1].Tasks != 24 {
-		t.Fatalf("not sorted by tasks: %+v", sp)
-	}
-	if sp[1].Speedup != 3 {
-		t.Fatalf("speedup %v, want 3", sp[1].Speedup)
-	}
-	var sb strings.Builder
-	WriteSpeedups(&sb, rep)
-	if !strings.Contains(sb.String(), "3.00x") {
-		t.Fatalf("speedup table missing ratio:\n%s", sb.String())
 	}
 }

@@ -27,7 +27,6 @@ type SweepSpec struct {
 	Horizon    float64   `json:"horizon,omitempty"`
 	Bounds     []int     `json:"bounds,omitempty"`
 	Faults     string    `json:"faults,omitempty"`
-	FastPath   bool      `json:"fast_path,omitempty"`
 	// Cores > 1 runs every cell's engine on that many DVS cores under the
 	// Partition placement policy ("ff", "wf" or "global"; empty means
 	// "ff"). Both fields feed the sweep fingerprint, so multicore results
@@ -45,7 +44,6 @@ func (s SweepSpec) Config() (experiment.Config, error) {
 		Energy:    energy.E1,
 		Loads:     s.Loads,
 		Horizon:   s.Horizon,
-		FastPath:  s.FastPath,
 		Cores:     s.Cores,
 		Partition: s.Partition,
 	}

@@ -110,24 +110,14 @@ type Config struct {
 	// sequential iteration order.
 	Workers int
 
-	// FastPath switches every EUA*-family scheduler in the sweep to the
-	// incremental fast-path core (eua.WithFastPath). Decisions are
-	// bit-identical to the reference implementation — the differential
-	// oracle suite in internal/sched/eua enforces this — so FastPath is
-	// deliberately excluded from Describe(): a sweep resumed from a
-	// checkpoint written by the other implementation produces the same
-	// rows.
-	FastPath bool
-
 	// Telemetry, when non-nil, accumulates engine and scheduler metrics
 	// from every run of the sweep into one shared registry: per-cell
 	// counts sum across cells (the metric primitives are atomic, so the
 	// worker pool needs no extra coordination) and Snapshot() yields the
 	// JSON-safe sweep summary euasim -stats renders. Telemetry never
-	// changes simulation results, so — like FastPath — it is excluded
-	// from Describe() and hence from checkpoint fingerprints; cells
-	// restored from a checkpoint were not re-run and contribute no
-	// counts.
+	// changes simulation results, so it is excluded from Describe() and
+	// hence from checkpoint fingerprints; cells restored from a
+	// checkpoint were not re-run and contribute no counts.
 	Telemetry *telemetry.Registry
 
 	// Oracles adds the optional per-cell optimality-gap columns to the
@@ -137,9 +127,9 @@ type Config struct {
 	// fit the exact branch-and-bound solver — utility_gap = accrued
 	// utility / the clairvoyant utility optimum (see internal/oracle).
 	// The columns annotate results without changing any simulation, so
-	// like FastPath and Telemetry the flag is excluded from Describe()
-	// and hence from checkpoint fingerprints; cells restored from a
-	// checkpoint written without the flag simply lack the columns.
+	// like Telemetry the flag is excluded from Describe() and hence from
+	// checkpoint fingerprints; cells restored from a checkpoint written
+	// without the flag simply lack the columns.
 	Oracles bool
 
 	// Faults is an optional deterministic fault-injection plan applied to
@@ -289,20 +279,10 @@ func runRaw(cfg Config, scheme Scheme, ts task.Set, seed uint64, opts runOptions
 
 // buildScheduler constructs one run's scheduler: the scheme itself on a
 // uniprocessor config, the scheme wrapped in the partitioned (or global)
-// multiprocessor meta-scheduler when Cores > 1. The fast path applies to
-// every EUA*-family instance either way — including each per-core one.
+// multiprocessor meta-scheduler when Cores > 1.
 func buildScheduler(cfg Config, scheme Scheme) (sched.Scheduler, error) {
-	mk := func() sched.Scheduler {
-		s := scheme.New()
-		if cfg.FastPath {
-			if e, ok := s.(*eua.Scheduler); ok {
-				e.EnableFastPath()
-			}
-		}
-		return s
-	}
 	if cfg.Cores <= 1 {
-		return mk(), nil
+		return scheme.New(), nil
 	}
 	if cfg.Partition == "global" {
 		return partition.NewGlobal(cfg.Cores), nil
@@ -311,7 +291,7 @@ func buildScheduler(cfg Config, scheme Scheme) (sched.Scheduler, error) {
 	if err != nil {
 		return nil, err
 	}
-	return partition.New(cfg.Cores, policy, mk), nil
+	return partition.New(cfg.Cores, policy, scheme.New), nil
 }
 
 // Row is one load point of a normalized comparison: per scheme, the mean

@@ -1,8 +1,9 @@
 package eua_test
 
 // The differential oracle suite: every case below runs the identical
-// simulation twice — once on the reference EUA* implementation, once on
-// the fast-path core — and requires the two results to be bit-identical:
+// simulation twice — once on the test-only reference EUA*
+// (reference_test.go, via NewReference), once on the production core
+// (eua.New) — and requires the two results to be bit-identical:
 // decision and event counts, every job's resolution (state, finish time,
 // accrued utility, executed cycles, abort reason), the full execution
 // trace span by span, and all energy accounting, compared with exact
@@ -10,7 +11,9 @@ package eua_test
 // TUF families, underload through heavy overload, every scheduler option
 // (ablation flags, strict break, budget awareness), online-profiled
 // tasks, fault-injection plans, abort costs, overload safe mode,
-// progress-utility accounting and idle static power — so any divergence
+// progress-utility accounting, idle static power, and per-core instances
+// under partition.New on 2 and 4 cores (first- and worst-fit,
+// heterogeneous core tables, a shared battery) — so any divergence
 // introduced into fastpath.go fails loudly with the first differing
 // field's coordinates.
 
@@ -24,29 +27,40 @@ import (
 	"github.com/euastar/euastar/internal/faults"
 	"github.com/euastar/euastar/internal/profile"
 	"github.com/euastar/euastar/internal/rng"
+	"github.com/euastar/euastar/internal/sched"
 	"github.com/euastar/euastar/internal/sched/eua"
+	"github.com/euastar/euastar/internal/sched/partition"
 	"github.com/euastar/euastar/internal/workload"
 )
 
-// diffCase builds one engine configuration twice: build(fast) must return
+// diffCase builds one engine configuration twice: build(ref) must return
 // a fresh config each call (fresh scheduler, freshly synthesized task
 // set) so the two runs share no mutable state — profiled tasks mutate
 // their estimators during a run.
 type diffCase struct {
 	name  string
-	build func(fast bool) engine.Config
+	build func(ref bool) engine.Config
 }
 
-// oracleCases enumerates the differential grid. Over 200 cases by
-// construction; TestDifferentialOracle asserts the floor so the suite
-// cannot silently shrink.
+// newEUA returns the reference scheduler when ref is set, the production
+// core otherwise.
+func newEUA(ref bool, opts ...eua.Option) sched.Scheduler {
+	if ref {
+		return eua.NewReference(opts...)
+	}
+	return eua.New(opts...)
+}
+
+// oracleCases enumerates the differential grid: 202 uniprocessor cases
+// and 24 partitioned ones by construction; TestDifferentialOracle asserts
+// the floor so the suite cannot silently shrink.
 func oracleCases() []diffCase {
 	var cases []diffCase
 	apps := []workload.App{workload.A1(), workload.A2(), workload.A3()}
 	shapes := []workload.Shape{workload.Step, workload.LinearDecay}
 	presets := []energy.Preset{energy.E1, energy.E2, energy.E3}
 
-	add := func(name string, build func(fast bool) engine.Config) {
+	add := func(name string, build func(ref bool) engine.Config) {
 		cases = append(cases, diffCase{name: name, build: build})
 	}
 
@@ -60,8 +74,8 @@ func oracleCases() []diffCase {
 					app, shape, load, seed := app, shape, load, seed
 					preset := presets[(ai+si+li+int(seed))%len(presets)]
 					add(fmt.Sprintf("base/%s-%s-L%.1f-s%d", app.Name, shape, load, seed),
-						func(fast bool) engine.Config {
-							cfg := baseConfig(app, shape, load, seed, preset, fast)
+						func(ref bool) engine.Config {
+							cfg := baseConfig(app, shape, load, seed, preset, ref)
 							return cfg
 						})
 				}
@@ -87,8 +101,8 @@ func oracleCases() []diffCase {
 			for seed := uint64(1); seed <= 2; seed++ {
 				o, load, seed := o, load, seed
 				add(fmt.Sprintf("opt/%s-L%.1f-s%d", o.name, load, seed),
-					func(fast bool) engine.Config {
-						cfg := baseConfig(workload.A2(), workload.Step, load, seed, energy.E1, fast, o.opts...)
+					func(ref bool) engine.Config {
+						cfg := baseConfig(workload.A2(), workload.Step, load, seed, energy.E1, ref, o.opts...)
 						return cfg
 					})
 			}
@@ -108,12 +122,12 @@ func oracleCases() []diffCase {
 			for seed := uint64(1); seed <= 3; seed++ {
 				spec, load, seed := spec, load, seed
 				add(fmt.Sprintf("faults/p%d-L%.1f-s%d", pi, load, seed),
-					func(fast bool) engine.Config {
+					func(ref bool) engine.Config {
 						plan, err := faults.Parse(spec)
 						if err != nil {
 							panic(err)
 						}
-						cfg := baseConfig(workload.A3(), workload.Step, load, seed, energy.E2, fast)
+						cfg := baseConfig(workload.A3(), workload.Step, load, seed, energy.E2, ref)
 						cfg.Faults = plan
 						cfg.AbortCost = 2000
 						return cfg
@@ -132,8 +146,8 @@ func oracleCases() []diffCase {
 			for _, load := range []float64{0.9, 1.4} {
 				budget, seed, load := budget, seed, load
 				add(fmt.Sprintf("budget/b%.2f-L%.1f-s%d", budget, load, seed),
-					func(fast bool) engine.Config {
-						cfg := baseConfig(workload.A2(), workload.Step, load, seed, energy.E1, fast,
+					func(ref bool) engine.Config {
+						cfg := baseConfig(workload.A2(), workload.Step, load, seed, energy.E1, ref,
 							eua.WithBudgetAwareness(0))
 						cfg.EnergyBudget = budget * 5e26
 						return cfg
@@ -142,16 +156,16 @@ func oracleCases() []diffCase {
 		}
 	}
 
-	// Online-profiled tasks: allocations move between events, so the fast
-	// path must recompute them (its per-event cache) instead of trusting
-	// the Init-time snapshot.
+	// Online-profiled tasks: allocations move between events, so the core
+	// must recompute them (its per-event cache) instead of trusting the
+	// Init-time snapshot.
 	for _, shape := range shapes {
 		for seed := uint64(1); seed <= 3; seed++ {
 			for _, load := range []float64{0.7, 1.2} {
 				shape, seed, load := shape, seed, load
 				add(fmt.Sprintf("profiled/%s-L%.1f-s%d", shape, load, seed),
-					func(fast bool) engine.Config {
-						cfg := baseConfig(workload.A1(), shape, load, seed, energy.E1, fast)
+					func(ref bool) engine.Config {
+						cfg := baseConfig(workload.A1(), shape, load, seed, energy.E1, ref)
 						for i, tk := range cfg.Tasks {
 							if i%2 == 0 {
 								est, err := profile.New(tk.Demand.Mean*1.3, tk.Demand.Variance, 4)
@@ -190,8 +204,8 @@ func oracleCases() []diffCase {
 			for _, load := range []float64{0.8, 1.7} {
 				ex, seed, load := ex, seed, load
 				add(fmt.Sprintf("engine/%s-L%.1f-s%d", ex.name, load, seed),
-					func(fast bool) engine.Config {
-						cfg := baseConfig(workload.A3(), workload.Step, load, seed, energy.E3, fast)
+					func(ref bool) engine.Config {
+						cfg := baseConfig(workload.A3(), workload.Step, load, seed, energy.E3, ref)
 						ex.mod(&cfg)
 						return cfg
 					})
@@ -199,13 +213,74 @@ func oracleCases() []diffCase {
 		}
 	}
 
+	// Partitioned: one scheduler instance per core, each deciding over
+	// its own task subset, on a 16-task set with A2's per-task structure
+	// so four cores all get work. Loads are per core.
+	wide := workload.A2()
+	wide.Name, wide.Tasks = "A2x16", 16
+	for _, m := range []int{2, 4} {
+		for _, policy := range []partition.Policy{partition.FirstFit, partition.WorstFit} {
+			for _, load := range []float64{0.8, 1.4} {
+				for seed := uint64(1); seed <= 2; seed++ {
+					m, policy, load, seed := m, policy, load, seed
+					add(fmt.Sprintf("partition/m%d%s-L%.1f-s%d", m, policy, load, seed),
+						func(ref bool) engine.Config {
+							return partitionConfig(wide, m, policy, float64(m)*load, seed, ref)
+						})
+				}
+			}
+		}
+	}
+	// Heterogeneous big.LITTLE pair: core 1's ladder tops out at half of
+	// core 0's, so its instance runs on a different table (f_m, f^o and
+	// every clamp differ from core 0's).
+	for _, policy := range []partition.Policy{partition.FirstFit, partition.WorstFit} {
+		for seed := uint64(1); seed <= 2; seed++ {
+			policy, seed := policy, seed
+			add(fmt.Sprintf("partition/hetero-%s-L1.2-s%d", policy, seed),
+				func(ref bool) engine.Config {
+					cfg := partitionConfig(wide, 2, policy, 1.2, seed, ref)
+					cfg.CoreFreqs = []cpu.FrequencyTable{cfg.Freqs, cpu.Uniform(200e6, 500e6, 4)}
+					return cfg
+				})
+		}
+	}
+	// Budget-aware instances sharing one battery: every core sees the
+	// system-wide spend through OnEnergy. 2e26 binds mid-run on this
+	// set, 2e25 rations from the start.
+	for _, b := range []struct {
+		name   string
+		joules float64
+	}{{"2e26", 2e26}, {"2e25", 2e25}} {
+		for seed := uint64(1); seed <= 2; seed++ {
+			b, seed := b, seed
+			add(fmt.Sprintf("partition/budget%s-L1.2-s%d", b.name, seed),
+				func(ref bool) engine.Config {
+					cfg := partitionConfig(workload.A2(), 2, partition.WorstFit, 1.2, seed, ref,
+						eua.WithBudgetAwareness(0))
+					cfg.EnergyBudget = b.joules
+					return cfg
+				})
+		}
+	}
+
 	return cases
+}
+
+// partitionConfig is baseConfig on m cores: the same step-TUF set,
+// scheduled by partition.New with one reference or production instance
+// per core.
+func partitionConfig(app workload.App, m int, policy partition.Policy, load float64, seed uint64, ref bool, opts ...eua.Option) engine.Config {
+	cfg := baseConfig(app, workload.Step, load, seed, energy.E1, ref)
+	cfg.Cores = m
+	cfg.Scheduler = partition.New(m, policy, func() sched.Scheduler { return newEUA(ref, opts...) })
+	return cfg
 }
 
 // baseConfig assembles one run: a freshly synthesized, load-scaled task
 // set (the same floats every call — synthesis is a pure function of the
-// seed) and a fresh scheduler, reference or fast-path.
-func baseConfig(app workload.App, shape workload.Shape, load float64, seed uint64, preset energy.Preset, fast bool, opts ...eua.Option) engine.Config {
+// seed) and a fresh scheduler, reference or production.
+func baseConfig(app workload.App, shape workload.Shape, load float64, seed uint64, preset energy.Preset, ref bool, opts ...eua.Option) engine.Config {
 	ft := cpu.PowerNowK6()
 	model, err := energy.NewPreset(preset, ft.Max())
 	if err != nil {
@@ -213,12 +288,9 @@ func baseConfig(app workload.App, shape workload.Shape, load float64, seed uint6
 	}
 	ts := app.MustSynthesize(rng.New(seed*0x9e3779b9), workload.Options{Shape: shape})
 	ts = ts.ScaleToLoad(load, ft.Max())
-	if fast {
-		opts = append(opts, eua.WithFastPath())
-	}
 	return engine.Config{
 		Tasks:              ts,
-		Scheduler:          eua.New(opts...),
+		Scheduler:          newEUA(ref, opts...),
 		Freqs:              ft,
 		Energy:             model,
 		Horizon:            0.5,
@@ -229,7 +301,7 @@ func baseConfig(app workload.App, shape workload.Shape, load float64, seed uint6
 }
 
 // requireIdentical compares two results field by field with exact
-// equality. Any difference is a fast-path bug by definition.
+// equality. Any difference is a bug in the core by definition.
 func requireIdentical(t *testing.T, ref, fast *engine.Result) {
 	t.Helper()
 	type scalar struct {
@@ -247,7 +319,7 @@ func requireIdentical(t *testing.T, ref, fast *engine.Result) {
 	}
 	for _, s := range scalars {
 		if s.ref != s.got {
-			t.Fatalf("%s: reference %v, fast path %v", s.name, s.ref, s.got)
+			t.Fatalf("%s: reference %v, core %v", s.name, s.ref, s.got)
 		}
 	}
 	type count struct {
@@ -266,11 +338,11 @@ func requireIdentical(t *testing.T, ref, fast *engine.Result) {
 	}
 	for _, c := range counts {
 		if c.ref != c.got {
-			t.Fatalf("%s: reference %d, fast path %d", c.name, c.ref, c.got)
+			t.Fatalf("%s: reference %d, core %d", c.name, c.ref, c.got)
 		}
 	}
 	if ref.Depleted != fast.Depleted {
-		t.Fatalf("Depleted: reference %v, fast path %v", ref.Depleted, fast.Depleted)
+		t.Fatalf("Depleted: reference %v, core %v", ref.Depleted, fast.Depleted)
 	}
 	for i := range ref.Jobs {
 		a, b := ref.Jobs[i], fast.Jobs[i]
@@ -311,41 +383,34 @@ func requireIdentical(t *testing.T, ref, fast *engine.Result) {
 
 func TestDifferentialOracle(t *testing.T) {
 	cases := oracleCases()
-	if len(cases) < 200 {
-		t.Fatalf("oracle grid shrank to %d cases; the suite requires at least 200", len(cases))
+	if len(cases) < 226 {
+		t.Fatalf("oracle grid shrank to %d cases; the suite requires at least 226", len(cases))
 	}
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			ref, err := engine.Run(c.build(false))
+			ref, err := engine.Run(c.build(true))
 			if err != nil {
 				t.Fatalf("reference run: %v", err)
 			}
-			fast, err := engine.Run(c.build(true))
+			got, err := engine.Run(c.build(false))
 			if err != nil {
-				t.Fatalf("fast-path run: %v", err)
+				t.Fatalf("core run: %v", err)
 			}
-			requireIdentical(t, ref, fast)
+			requireIdentical(t, ref, got)
 		})
 	}
 }
 
 // TestFastPathNameUnchanged pins the scheme name: sweep output rows are
-// keyed by Name(), so the fast path must not rename the scheduler.
+// keyed by Name(), so neither the core nor its oracle may rename the
+// scheduler.
 func TestFastPathNameUnchanged(t *testing.T) {
-	if got := eua.New(eua.WithFastPath()).Name(); got != "EUA*" {
-		t.Fatalf("fast-path scheduler name = %q, want EUA*", got)
+	if got := eua.New().Name(); got != "EUA*" {
+		t.Fatalf("scheduler name = %q, want EUA*", got)
 	}
-	if !eua.New(eua.WithFastPath()).FastPath() {
-		t.Fatal("WithFastPath did not enable the fast path")
-	}
-	s := eua.New()
-	if s.FastPath() {
-		t.Fatal("fast path enabled by default")
-	}
-	s.EnableFastPath()
-	if !s.FastPath() {
-		t.Fatal("EnableFastPath did not enable the fast path")
+	if got := eua.NewReference().Name(); got != "EUA*" {
+		t.Fatalf("reference scheduler name = %q, want EUA*", got)
 	}
 }

@@ -72,19 +72,8 @@ func WithBudgetAwareness(lookahead float64) Option {
 	}
 }
 
-// WithFastPath switches Decide to the incremental fast-path core in
-// fastpath.go: cached cycle allocations, memoized per-job UERs with lazy
-// invalidation, an indexed max-heap in place of the per-event sorts,
-// copy-free greedy insertion and a reusable windowed-demand table for
-// decideFreq. The fast path makes bit-identical decisions — the
-// differential oracle suite (differential_test.go) proves decision
-// streams, accrued utility and energy equal on every covered workload —
-// it is purely a constant-factor optimization. All other options compose
-// with it.
-func WithFastPath() Option { return func(s *Scheduler) { s.fast = true } }
-
 // WithoutPhantomReservation disables the UAM phantom-arrival reservation
-// in decideFreq (see Scheduler), reverting to the literal Algorithm 2,
+// in decideFreq (see arrivalRing), reverting to the literal Algorithm 2,
 // which reserves only rate capacity for tasks without pending jobs. The
 // literal form is measurably more aggressive: at loads around 0.7–0.8 it
 // occasionally defers so much work that an idle task's next burst causes a
@@ -93,18 +82,10 @@ func WithFastPath() Option { return func(s *Scheduler) { s.fast = true } }
 func WithoutPhantomReservation() Option { return func(s *Scheduler) { s.noPhantom = true } }
 
 // Scheduler is the EUA* algorithm. Create it with New and use one instance
-// per simulation run.
+// per simulation run. Decide runs the incremental core in fastpath.go.
 type Scheduler struct {
 	ctx *sched.Context
 	ins *sched.Instruments
-	fo  map[int]float64 // task ID → offline UER-optimal frequency f^o
-
-	// arrivals records, per task, the last a_i release times. Under UAM
-	// ⟨a, P⟩ the next release cannot occur before (a-th most recent
-	// release) + P, which bounds when an idle task can next demand work —
-	// the phantom-arrival reservation decideFreq uses to stay safe against
-	// the model's adversary.
-	arrivals map[int][]float64
 
 	noDVS       bool
 	noUER       bool
@@ -113,10 +94,9 @@ type Scheduler struct {
 	noPhantom   bool
 	strictBreak bool
 
-	// fast selects the incremental Decide implementation (fastpath.go);
-	// fp holds its caches and scratch buffers.
-	fast bool
-	fp   fastState
+	// fp holds the core's Init-time per-task caches, the UAM release
+	// history and the scratch buffers reused across events.
+	fp fastState
 
 	// Budget state (WithBudgetAwareness), fed by the engine via OnEnergy.
 	budgetAware     bool
@@ -137,14 +117,6 @@ func New(opts ...Option) *Scheduler {
 	}
 	return s
 }
-
-// EnableFastPath turns on the fast-path core after construction (see
-// WithFastPath). It must be called before Init. The experiment runner
-// uses it to retrofit the -fastpath toggle onto scheme constructors.
-func (s *Scheduler) EnableFastPath() { s.fast = true }
-
-// FastPath reports whether the fast-path core is active.
-func (s *Scheduler) FastPath() bool { return s.fast }
 
 // Name implements sched.Scheduler.
 func (s *Scheduler) Name() string {
@@ -170,19 +142,15 @@ func (s *Scheduler) Name() string {
 //	f^o_i = argmax_{f ∈ table} U_i(c_i/f) / (c_i · E(f))
 //
 // — the frequency at which executing one fresh job of T_i accrues the most
-// utility per unit energy. Per-task critical times D_i and allocations c_i
-// are derived on demand from the task model (Section 3.1).
+// utility per unit energy — together with the per-task caches the
+// incremental core reads (fastpath.go). Per-task critical times D_i and
+// allocations c_i are derived from the task model (Section 3.1).
 func (s *Scheduler) Init(ctx *sched.Context) error {
 	if err := ctx.Validate(); err != nil {
 		return fmt.Errorf("eua: %w", err)
 	}
 	s.ctx = ctx
 	s.ins = ctx.Instruments(s.Name())
-	s.fo = make(map[int]float64, len(ctx.Tasks))
-	s.arrivals = make(map[int][]float64, len(ctx.Tasks))
-	for _, t := range ctx.Tasks {
-		s.fo[t.ID] = s.optimalFrequency(t)
-	}
 	if s.budgetAware {
 		fm := ctx.Freqs.Max()
 		sumU, sumE := 0.0, 0.0
@@ -196,21 +164,14 @@ func (s *Scheduler) Init(ctx *sched.Context) error {
 			s.fleetUER = sumU / sumE
 		}
 	}
-	if s.fast {
-		s.initFast()
-	}
+	s.initFast()
 	return nil
 }
 
 // OnRelease implements engine.EventObserver: record the release so the
 // phantom-arrival reservation knows the earliest legal next release.
 func (s *Scheduler) OnRelease(now float64, j *task.Job) {
-	id := j.Task.ID
-	h := append(s.arrivals[id], now)
-	if max := j.Task.Arrival.A; len(h) > max {
-		h = h[len(h)-max:]
-	}
-	s.arrivals[id] = h
+	s.fp.arrivals[s.taskIndex(j.Task)].push(now)
 }
 
 // OnComplete implements engine.EventObserver (no-op; releases are all the
@@ -222,13 +183,6 @@ func (s *Scheduler) OnEnergy(spent, budget float64) {
 	s.spentEnergy, s.energyBudget, s.budgetKnown = spent, budget, true
 }
 
-// plannedCost estimates the energy a job's remaining work will consume at
-// its UER-optimal frequency (the cheapest sensible execution plan).
-func (s *Scheduler) plannedCost(j *task.Job) float64 {
-	f := s.fo[j.Task.ID]
-	return j.EstimatedRemaining() * s.ctx.Energy.PerCycle(f)
-}
-
 // energyConstrainedWindows is the default look-ahead of the budget
 // rationing when the caller gives no mission horizon: rationing engages
 // when the projected battery lifetime at full admission drops below this
@@ -237,14 +191,13 @@ const energyConstrainedWindows = 4
 
 // energyConstrained reports whether the remaining budget is the binding
 // constraint: at the full fleet's planned energy rate, the battery would
-// die within the protected look-ahead.
+// die within the protected look-ahead. The rate is summed once at Init
+// unless some task profiles its demand online.
 func (s *Scheduler) energyConstrained(budgetLeft float64) bool {
-	rate, maxP := 0.0, 0.0
-	for _, t := range s.ctx.Tasks {
-		rate += t.WindowCycles() * s.ctx.Energy.PerCycle(s.fo[t.ID]) / t.Arrival.P
-		if t.Arrival.P > maxP {
-			maxP = t.Arrival.P
-		}
+	fp := &s.fp
+	rate, maxP := fp.ecRate, fp.ecMaxP
+	if !fp.allCacheable {
+		rate, maxP = s.fleetRate()
 	}
 	lookahead := s.budgetLookahead
 	if lookahead <= 0 {
@@ -253,25 +206,62 @@ func (s *Scheduler) energyConstrained(budgetLeft float64) bool {
 	return rate > 0 && budgetLeft/rate < lookahead
 }
 
-// nextPossibleArrival returns the earliest instant a new job of t may
-// legally be released, and how many instances may arrive simultaneously
-// then, given the recorded history and the UAM bound.
-func (s *Scheduler) nextPossibleArrival(now float64, t *task.Task) (at float64, count int) {
-	h := s.arrivals[t.ID]
-	a := t.Arrival.A
-	if len(h) < a {
-		// Fewer than a recorded releases: the window constraint is not yet
-		// binding; a − len(h) instances could arrive right now.
-		return now, a - len(h)
+// fleetRate returns the fleet's planned energy rate — every task's
+// windowed demand run at its UER-optimal frequency, per window length —
+// and the longest window P.
+func (s *Scheduler) fleetRate() (rate, maxP float64) {
+	for ti, t := range s.ctx.Tasks {
+		rate += t.WindowCycles() * s.fp.foCost[ti] / t.Arrival.P
+		if t.Arrival.P > maxP {
+			maxP = t.Arrival.P
+		}
 	}
-	at = h[len(h)-a] + t.Arrival.P
+	return rate, maxP
+}
+
+// arrivalRing is one task's release history: the last a release times
+// (a = the task's UAM bound), overwritten oldest-first so recording a
+// release never allocates. Under UAM ⟨a, P⟩ the next release cannot
+// occur before (a-th most recent release) + P, which bounds when an idle
+// task can next demand work — the phantom-arrival reservation decideFreq
+// uses to stay safe against the model's adversary.
+type arrivalRing struct {
+	times []float64 // len a
+	head  int       // slot of the oldest recorded release
+	n     int       // recorded releases, at most a
+}
+
+func (r *arrivalRing) push(t float64) {
+	a := len(r.times)
+	if r.n < a {
+		r.times[(r.head+r.n)%a] = t
+		r.n++
+		return
+	}
+	r.times[r.head] = t
+	r.head = (r.head + 1) % a
+}
+
+// nextPossibleArrival returns the earliest instant a new job of t (dense
+// index ti) may legally be released, and how many instances may arrive
+// simultaneously then, given the recorded history and the UAM bound.
+func (s *Scheduler) nextPossibleArrival(now float64, ti int, t *task.Task) (at float64, count int) {
+	r := &s.fp.arrivals[ti]
+	a := t.Arrival.A
+	if r.n < a {
+		// Fewer than a recorded releases: the window constraint is not yet
+		// binding; a − n instances could arrive right now.
+		return now, a - r.n
+	}
+	at = r.times[r.head] + t.Arrival.P
 	if at < now {
 		at = now
 	}
 	// At time `at`, releases within (at − P, at] count against the bound.
+	// The ring is full here, so every slot holds a release.
 	recent := 0
-	for _, r := range h {
-		if r > at-t.Arrival.P {
+	for _, rel := range r.times {
+		if rel > at-t.Arrival.P {
 			recent++
 		}
 	}
@@ -308,187 +298,7 @@ func (s *Scheduler) UER(now float64, j *task.Job) float64 {
 // Decide implements sched.Scheduler (Algorithm 1).
 func (s *Scheduler) Decide(now float64, ready []*task.Job) sched.Decision {
 	start := s.ins.Begin()
-	var d sched.Decision
-	if s.fast {
-		d = s.decideFast(now, ready)
-	} else {
-		d = s.decideRef(now, ready)
-	}
+	d := s.decideFast(now, ready)
 	s.ins.End(start, len(ready), d.Freq)
 	return d
-}
-
-// decideRef is the reference (non-fast-path) Algorithm 1.
-func (s *Scheduler) decideRef(now float64, ready []*task.Job) sched.Decision {
-	fm := s.ctx.Freqs.Max()
-
-	// Line 9–11: abort infeasible jobs, keep the rest.
-	var live []*task.Job
-	var aborts []*task.Job
-	for _, j := range ready {
-		if !sched.JobFeasible(j, now, fm) {
-			j.AbortReason = "infeasible at f_m"
-			aborts = append(aborts, j)
-			continue
-		}
-		live = append(live, j)
-	}
-	if len(live) == 0 {
-		return sched.Decision{Abort: aborts}
-	}
-
-	// Line 12: σ_tmp := sortByUER(J_r), non-increasing, deterministic
-	// tie-break by critical time. UERs are keyed by position — uer[i]
-	// belongs to live[i] — and the two slices are permuted in tandem.
-	sched.ByCriticalTime(live)
-	uer := make([]float64, len(live))
-	for i, j := range live {
-		uer[i] = s.UER(now, j)
-	}
-	stableSortByUERDesc(live, uer)
-
-	// Lines 13–18: greedy feasible insertion in critical-time order.
-	var order []*task.Job
-	if s.noUER {
-		// Ablation: plain EDF order over all live jobs.
-		order = append(order, live...)
-		sched.ByCriticalTime(order)
-	} else {
-		committed := 0.0
-		budgetLeft := math.Inf(1)
-		constrained := false
-		if s.budgetAware && s.budgetKnown {
-			budgetLeft = s.energyBudget - s.spentEnergy
-			constrained = s.energyConstrained(budgetLeft)
-		}
-		iters := 0
-		for i, j := range live {
-			if uer[i] <= 0 {
-				break // sorted: no later job has positive UER
-			}
-			cost := 0.0
-			if s.budgetAware {
-				cost = s.plannedCost(j)
-				if committed+cost > budgetLeft {
-					// The battery cannot pay for this job on top of the
-					// higher-UER work already committed: ration it out
-					// (it stays pending and may abort at its termination).
-					continue
-				}
-				// While the battery binds, expected mission utility is
-				// budget·(ΣU/ΣE): spending on work below the fleet's
-				// energy-weighted average utility-per-energy dilutes it —
-				// those joules are worth more on the better tasks' future
-				// jobs.
-				if constrained && uer[i] < s.fleetUER {
-					continue
-				}
-			}
-			iters++
-			tent := sched.InsertByCritical(append([]*task.Job(nil), order...), j)
-			if sched.Feasible(tent, now, fm) {
-				order = tent
-				committed += cost
-			} else if s.strictBreak {
-				break
-			}
-		}
-		s.ins.FeasibilityIterations(iters)
-	}
-	if len(order) == 0 {
-		return sched.Decision{Abort: aborts}
-	}
-
-	// Line 19: the selected job is the head of the feasible schedule.
-	jexe := order[0]
-
-	// Lines 20–21: decide the execution frequency.
-	fexe := fm
-	if !s.noDVS {
-		fexe = s.decideFreq(now, live, jexe)
-	}
-	return sched.Decision{Run: jexe, Freq: fexe, Abort: aborts}
-}
-
-// decideFreq implements Algorithm 2: the stochastic DVS technique.
-func (s *Scheduler) decideFreq(now float64, live []*task.Job, jexe *task.Job) float64 {
-	views := sched.EarliestByTask(live)
-	entries := make([]sched.LookAheadEntry, 0, len(s.ctx.Tasks))
-	for _, t := range s.ctx.Tasks {
-		v, ok := views[t.ID]
-		if !ok {
-			// No pending invocation. The UAM adversary may release the
-			// task's next burst at the earliest instant its history
-			// permits; reserve actual cycles for that phantom arrival (not
-			// just rate capacity) so deferral cannot overcommit the
-			// processor right before the burst lands.
-			entry := sched.LookAheadEntry{
-				AbsCritical: now + t.CriticalTime(),
-				StaticUtil:  t.MinFrequency(),
-			}
-			if !s.noPhantom {
-				at, count := s.nextPossibleArrival(now, t)
-				entry.AbsCritical = at + t.CriticalTime()
-				entry.Remaining = float64(count) * t.CycleAllocation()
-			}
-			entries = append(entries, entry)
-			continue
-		}
-		remaining := sched.WindowRemaining(t, v)
-		if s.noWindowed {
-			remaining = v.Earliest.EstimatedRemaining()
-		}
-		entries = append(entries, sched.LookAheadEntry{
-			AbsCritical: v.Earliest.AbsCritical,
-			Remaining:   remaining,
-			StaticUtil:  t.MinFrequency(),
-		})
-		if !s.noPhantom {
-			// Reserve the next window's burst as well: the static rate
-			// term spreads that demand fluidly, but the adversary delivers
-			// it as a lump whose critical time can precede other tasks'
-			// already-pending work. StaticUtil stays with the entry above
-			// so capacity is not double-counted.
-			if at, count := s.nextPossibleArrival(now, t); count > 0 {
-				entries = append(entries, sched.LookAheadEntry{
-					AbsCritical: at + t.CriticalTime(),
-					Remaining:   float64(count) * t.CycleAllocation(),
-					StaticUtil:  0,
-				})
-			}
-		}
-	}
-	fm := s.ctx.Freqs.Max()
-	req := sched.LookAheadFrequency(now, fm, entries)
-	if req > fm {
-		req = fm // Algorithm 2 line 9: cap at the highest frequency.
-	}
-	fexe := s.ctx.Freqs.ClampSelect(req)
-	if !s.noFoClamp {
-		// Line 11: never run the selected job below its UER-optimal
-		// frequency — "we cannot decrease f_exe, but may increase it to
-		// maximize the system-level energy efficiency".
-		if fo := s.fo[jexe.Task.ID]; fo > fexe {
-			fexe = fo
-		}
-	}
-	return fexe
-}
-
-// stableSortByUERDesc sorts jobs by UER non-increasing, preserving the
-// existing (critical-time) order among equal UERs. uer is positional —
-// uer[i] is jobs[i]'s ratio — and both slices are permuted in tandem, so
-// no pointer-keyed map (with its allocations and hashing) is needed.
-func stableSortByUERDesc(jobs []*task.Job, uer []float64) {
-	// Insertion sort keeps stability without allocating; job counts per
-	// event are small (tens).
-	for i := 1; i < len(jobs); i++ {
-		j, u := jobs[i], uer[i]
-		k := i - 1
-		for k >= 0 && uer[k] < u {
-			jobs[k+1], uer[k+1] = jobs[k], uer[k]
-			k--
-		}
-		jobs[k+1], uer[k+1] = j, u
-	}
 }

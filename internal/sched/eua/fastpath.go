@@ -1,14 +1,15 @@
-// Fast-path core for EUA*: an incremental, allocation-free implementation
-// of Decide that makes bit-identical decisions to the reference code in
-// eua.go. The differential oracle suite (differential_test.go) checks the
-// identity empirically on hundreds of seed-derived workloads; this file's
-// comments record why it holds analytically.
+// The incremental EUA* core: Decide's one implementation. It makes
+// exactly the decisions of the literal Algorithm 1/2 reference, which
+// lives on in reference_test.go as the test oracle: the differential
+// suite (differential_test.go) runs both over hundreds of seed-derived
+// workloads, uniprocessor and partitioned, and requires bit-identical
+// results. This comment records why the identity holds analytically.
 //
-// The reference Decide is O(n²) in ready jobs with an O(√)-heavy inner
+// The literal algorithm is O(n²) in ready jobs with an O(√)-heavy inner
 // loop: every feasibility probe re-derives each task's Cantelli cycle
 // allocation (a square root), every insertion trial copies the tentative
-// schedule, and every event rebuilds a pointer-keyed UER map and two
-// sorts. The fast path replaces all of that with dense per-task caches
+// schedule, and every event rebuilds a pointer-keyed per-task map and two
+// sorts. The core replaces all of that with dense per-task caches
 // computed once at Init, per-job UER memoization with lazy invalidation,
 // an indexed max-heap in place of the sorts, and an in-place greedy
 // insertion that reuses the feasibility prefix sums — while performing
@@ -32,27 +33,30 @@
 //     cycles (and hence c) are unchanged. The memo is invalidated by
 //     comparing the stored Executed stamp. Non-step TUFs genuinely
 //     depend on now and are recomputed every event.
-//   - The reference sorts live jobs by critical time (a total order:
-//     AbsCritical, Arrival, Task.ID, Index) and then stable-sorts by UER
-//     descending. Because the underlying order is total, the composition
-//     is the unique order (UER desc, ties by sched.Less); popping an
-//     indexed max-heap with exactly that comparator yields the identical
-//     permutation without allocating.
-//   - Greedy insertion: the reference copies the schedule and re-walks
-//     Feasible(tent) per candidate. Feasible accumulates
+//   - The literal algorithm sorts live jobs by critical time (a total
+//     order: AbsCritical, Arrival, Task.ID, Index) and then stable-sorts
+//     by UER descending. Because the underlying order is total, the
+//     composition is the unique order (UER desc, ties by sched.Less);
+//     popping an indexed max-heap with exactly that comparator yields
+//     the identical permutation without allocating.
+//   - Greedy insertion: the literal algorithm copies the schedule and
+//     re-walks Feasible(tent) per candidate. Feasible accumulates
 //     t += c_j/f_m left to right, so the accumulated value before any
 //     position depends only on the prefix — which insertion at i does
-//     not change. The fast path therefore caches fin[k] (the accumulated
+//     not change. The core therefore caches fin[k] (the accumulated
 //     time after slot k), starts each trial at fin[i−1], and replays
 //     only the candidate and the suffix: the same additions on the same
 //     floats as Feasible(tent). Prefix checks are implied by the
 //     invariant that the current schedule passed its own checks with
 //     unchanged fin values.
-//   - decideFreq builds its look-ahead entries in ctx.Tasks order, as
-//     the reference does, and calls the shared
-//     sched.LookAheadFrequencyInPlace so the deferral loop — including
-//     the sort that breaks ties among equal critical times — is the same
-//     code on the same values.
+//   - decideFreq builds its look-ahead entries in ctx.Tasks order and
+//     calls sched.LookAheadFrequencyInPlace on one reusable buffer; the
+//     deferral loop's sort permutes entries with equal critical times
+//     exactly as the literal sort.Slice version did, so the summation
+//     order — and the float — is unchanged.
+//   - The UAM release history is a fixed ring of the last a_i release
+//     times per task (arrivalRing) instead of a re-sliced, re-appended
+//     slice: the same values, read oldest first.
 package eua
 
 import (
@@ -63,8 +67,9 @@ import (
 	"github.com/euastar/euastar/internal/tuf"
 )
 
-// fastState holds the fast path's per-task caches and reusable scratch
-// buffers. It lives inside Scheduler and is populated by initFast.
+// fastState holds the core's per-task caches, release history and
+// reusable scratch buffers. It lives inside Scheduler and is populated by
+// initFast.
 type fastState struct {
 	fm         float64 // f_m, the highest table frequency
 	perCycleFM float64 // E(f_m), cached (pure in the model coefficients)
@@ -81,6 +86,7 @@ type fastState struct {
 	foFreq    []float64 // f^o_i
 	foCost    []float64 // E(f^o_i)
 	stepUER   []bool    // step TUF + cacheable: UER memoizable per job
+	arrivals  []arrivalRing
 
 	// energyConstrained cache, valid when every ctx task is cacheable.
 	allCacheable bool
@@ -106,8 +112,7 @@ type fastState struct {
 	entries  []sched.LookAheadEntry
 }
 
-// initFast populates the caches. Called at the end of Init, after the f^o
-// table exists.
+// initFast populates the caches. Called at the end of Init.
 func (s *Scheduler) initFast() {
 	s.fp = fastState{}
 	fp := &s.fp
@@ -125,22 +130,13 @@ func (s *Scheduler) initFast() {
 		}
 	}
 	if fp.allCacheable && s.budgetAware {
-		// Same expressions, same task order as energyConstrained: the
-		// cached sum is the float that loop would produce.
-		rate, maxP := 0.0, 0.0
-		for _, t := range s.ctx.Tasks {
-			rate += t.WindowCycles() * s.ctx.Energy.PerCycle(s.fo[t.ID]) / t.Arrival.P
-			if t.Arrival.P > maxP {
-				maxP = t.Arrival.P
-			}
-		}
-		fp.ecRate, fp.ecMaxP = rate, maxP
+		fp.ecRate, fp.ecMaxP = s.fleetRate()
 	}
 }
 
 // registerFastTask appends one task's cache row. Tasks outside ctx.Tasks
 // (possible only if a caller hands Decide foreign jobs) are registered
-// lazily so the fast path degrades instead of panicking.
+// lazily so the core degrades instead of panicking.
 func (s *Scheduler) registerFastTask(t *task.Task) int {
 	fp := &s.fp
 	ti := len(fp.tasks)
@@ -156,15 +152,12 @@ func (s *Scheduler) registerFastTask(t *task.Task) int {
 	fp.alloc = append(fp.alloc, alloc)
 	fp.minFreq = append(fp.minFreq, mf)
 	fp.critTime = append(fp.critTime, t.CriticalTime())
-	fo, ok := s.fo[t.ID]
-	if !ok {
-		fo = s.optimalFrequency(t)
-		s.fo[t.ID] = fo
-	}
+	fo := s.optimalFrequency(t)
 	fp.foFreq = append(fp.foFreq, fo)
 	fp.foCost = append(fp.foCost, s.ctx.Energy.PerCycle(fo))
 	_, isStep := t.TUF.(tuf.Step)
 	fp.stepUER = append(fp.stepUER, isStep && cacheable)
+	fp.arrivals = append(fp.arrivals, arrivalRing{times: make([]float64, t.Arrival.A)})
 	fp.allocEvent = append(fp.allocEvent, 0)
 	fp.allocStamp = append(fp.allocStamp, 0)
 	fp.earliest = append(fp.earliest, -1)
@@ -222,8 +215,8 @@ func (s *Scheduler) fastUER(now float64, j *task.Job, ti int, rem float64) float
 }
 
 // heapLess orders live indices by UER descending, breaking exact ties by
-// the critical-time total order — the composition the reference's
-// ByCriticalTime + stableSortByUERDesc pair produces.
+// the critical-time total order — the composition of the literal
+// algorithm's critical-time sort and stable UER sort.
 func (s *Scheduler) heapLess(a, b int32) bool {
 	ua, ub := s.fp.uer[a], s.fp.uer[b]
 	if ua != ub {
@@ -275,9 +268,9 @@ func (s *Scheduler) heapPop() int32 {
 	return top
 }
 
-// decideFast is the fast-path Decide (Algorithm 1). It mirrors the
-// reference implementation step for step; see the file comment for the
-// bit-identity argument of each replacement.
+// decideFast is Decide's body (Algorithm 1). It mirrors the literal
+// algorithm step for step; see the file comment for the bit-identity
+// argument of each replacement.
 func (s *Scheduler) decideFast(now float64, ready []*task.Job) sched.Decision {
 	fp := &s.fp
 	fp.stamp++
@@ -311,7 +304,7 @@ func (s *Scheduler) decideFast(now float64, ready []*task.Job) sched.Decision {
 	var jexe *task.Job
 	if s.noUER {
 		// Ablation: plain EDF order — the head is the critical-time
-		// minimum, no feasibility filtering (as in the reference branch).
+		// minimum, no feasibility filtering.
 		jexe = live[0]
 		for _, j := range live[1:] {
 			if sched.Less(j, jexe) {
@@ -348,7 +341,7 @@ func (s *Scheduler) greedyHeadFast(now, fm float64) *task.Job {
 	constrained := false
 	if s.budgetAware && s.budgetKnown {
 		budgetLeft = s.energyBudget - s.spentEnergy
-		constrained = s.fastEnergyConstrained(budgetLeft)
+		constrained = s.energyConstrained(budgetLeft)
 	}
 	iters := 0
 	for len(fp.heap) > 0 {
@@ -361,8 +354,16 @@ func (s *Scheduler) greedyHeadFast(now, fm float64) *task.Job {
 		if s.budgetAware {
 			cost = rem[idx] * fp.foCost[fp.liveTi[idx]]
 			if committed+cost > budgetLeft {
-				continue // rationed out, as in the reference
+				// The battery cannot pay for this job on top of the
+				// higher-UER work already committed: ration it out (it
+				// stays pending and may abort at its termination).
+				continue
 			}
+			// While the battery binds, expected mission utility is
+			// budget·(ΣU/ΣE): spending on work below the fleet's
+			// energy-weighted average utility-per-energy dilutes it —
+			// those joules are worth more on the better tasks' future
+			// jobs.
 			if constrained && uer[idx] < s.fleetUER {
 				continue
 			}
@@ -427,32 +428,17 @@ func (s *Scheduler) greedyHeadFast(now, fm float64) *task.Job {
 	return order[0]
 }
 
-// fastEnergyConstrained is energyConstrained with the fleet rate summed
-// once at Init when no task profiles online (the sum runs over the same
-// tasks in the same order, so the cached float is the one the reference
-// loop computes).
-func (s *Scheduler) fastEnergyConstrained(budgetLeft float64) bool {
-	fp := &s.fp
-	if !fp.allCacheable {
-		return s.energyConstrained(budgetLeft)
-	}
-	lookahead := s.budgetLookahead
-	if lookahead <= 0 {
-		lookahead = energyConstrainedWindows * fp.ecMaxP
-	}
-	return fp.ecRate > 0 && budgetLeft/fp.ecRate < lookahead
-}
-
-// decideFreqFast is Algorithm 2 over the fast path's dense per-task view:
-// earliest pending job and pending count per task come from two reusable
-// arrays instead of a per-event map, entries reuse one buffer, and the
-// deferral loop is the shared sched.LookAheadFrequencyInPlace.
+// decideFreqFast is Algorithm 2, the stochastic DVS technique, over the
+// core's dense per-task view: earliest pending job and pending count per
+// task come from two reusable arrays instead of a per-event map, entries
+// reuse one buffer, and the deferral loop is the shared
+// sched.LookAheadFrequencyInPlace.
 func (s *Scheduler) decideFreqFast(now float64, jexe *task.Job) float64 {
 	fp := &s.fp
 	live, liveTi, rem := fp.live, fp.liveTi, fp.rem
 
 	// Dense EarliestByTask: minimum by the critical-time total order is
-	// iteration-order independent, so this matches the reference map.
+	// iteration-order independent, so this matches the per-task map.
 	for ti := range fp.tasks {
 		fp.earliest[ti] = -1
 		fp.pending[ti] = 0
@@ -473,7 +459,7 @@ func (s *Scheduler) decideFreqFast(now float64, jexe *task.Job) float64 {
 				StaticUtil:  fp.minFreqOf(ti, t),
 			}
 			if !s.noPhantom {
-				at, count := s.nextPossibleArrival(now, t)
+				at, count := s.nextPossibleArrival(now, ti, t)
 				entry.AbsCritical = at + fp.critTime[ti]
 				entry.Remaining = float64(count) * fp.allocOf(ti, t)
 			}
@@ -491,7 +477,7 @@ func (s *Scheduler) decideFreqFast(now float64, jexe *task.Job) float64 {
 			StaticUtil:  fp.minFreqOf(ti, t),
 		})
 		if !s.noPhantom {
-			if at, count := s.nextPossibleArrival(now, t); count > 0 {
+			if at, count := s.nextPossibleArrival(now, ti, t); count > 0 {
 				entries = append(entries, sched.LookAheadEntry{
 					AbsCritical: at + fp.critTime[ti],
 					Remaining:   float64(count) * fp.allocOf(ti, t),

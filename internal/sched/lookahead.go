@@ -2,7 +2,7 @@ package sched
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // LookAheadEntry is one task's input to the deferral analysis of
@@ -46,8 +46,12 @@ func LookAheadFrequencyInPlace(now, fmax float64, entries []LookAheadEntry) floa
 		return 0
 	}
 	// Reverse EDF order: latest absolute critical time first.
+	// slices.SortFunc runs the pdqsort sort.Slice runs for the same less
+	// relation, so equal critical times land in the same order (and the
+	// sums below in the same float) without sort.Slice's reflective
+	// swapper and escaping closure.
 	order := entries
-	sort.Slice(order, func(i, j int) bool { return order[i].AbsCritical > order[j].AbsCritical })
+	slices.SortFunc(order, byCriticalDesc)
 	dn := order[len(order)-1].AbsCritical
 
 	util := 0.0
@@ -84,4 +88,17 @@ func LookAheadFrequencyInPlace(now, fmax float64, entries []LookAheadEntry) floa
 		return math.Inf(1)
 	}
 	return s / (dn - now)
+}
+
+// byCriticalDesc orders look-ahead entries latest critical time first.
+// The sort only asks whether the result is negative: exactly when
+// a.AbsCritical > b.AbsCritical.
+func byCriticalDesc(a, b LookAheadEntry) int {
+	switch {
+	case a.AbsCritical > b.AbsCritical:
+		return -1
+	case a.AbsCritical < b.AbsCritical:
+		return 1
+	}
+	return 0
 }

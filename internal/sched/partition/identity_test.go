@@ -5,8 +5,8 @@ package partition_test
 // once with the same scheduler wrapped in partition.New(1, ...) — and
 // requires the two results to be bit-identical with exact float64
 // equality: all energy accounting, every job's resolution, and the full
-// execution trace span by span. The grid mirrors the fast-path
-// differential oracle (internal/sched/eua/differential_test.go): all
+// execution trace span by span. The grid mirrors EUA*'s differential
+// oracle (internal/sched/eua/differential_test.go): all
 // three Table 1 applications, both TUF families, underload through heavy
 // overload, scheduler options, fault plans, energy budgets, profiled
 // tasks and engine extensions — over 200 cases, so the single-core
@@ -73,7 +73,7 @@ func identityCases() []identCase {
 		{"noWin", []eua.Option{eua.WithoutWindowedDemand()}},
 		{"noPhantom", []eua.Option{eua.WithoutPhantomReservation()}},
 		{"strictBreak", []eua.Option{eua.WithStrictBreak()}},
-		{"fastpath", []eua.Option{eua.WithFastPath()}},
+		{"fastpath", nil}, // the default core (eua/fastpath.go) at this grid's loads
 	}
 	for _, o := range options {
 		for _, load := range []float64{0.8, 1.6} {

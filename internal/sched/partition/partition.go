@@ -74,13 +74,14 @@ type Partitioned struct {
 	assign map[int]int       // task ID → core
 	bufs   [][]*task.Job     // reusable per-core ready buffers
 	cores  []sched.CoreDecision
+	aborts []*task.Job // reusable DecideMulti abort list
 }
 
 // New builds a partitioned wrapper running m instances of the scheme the
 // factory produces. The factory is invoked once per non-empty core (plus
 // once at construction for the scheme name); it must return a fresh
 // scheduler each call — schedulers carry per-run state — and is the
-// place to apply per-instance options such as EUA*'s fast path.
+// place to apply per-instance options such as EUA*'s ablation flags.
 func New(m int, policy Policy, factory func() sched.Scheduler) *Partitioned {
 	if m < 1 {
 		panic(fmt.Sprintf("partition: core count %d must be at least 1", m))
@@ -236,7 +237,9 @@ func (p *Partitioned) DecideMulti(now float64, ready []*task.Job) sched.MultiDec
 		k := p.assign[j.Task.ID]
 		p.bufs[k] = append(p.bufs[k], j)
 	}
-	var aborts []*task.Job
+	// Both returned slices are reused by the next call, which the
+	// MultiScheduler contract permits: callers must not retain them.
+	p.aborts = p.aborts[:0]
 	for k := range p.cores {
 		p.cores[k] = sched.CoreDecision{}
 		if p.subs[k] == nil || len(p.bufs[k]) == 0 {
@@ -244,9 +247,9 @@ func (p *Partitioned) DecideMulti(now float64, ready []*task.Job) sched.MultiDec
 		}
 		d := p.subs[k].Decide(now, p.bufs[k])
 		p.cores[k] = sched.CoreDecision{Run: d.Run, Freq: d.Freq}
-		aborts = append(aborts, d.Abort...)
+		p.aborts = append(p.aborts, d.Abort...)
 	}
-	return sched.MultiDecision{Cores: p.cores, Abort: aborts}
+	return sched.MultiDecision{Cores: p.cores, Abort: p.aborts}
 }
 
 // OnRelease forwards a job release to the wrapped instance of the job's

@@ -188,25 +188,7 @@ func TestPartitionedRun(t *testing.T) {
 	}
 }
 
-// TestPartitionedRefVsFast is the multi-core differential cell: the
-// EUA* fast path must stay bit-identical to the reference when both run
-// per-core under the same partitioning.
-func TestPartitionedRefVsFast(t *testing.T) {
-	for _, load := range []float64{0.8, 1.6} {
-		for seed := uint64(1); seed <= 3; seed++ {
-			ref := runPartitioned(t,
-				partition.New(2, partition.FirstFit, func() sched.Scheduler { return eua.New() }),
-				2, testSet(load, seed), 0.3)
-			fast := runPartitioned(t,
-				partition.New(2, partition.FirstFit, func() sched.Scheduler { return eua.New(eua.WithFastPath()) }),
-				2, testSet(load, seed), 0.3)
-			requireIdentical(t, ref, fast)
-		}
-	}
-}
-
-// TestPartitionedEDF exercises a wrapped scheme without observer or
-// fast-path hooks.
+// TestPartitionedEDF exercises a wrapped scheme without observer hooks.
 func TestPartitionedEDF(t *testing.T) {
 	res := runPartitioned(t,
 		partition.New(2, partition.FirstFit, func() sched.Scheduler { return edf.New(true) }),

@@ -256,7 +256,6 @@ func (s *Server) sweepSpecOf(spec JobSpec) coordinator.SweepSpec {
 		Horizon:    spec.Horizon,
 		Bounds:     spec.Bounds,
 		Faults:     spec.Faults,
-		FastPath:   spec.FastPath,
 		Cores:      cores,
 		Partition:  policy,
 	}

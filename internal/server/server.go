@@ -300,6 +300,14 @@ func (s *Server) recover(recovery *jobstore.Recovery) []*job {
 			s.jobs[r.JobID] = j
 			continue
 		}
+		// Compare future resubmissions against the spec as this version
+		// marshals it, not the journaled bytes: a record written by an
+		// older daemon may carry fields since removed (e.g. "fastpath"),
+		// and the client's identical retry must still replay, not
+		// conflict. The journal itself keeps its bytes.
+		if canonical, err := j.spec.canonical(); err == nil {
+			j.specRaw = canonical
+		}
 		s.jobs[j.spec.ID] = j
 		switch st.Kind {
 		case jobstore.KindDone:

@@ -9,10 +9,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"github.com/euastar/euastar/internal/engine"
+	"github.com/euastar/euastar/internal/jobstore"
 )
 
 // tasksDoc is a small valid task-set document for analyze/simulate jobs.
@@ -517,5 +519,67 @@ func TestRestartRecovery(t *testing.T) {
 	again := waitJob(t, ts3.URL, "rec-1")
 	if !bytes.Equal(again.Result, ref.Result) {
 		t.Fatal("result drifted across restart")
+	}
+}
+
+// TestRecoveredLegacySpecReplays: a job journaled by an older daemon
+// whose spec carried a since-removed field ("fastpath") must still
+// answer its client's identical retry after a restart with the 200
+// replay, not a 409 conflict. The retry body decodes (unknown fields are
+// ignored) to the same spec the journal record does, so the server
+// compares both in this version's canonical form; the journal keeps the
+// bytes it was written with.
+func TestRecoveredLegacySpecReplays(t *testing.T) {
+	const legacy = `{"id":"legacy-fp","kind":"sweep","experiment":"fig2","loads":[0.5],"seeds":1,"horizon":0.05,"fastpath":true}`
+	dir := t.TempDir()
+	jpath := filepath.Join(dir, "journal.wal")
+	journal, _, err := jobstore.Open(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []jobstore.Record{
+		{Kind: jobstore.KindSubmitted, JobID: "legacy-fp", Spec: json.RawMessage(legacy), Tenant: DefaultTenant},
+		{Kind: jobstore.KindDone, JobID: "legacy-fp", Result: json.RawMessage(`{"rows":[]}`)},
+	} {
+		if err := journal.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, ts := newTestServer(t, Config{Workers: 1, DataDir: dir})
+	resp, data := post(t, ts.URL, legacy)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("identical retry of a recovered legacy job: %d %s, want 200 replay", resp.StatusCode, data)
+	}
+	var st JobStatus
+	if err := json.Unmarshal(data, &st); err != nil {
+		t.Fatal(err)
+	}
+	var result bytes.Buffer
+	if err := json.Compact(&result, st.Result); err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateDone || result.String() != `{"rows":[]}` {
+		t.Fatalf("replayed status %+v (result %s), want the journaled result", st, result.String())
+	}
+	changed := `{"id":"legacy-fp","kind":"sweep","experiment":"fig2","loads":[0.6],"seeds":1,"horizon":0.05}`
+	if resp, data := post(t, ts.URL, changed); resp.StatusCode != http.StatusConflict {
+		t.Fatalf("different spec under a recovered id: %d %s, want 409", resp.StatusCode, data)
+	}
+	ts.Close()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	journal, rec, err := jobstore.Open(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer journal.Close()
+	if len(rec.Records) == 0 || string(rec.Records[0].Spec) != legacy {
+		t.Fatalf("journal's submitted record rewritten: %+v", rec.Records)
 	}
 }

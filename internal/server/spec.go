@@ -50,7 +50,6 @@ type JobSpec struct {
 	Horizon    float64   `json:"horizon,omitempty"`    // seconds of arrivals per run (default 1)
 	Bounds     []int     `json:"bounds,omitempty"`     // fig3 UAM bounds (default 1..3)
 	Faults     string    `json:"faults,omitempty"`     // deterministic fault plan spec
-	FastPath   bool      `json:"fastpath,omitempty"`   // incremental EUA* core
 
 	// Multiprocessor parameters (sweep and simulate jobs). Cores > 1 runs
 	// each engine on that many DVS cores; Partition picks the placement
