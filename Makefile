@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-race test-service test-cluster test-overload vet lint bench bench-sched bench-check telemetry-overhead telemetry-smoke cover fuzz fuzz-smoke check experiments examples euad clean
+.PHONY: all build test test-race test-service test-cluster test-overload vet lint bench bench-sched bench-check perfbench-golden telemetry-overhead telemetry-smoke cover fuzz fuzz-smoke check experiments examples euad clean
 
 all: build vet test
 
@@ -76,6 +76,14 @@ bench-sched:
 # non-blocking job: shared-runner noise should inform, not gate merges.
 bench-check:
 	$(GO) run ./cmd/euabench -check BENCH_sched.json
+
+# perfbench-golden runs every perfbench workload at seed 1 and fails when
+# any op's result digest differs from perfbench/golden.json. The warm-up
+# checks one op per op seed, so every digest is checked at any run
+# length; a schedule change anywhere in the engine, the schedulers or
+# the daemon shows up here. Build products stay under .bench_build.
+perfbench-golden:
+	bash perfbench/run.sh --workload all --seed 1 --seconds 5 --trace 0
 
 # telemetry-overhead benchmarks each cell with the no-op sink and with a
 # live registry, and fails when the median ns/event cost of enabling

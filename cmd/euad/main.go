@@ -27,6 +27,7 @@ import (
 
 	"github.com/euastar/euastar/internal/client"
 	"github.com/euastar/euastar/internal/coordinator"
+	"github.com/euastar/euastar/internal/sched/partition"
 	"github.com/euastar/euastar/internal/server"
 	"github.com/euastar/euastar/internal/storage"
 	"github.com/euastar/euastar/internal/tenancy"
@@ -53,7 +54,7 @@ func run(args []string) int {
 	breakerThreshold := fs.Int("breaker-threshold", 5, "worker-mode circuit breaker: consecutive dead-peer failures before it opens")
 	breakerCooldown := fs.Duration("breaker-cooldown", 2*time.Second, "worker-mode circuit breaker: cooldown before a half-open probe")
 	cores := fs.Int("cores", 0, "default DVS core count for sweep/simulate jobs that do not set cores (0 = uniprocessor)")
-	partition := fs.String("partition", "", "default placement policy for multicore jobs: ff|wf|global (empty = ff)")
+	placement := fs.String("partition", "", "default placement policy for multicore jobs: ff|wf|global (empty = ff)")
 	defTimeout := fs.Duration("timeout", 2*time.Minute, "default per-job wall-clock budget")
 	maxTimeout := fs.Duration("max-timeout", 10*time.Minute, "ceiling on any job's wall-clock budget")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain waits for in-flight jobs")
@@ -77,10 +78,8 @@ func run(args []string) int {
 		logf("euad: -cores must be non-negative, got %d", *cores)
 		return 1
 	}
-	switch *partition {
-	case "", "ff", "wf", "global":
-	default:
-		logf("euad: -partition must be ff, wf or global, got %q", *partition)
+	if *placement != "" && partition.CheckPlacement(*placement) != nil {
+		logf("euad: -partition must be ff, wf or global, got %q", *placement)
 		return 1
 	}
 	plan, err := storage.ParseFaultPlan(*storageFaults)
@@ -102,7 +101,7 @@ func run(args []string) int {
 		DefaultTimeout:    *defTimeout,
 		MaxTimeout:        *maxTimeout,
 		DefaultCores:      *cores,
-		DefaultPartition:  *partition,
+		DefaultPartition:  *placement,
 		Logf:              logf,
 	}
 	if plan != nil {

@@ -52,6 +52,7 @@ import (
 	"github.com/euastar/euastar/internal/energy"
 	"github.com/euastar/euastar/internal/experiment"
 	"github.com/euastar/euastar/internal/faults"
+	"github.com/euastar/euastar/internal/sched/partition"
 	"github.com/euastar/euastar/internal/telemetry"
 )
 
@@ -129,9 +130,7 @@ func runWithSignals(args []string, out, diag io.Writer, sigs <-chan os.Signal) e
 	if *cores < 0 {
 		return fmt.Errorf("-cores must be >= 0, got %d", *cores)
 	}
-	switch *partFlag {
-	case "ff", "wf", "global":
-	default:
+	if partition.CheckPlacement(*partFlag) != nil {
 		return fmt.Errorf("-partition must be ff, wf or global, got %q", *partFlag)
 	}
 	if *admit != "" {

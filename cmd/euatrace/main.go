@@ -96,27 +96,17 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	scheduler, abort, err := newScheduler(*schedName)
+	_, abort, err := newScheduler(*schedName)
 	if err != nil {
 		return err
 	}
-	if *cores > 1 {
-		switch *partFlag {
-		case "global":
-			scheduler = partition.NewGlobal(*cores)
-		case "ff", "wf":
-			name := *schedName
-			policy, err := partition.ParsePolicy(*partFlag)
-			if err != nil {
-				return err
-			}
-			scheduler = partition.New(*cores, policy, func() sched.Scheduler {
-				s, _, _ := newScheduler(name)
-				return s
-			})
-		default:
-			return fmt.Errorf("unknown partition policy %q (ff|wf|global)", *partFlag)
-		}
+	name := *schedName
+	scheduler, err := partition.Place(*cores, *partFlag, func() sched.Scheduler {
+		s, _, _ := newScheduler(name)
+		return s
+	})
+	if err != nil {
+		return err
 	}
 	var application workload.App
 	switch *app {

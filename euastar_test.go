@@ -1,9 +1,11 @@
 package euastar_test
 
 import (
+	"errors"
 	"testing"
 
 	euastar "github.com/euastar/euastar"
+	"github.com/euastar/euastar/internal/engine"
 )
 
 func demoTasks() euastar.TaskSet {
@@ -165,6 +167,39 @@ func TestCompareNoSchedulers(t *testing.T) {
 func TestSimulateInvalidConfig(t *testing.T) {
 	if _, err := euastar.Simulate(euastar.SimConfig{}); err == nil {
 		t.Fatal("empty config accepted")
+	}
+}
+
+// TestSimulateRejectsCoreMismatch: a multicore scheduler or a per-core
+// table on a config that leaves Cores unset is a configuration error
+// reported before the run, not an invariant violation in the middle of
+// it.
+func TestSimulateRejectsCoreMismatch(t *testing.T) {
+	part, err := euastar.NewPartitioned(4, "ff", func() euastar.Scheduler { return euastar.NewEUA() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	global, err := euastar.NewGlobalUER(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, cfg := range map[string]euastar.SimConfig{
+		"partitioned": {Scheduler: part},
+		"global":      {Scheduler: global},
+		"per-core table": {
+			Scheduler: euastar.NewEUA(),
+			CoreFreqs: []euastar.FrequencyTable{{200e6, 300e6, 400e6, 500e6, 600e6}},
+		},
+	} {
+		cfg.Tasks, cfg.Horizon, cfg.AbortAtTermination = demoTasks(), 0.5, true
+		_, err := euastar.Simulate(cfg)
+		if err == nil {
+			t.Fatalf("%s: accepted with Cores unset", name)
+		}
+		var inv *engine.InvariantError
+		if errors.As(err, &inv) {
+			t.Fatalf("%s: rejected mid-run (%v), not by validation", name, err)
+		}
 	}
 }
 

@@ -8,9 +8,11 @@
 // The engine models m DVS cores (Config.Cores; the paper's uniprocessor
 // is m = 1, the default). Each core carries its own run state, frequency
 // ladder, switch-latency tracking and energy meter; Result sums the
-// per-core meters and also reports the per-core breakdown. A
-// uniprocessor run takes exactly the code path of the pre-multicore
-// engine — m = 1 results are bit-identical to it.
+// per-core meters and also reports the per-core breakdown. The core
+// count is a parameter of one decision path, not a second one: every
+// scheduling event yields one decision per core, a plain
+// sched.Scheduler answering as a one-core sched.MultiScheduler, and
+// m = 1 results are bit-identical to the pre-multicore engine.
 //
 // The engine enforces the information split of the paper: schedulers see
 // allocations and executed cycles, never the realized demand; the engine
@@ -69,15 +71,16 @@ type Config struct {
 	// Cores is the number of DVS cores; 0 and 1 both select the paper's
 	// uniprocessor, whose results are bit-identical to the pre-multicore
 	// engine. With Cores > 1 the Scheduler must implement
-	// sched.MultiScheduler with a matching core count, and tasks with
-	// resource sections are rejected (the single-unit resource model is
-	// uniprocessor-only).
+	// sched.MultiScheduler, and tasks with resource sections are rejected
+	// (the single-unit resource model is uniprocessor-only). A
+	// sched.MultiScheduler must report this core count on every core
+	// count, m = 1 included.
 	Cores int
 
 	// CoreFreqs optionally gives each core its own frequency table
-	// (heterogeneous ladders). When set its length must equal the core
-	// count; nil entries and a nil slice fall back to Freqs, which also
-	// remains the reference ladder for workload scaling.
+	// (heterogeneous ladders); it needs Cores > 1 and one entry per core.
+	// Nil entries and a nil slice fall back to Freqs, which also remains
+	// the reference ladder for workload scaling.
 	CoreFreqs []cpu.FrequencyTable
 
 	// Horizon bounds job arrivals to [0, Horizon) seconds; the run itself
@@ -107,8 +110,10 @@ type Config struct {
 	// the metered energy (summed over all cores) reaches the budget the
 	// system halts: partially executed spans are cut at the depletion
 	// instant, all pending jobs are aborted, and later arrivals abort on
-	// release. On multi-core runs depletion is resolved in core order
-	// within the final inter-event interval — exact for m = 1.
+	// release. The budget is a hard cap on every core count: within the
+	// final inter-event interval cores execute in index order, the core
+	// that drains the battery stops at the depletion instant, and the
+	// cores after it do not execute that stretch.
 	EnergyBudget float64
 
 	// IdleStaticPower, when positive, charges this constant power (model
@@ -214,8 +219,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("engine: core count %d must be non-negative", c.Cores)
 	}
 	m := c.coreCount()
-	if len(c.CoreFreqs) > 0 && len(c.CoreFreqs) != m {
-		return fmt.Errorf("engine: %d per-core frequency tables for %d cores", len(c.CoreFreqs), m)
+	if n := len(c.CoreFreqs); n > 0 && (m == 1 || n != m) {
+		return fmt.Errorf("engine: %d per-core frequency tables for %d cores (they need Cores > 1, one per core)", n, m)
 	}
 	for k, ft := range c.CoreFreqs {
 		if ft == nil {
@@ -225,14 +230,12 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("engine: core %d table: %w", k, err)
 		}
 	}
+	if ms, ok := c.Scheduler.(sched.MultiScheduler); ok && ms.Cores() != m {
+		return fmt.Errorf("engine: scheduler built for %d cores, config asks for %d", ms.Cores(), m)
+	} else if !ok && m > 1 {
+		return fmt.Errorf("engine: %d cores need a sched.MultiScheduler, got %T", m, c.Scheduler)
+	}
 	if m > 1 {
-		ms, ok := c.Scheduler.(sched.MultiScheduler)
-		if !ok {
-			return fmt.Errorf("engine: %d cores need a sched.MultiScheduler, got %T", m, c.Scheduler)
-		}
-		if ms.Cores() != m {
-			return fmt.Errorf("engine: scheduler built for %d cores, config asks for %d", ms.Cores(), m)
-		}
 		for _, t := range c.Tasks {
 			if len(t.Sections) > 0 {
 				return fmt.Errorf("engine: task %v has resource sections; the single-unit resource model is uniprocessor-only", t)
@@ -354,7 +357,24 @@ type coreState struct {
 	completion *sim.Event // queued completion event of the running job
 	proc       *cpu.Processor
 	meter      *energy.Meter
-	switchSeq  int // commanded frequency switches, fault-plan label
+	switchSeq  int       // commanded frequency switches, fault-plan label
+	target     *task.Job // the current decision's dispatch for this core
+}
+
+// oneCore presents a plain sched.Scheduler as a one-core
+// sched.MultiScheduler, so every core count takes the same decision
+// path. Its decision slot is reused across calls.
+type oneCore struct {
+	sched.Scheduler
+	slot [1]sched.CoreDecision
+}
+
+func (o *oneCore) Cores() int { return 1 }
+
+func (o *oneCore) DecideMulti(now float64, ready []*task.Job) sched.MultiDecision {
+	d := o.Decide(now, ready)
+	o.slot[0] = sched.CoreDecision{Run: d.Run, Freq: d.Freq}
+	return sched.MultiDecision{Cores: o.slot[:], Abort: d.Abort}
 }
 
 // state is the mutable simulation state.
@@ -364,7 +384,8 @@ type state struct {
 	pending    []*task.Job
 	all        []*task.Job
 	cores      []coreState
-	multi      sched.MultiScheduler // non-nil iff len(cores) > 1
+	multi      sched.MultiScheduler // the scheduler, or one wrapped in single
+	single     oneCore
 	demandSrc  map[int]*rng.Source
 	lastTime   float64
 	observer   EventObserver
@@ -448,8 +469,13 @@ func Run(cfg Config) (res *Result, err error) {
 		st.cores[k].proc = cpu.NewProcessor(cfg.coreTable(k), cfg.SwitchLatency)
 		st.cores[k].meter = energy.NewMeter(cfg.Energy)
 	}
+	if ms, ok := cfg.Scheduler.(sched.MultiScheduler); ok {
+		st.multi = ms
+	} else {
+		st.single.Scheduler = cfg.Scheduler
+		st.multi = &st.single
+	}
 	if m > 1 {
-		st.multi = cfg.Scheduler.(sched.MultiScheduler)
 		st.lastCore = make(map[*task.Job]int)
 	}
 	st.ins.init(cfg.Telemetry, cfg.Trace, m)
@@ -609,9 +635,9 @@ func (st *state) loop() error {
 
 // advance executes every core's running job from lastTime to now, cutting
 // spans at the energy budget's depletion instant if one is configured.
-// Cores advance in index order; once a core drains the budget, the
-// remaining cores' spans are cut at the same depletion instant (a
-// core-order resolution of simultaneous depletion, exact for m = 1).
+// Cores advance in index order: the core whose stretch drains the budget
+// is cut at the depletion instant, and the cores after it do not execute
+// that final stretch, so the metered energy never exceeds the budget.
 func (st *state) advance(now float64) {
 	wasDepleted := st.depleted
 	for k := range st.cores {
@@ -662,27 +688,6 @@ func (st *state) advanceCore(k int, now float64) {
 					st.depletedAt = end
 				}
 			}
-			cyc := dt * f
-			if rem := c.running.Remaining(); cyc > rem {
-				cyc = rem
-			}
-			c.running.Executed += cyc
-			c.meter.Charge(cyc, f, dt)
-			if st.cfg.RecordTrace && cyc > 0 {
-				st.trace = append(st.trace, Span{
-					Job: c.running, Start: start, End: end, Frequency: f, Cycles: cyc, Core: k,
-				})
-			}
-		}
-	} else if c.running != nil && st.depleted {
-		// An earlier core drained the budget during this same advance:
-		// this core's span is cut at the shared depletion instant. The
-		// battery has nothing left, so the cut stretch is not metered.
-		start := math.Max(st.lastTime, c.runStart)
-		end := math.Min(now, st.depletedAt)
-		if end > start {
-			dt := end - start
-			f := c.proc.Frequency()
 			cyc := dt * f
 			if rem := c.running.Remaining(); cyc > rem {
 				cyc = rem
@@ -860,82 +865,13 @@ func (st *state) removePending(j *task.Job) {
 	panic(fmt.Sprintf("engine: job %v not pending", j))
 }
 
-// decide invokes the scheduler once and applies its dispatch. The
-// uniprocessor path is kept verbatim (decideSingle) so m = 1 runs stay
-// bit-identical to the pre-multicore engine; decideMulti is the m > 1
-// generalization.
+// decide invokes the scheduler once and applies its decision core by
+// core, for every core count: aborts first, then each core's selection
+// is checked and resolved to the head of its blocking chain, then every
+// core whose assignment changed is stopped (counting preemptions) before
+// any core is dispatched, so a job that moved cores is free when its new
+// core takes it. A plain Scheduler answers through the one-core adapter.
 func (st *state) decide(now float64) {
-	if st.multi != nil {
-		st.decideMulti(now)
-		return
-	}
-	st.decideSingle(now)
-}
-
-func (st *state) decideSingle(now float64) {
-	c := &st.cores[0]
-	if st.depleted || len(st.pending) == 0 {
-		st.stopCore(0)
-		return
-	}
-	if st.cfg.EnergyBudget > 0 {
-		if bo, ok := st.cfg.Scheduler.(BudgetObserver); ok {
-			bo.OnEnergy(c.meter.Total(), st.cfg.EnergyBudget)
-		}
-	}
-	// Decide may reorder ready in place but must not retain it, so one
-	// buffer is reused across the run instead of copying pending afresh
-	// on every decision.
-	st.readyBuf = append(st.readyBuf[:0], st.pending...)
-	d := st.cfg.Scheduler.Decide(now, st.readyBuf)
-	st.ins.noteDecision(now, len(st.pending))
-	for _, j := range d.Abort {
-		st.abort(now, j, "scheduler abort")
-	}
-	if c.running != nil && c.running.State != task.Pending {
-		st.stopCore(0)
-	}
-	if d.Run == nil {
-		st.stopCore(0)
-		return
-	}
-	if d.Run.State != task.Pending {
-		panic(fmt.Sprintf("engine: scheduler selected resolved job %v", d.Run))
-	}
-	if !st.cfg.Freqs.Contains(d.Freq) {
-		panic(fmt.Sprintf("engine: scheduler chose frequency %g Hz outside the table", d.Freq))
-	}
-	// Resolve resource blocking: execute the head of the selected job's
-	// blocking chain (no-op for independent tasks).
-	eff, err := st.effective(d.Run)
-	if err != nil {
-		// Deadlock: abort the selected job (releasing its resources breaks
-		// the cycle) and re-evaluate.
-		st.abort(now, d.Run, "resource deadlock resolved")
-		st.decideSingle(now)
-		return
-	}
-	if eff != d.Run {
-		st.ins.inherits.Inc()
-	}
-	if eff == c.running && d.Freq == c.proc.Frequency() {
-		return // nothing changes; the queued progress event stands
-	}
-	// Everything that reaches stopCore here with a different pending
-	// job still installed is a preemption: the running job loses the
-	// processor to eff while it could have kept executing.
-	if c.running != nil && c.running != eff {
-		st.ins.preemptions.Inc()
-	}
-	st.stopCore(0)
-	st.dispatch(0, now, eff, d.Freq)
-}
-
-// decideMulti applies a MultiDecision: per core, stop what should stop,
-// then dispatch what should run. Aborts are applied first (matching the
-// uniprocessor order) and a job selected on two cores is an invariant
-// violation.
-func (st *state) decideMulti(now float64) {
 	if st.depleted || len(st.pending) == 0 {
 		for k := range st.cores {
 			st.stopCore(k)
@@ -947,6 +883,9 @@ func (st *state) decideMulti(now float64) {
 			bo.OnEnergy(st.energyTotal(), st.cfg.EnergyBudget)
 		}
 	}
+	// DecideMulti may reorder ready in place but must not retain it, so
+	// one buffer is reused across the run instead of copying pending
+	// afresh on every decision.
 	st.readyBuf = append(st.readyBuf[:0], st.pending...)
 	d := st.multi.DecideMulti(now, st.readyBuf)
 	st.ins.noteDecision(now, len(st.pending))
@@ -957,7 +896,9 @@ func (st *state) decideMulti(now float64) {
 		panic(fmt.Sprintf("engine: scheduler decided %d cores, engine has %d", len(d.Cores), len(st.cores)))
 	}
 	for k := range d.Cores {
+		c := &st.cores[k]
 		j := d.Cores[k].Run
+		c.target = nil
 		if j == nil {
 			continue
 		}
@@ -969,45 +910,51 @@ func (st *state) decideMulti(now float64) {
 				panic(fmt.Sprintf("engine: scheduler selected job %v on cores %d and %d", j, k, l))
 			}
 		}
+		if !c.proc.Table.Contains(d.Cores[k].Freq) {
+			panic(fmt.Sprintf("engine: scheduler chose frequency %g Hz outside core %d's table", d.Cores[k].Freq, k))
+		}
+		// Resolve resource blocking: the core executes the head of the
+		// selected job's blocking chain (j itself for independent tasks).
+		eff, err := st.effective(j)
+		if err != nil {
+			// Deadlock: abort the selected job (releasing its resources
+			// breaks the cycle) and re-evaluate.
+			st.abort(now, j, "resource deadlock resolved")
+			st.decide(now)
+			return
+		}
+		if eff != j {
+			st.ins.inherits.Inc()
+		}
+		c.target = eff
 	}
 	// Pass 1: stop every core whose assignment changed, counting the
 	// preemptions (a still-pending running job displaced by another).
 	for k := range st.cores {
 		c := &st.cores[k]
-		if c.running == nil {
+		if c.running == nil || c.running == c.target {
 			continue
 		}
-		target := d.Cores[k].Run
-		if c.running.State != task.Pending {
-			st.stopCore(k)
-			continue
+		if c.running.State == task.Pending && c.target != nil {
+			st.ins.preemptions.Inc()
 		}
-		if target != c.running {
-			if target != nil {
-				st.ins.preemptions.Inc()
-			}
-			st.stopCore(k)
-		}
+		st.stopCore(k)
 	}
 	// Pass 2: dispatch. A job that moved cores was stopped on its old
 	// core in pass 1, so dispatching it here is a migration.
 	for k := range st.cores {
 		c := &st.cores[k]
-		cd := d.Cores[k]
-		if cd.Run == nil {
-			st.stopCore(k)
-			continue
+		if c.target == nil {
+			continue // pass 1 idled the core
 		}
-		if !c.proc.Table.Contains(cd.Freq) {
-			panic(fmt.Sprintf("engine: scheduler chose frequency %g Hz outside core %d's table", cd.Freq, k))
-		}
-		if cd.Run == c.running {
-			if cd.Freq == c.proc.Frequency() {
+		freq := d.Cores[k].Freq
+		if c.target == c.running {
+			if freq == c.proc.Frequency() {
 				continue // nothing changes; the queued progress event stands
 			}
 			st.stopCore(k) // same job, new frequency: requeue its progress event
 		}
-		st.dispatch(k, now, cd.Run, cd.Freq)
+		st.dispatch(k, now, c.target, freq)
 	}
 }
 

@@ -96,6 +96,24 @@ func TestMultiCoreValidate(t *testing.T) {
 			t.Fatal("unsorted per-core table accepted")
 		}
 	})
+	// Validate must reject the one-core mismatches below up front: past
+	// it they surface, if at all, as an invariant violation mid-run.
+	t.Run("multi-core scheduler on one-core config", func(t *testing.T) {
+		cfg := baseConfig(ts, &multiTestSched{m: 4}, 0.05) // Cores unset
+		if err := cfg.Validate(); err == nil {
+			t.Fatal("4-core scheduler accepted with Cores unset")
+		}
+	})
+	t.Run("per-core table on one core", func(t *testing.T) {
+		for _, cores := range []int{0, 1} {
+			cfg := baseConfig(ts, edf.New(true), 0.05)
+			cfg.Cores = cores
+			cfg.CoreFreqs = []cpu.FrequencyTable{cpu.Uniform(200e6, 600e6, 5)}
+			if err := cfg.Validate(); err == nil {
+				t.Fatalf("Cores=%d: per-core table accepted on a uniprocessor", cores)
+			}
+		}
+	})
 	t.Run("resource sections rejected", func(t *testing.T) {
 		secTS := multiTestSet(4)
 		secTS[0].Sections = []task.Section{{Resource: 1, Start: 0.1, End: 0.9}}

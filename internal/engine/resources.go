@@ -97,6 +97,9 @@ var errDeadlock = fmt.Errorf("engine: resource deadlock")
 // progress, acquiring free resources along the way. It returns errDeadlock
 // on a cycle.
 func (st *state) effective(j *task.Job) (*task.Job, error) {
+	if len(j.Task.Sections) == 0 {
+		return j, nil // independent tasks never block
+	}
 	seen := map[*task.Job]bool{}
 	for {
 		if seen[j] {

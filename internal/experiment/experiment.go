@@ -248,7 +248,7 @@ func runRaw(cfg Config, scheme Scheme, ts task.Set, seed uint64, opts runOptions
 	if opts.faults != nil {
 		plan = opts.faults
 	}
-	scheduler, err := buildScheduler(cfg, scheme)
+	scheduler, err := partition.Place(cfg.Cores, cfg.Partition, scheme.New)
 	if err != nil {
 		return nil, err
 	}
@@ -275,23 +275,6 @@ func runRaw(cfg Config, scheme Scheme, ts task.Set, seed uint64, opts runOptions
 		return nil, err
 	}
 	return res, nil
-}
-
-// buildScheduler constructs one run's scheduler: the scheme itself on a
-// uniprocessor config, the scheme wrapped in the partitioned (or global)
-// multiprocessor meta-scheduler when Cores > 1.
-func buildScheduler(cfg Config, scheme Scheme) (sched.Scheduler, error) {
-	if cfg.Cores <= 1 {
-		return scheme.New(), nil
-	}
-	if cfg.Partition == "global" {
-		return partition.NewGlobal(cfg.Cores), nil
-	}
-	policy, err := partition.ParsePolicy(cfg.Partition)
-	if err != nil {
-		return nil, err
-	}
-	return partition.New(cfg.Cores, policy, scheme.New), nil
 }
 
 // Row is one load point of a normalized comparison: per scheme, the mean

@@ -22,14 +22,16 @@ type MultiDecision struct {
 }
 
 // MultiScheduler is the multiprocessor scheduler contract. The engine
-// requires it whenever Config.Cores > 1: Decide is never called on a
-// multi-core run — DecideMulti is — but implementations keep the single
-// Decide for the uniprocessor (m = 1) degenerate case, where they must
-// behave exactly like the scheme they wrap.
+// requires it whenever Config.Cores > 1 and accepts it on one core too.
+// It asks a MultiScheduler DecideMulti at every scheduling event on
+// every core count, m = 1 included, and never calls its Decide. A plain
+// Scheduler runs on one core only, where the engine presents it as a
+// one-core MultiScheduler.
 type MultiScheduler interface {
 	Scheduler
 	// Cores returns the core count the scheduler was built for; the
-	// engine rejects a mismatch with Config.Cores at Validate time.
+	// engine rejects a mismatch with Config.Cores (unset meaning 1) at
+	// Validate time.
 	Cores() int
 	// DecideMulti selects, at time now, one job and frequency per core.
 	// ready holds all released, unfinished, unaborted jobs of the whole

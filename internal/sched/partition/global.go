@@ -69,7 +69,8 @@ func (g *Global) Init(ctx *sched.Context) error {
 	return nil
 }
 
-// Decide is the m = 1 entry point: the top-1 unwrapping of DecideMulti.
+// Decide satisfies sched.Scheduler with the top-1 unwrapping of
+// DecideMulti; the engine itself asks DecideMulti on every core count.
 func (g *Global) Decide(now float64, ready []*task.Job) sched.Decision {
 	d := g.DecideMulti(now, ready)
 	return sched.Decision{Run: d.Cores[0].Run, Freq: d.Cores[0].Freq, Abort: d.Abort}

@@ -1,20 +1,24 @@
 package partition_test
 
 // The m = 1 bit-identity guard: every case below runs the identical
-// simulation twice — once with the bare uniprocessor EUA* scheduler,
-// once with the same scheduler wrapped in partition.New(1, ...) — and
+// simulation twice — once with the bare uniprocessor scheduler (EUA*,
+// or EDF and laEDF in the resource cases), once with the same scheduler
+// wrapped in partition.New(1, ...) — and
 // requires the two results to be bit-identical with exact float64
 // equality: all energy accounting, every job's resolution, and the full
 // execution trace span by span. The grid mirrors EUA*'s differential
 // oracle (internal/sched/eua/differential_test.go): all
 // three Table 1 applications, both TUF families, underload through heavy
 // overload, scheduler options, fault plans, energy budgets, profiled
-// tasks and engine extensions — over 200 cases, so the single-core
-// partitioned engine path is pinned to the seed uniprocessor behavior
-// across the whole covered configuration space.
+// tasks and engine extensions — plus critical sections on two shared
+// resources under EDF, laEDF and EUA*, whose blocking chains, execution
+// inheritance and deadlock aborts run inside the engine's per-core
+// decision. The 238 cases pin the single-core partitioned path to the
+// uniprocessor behavior across the whole covered configuration space.
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"github.com/euastar/euastar/internal/cpu"
@@ -24,8 +28,11 @@ import (
 	"github.com/euastar/euastar/internal/profile"
 	"github.com/euastar/euastar/internal/rng"
 	"github.com/euastar/euastar/internal/sched"
+	"github.com/euastar/euastar/internal/sched/edf"
 	"github.com/euastar/euastar/internal/sched/eua"
+	"github.com/euastar/euastar/internal/sched/laedf"
 	"github.com/euastar/euastar/internal/sched/partition"
+	"github.com/euastar/euastar/internal/task"
 	"github.com/euastar/euastar/internal/workload"
 )
 
@@ -73,7 +80,7 @@ func identityCases() []identCase {
 		{"noWin", []eua.Option{eua.WithoutWindowedDemand()}},
 		{"noPhantom", []eua.Option{eua.WithoutPhantomReservation()}},
 		{"strictBreak", []eua.Option{eua.WithStrictBreak()}},
-		{"fastpath", nil}, // the default core (eua/fastpath.go) at this grid's loads
+		{"default", nil}, // EUA* with no option, at this grid's loads
 	}
 	for _, o := range options {
 		for _, load := range []float64{0.8, 1.6} {
@@ -175,13 +182,80 @@ func identityCases() []identCase {
 		}
 	}
 
+	schemes := []struct {
+		name string
+		make func() sched.Scheduler
+	}{
+		{"EDF", func() sched.Scheduler { return edf.New(true) }},
+		{"laEDF", func() sched.Scheduler { return laedf.New(true) }},
+		{"EUA", func() sched.Scheduler { return eua.New() }},
+	}
+	for _, sc := range schemes {
+		for _, layout := range []string{"nested", "overlap"} {
+			for _, load := range []float64{0.8, 1.4} {
+				for seed := uint64(1); seed <= 3; seed++ {
+					sc, layout, load, seed := sc, layout, load, seed
+					add(fmt.Sprintf("sections/%s-%s-L%.1f-s%d", sc.name, layout, load, seed),
+						func(wrapped bool) engine.Config {
+							cfg := identConfig(workload.A3(), workload.Step, load, seed, energy.E2, false)
+							cfg.Scheduler = identScheduler(seed, wrapped, sc.make)
+							addSections(cfg.Tasks, layout)
+							return cfg
+						})
+				}
+			}
+		}
+	}
+
 	return cases
 }
 
-// identConfig assembles one run with either the bare EUA* scheduler or
-// the same construction wrapped in a 1-core partitioned meta-scheduler.
-// Both partitioning policies go through the same pass-through code with
-// m = 1, so alternating the policy with the seed costs no coverage.
+// addSections gives the tasks critical sections on resources 1 and 2.
+// Task i mod 4 selects the pattern: 0 holds R1 around R2, 1 holds R2
+// around R1 (the reverse order, so chains can close into a deadlock), 2
+// takes R1 alone and 3 stays independent. "nested" puts the inner
+// section wholly inside the outer one; "overlap" lets the two sections
+// overlap without nesting.
+func addSections(ts task.Set, layout string) {
+	inner := [2]float64{0.3, 0.6}
+	outer := [2]float64{0.1, 0.8}
+	if layout == "overlap" {
+		outer, inner = [2]float64{0.1, 0.5}, [2]float64{0.3, 0.7}
+	}
+	for i, tk := range ts {
+		first, second := 1, 2
+		switch i % 4 {
+		case 1:
+			first, second = 2, 1
+		case 2:
+			tk.Sections = []task.Section{{Resource: 1, Start: 0.2, End: 0.5}}
+			continue
+		case 3:
+			continue
+		}
+		tk.Sections = []task.Section{
+			{Resource: first, Start: outer[0], End: outer[1]},
+			{Resource: second, Start: inner[0], End: inner[1]},
+		}
+	}
+}
+
+// identScheduler returns the bare scheduler, or the same construction
+// wrapped in a 1-core partitioned meta-scheduler. Both partitioning
+// policies take the same code with m = 1, so alternating the policy with
+// the seed costs no coverage.
+func identScheduler(seed uint64, wrapped bool, factory func() sched.Scheduler) sched.Scheduler {
+	if !wrapped {
+		return factory()
+	}
+	policy := partition.FirstFit
+	if seed%2 == 0 {
+		policy = partition.WorstFit
+	}
+	return partition.New(1, policy, factory)
+}
+
+// identConfig assembles one EUA* run, bare or wrapped (identScheduler).
 func identConfig(app workload.App, shape workload.Shape, load float64, seed uint64, preset energy.Preset, wrapped bool, opts ...eua.Option) engine.Config {
 	ft := cpu.PowerNowK6()
 	model, err := energy.NewPreset(preset, ft.Max())
@@ -190,17 +264,9 @@ func identConfig(app workload.App, shape workload.Shape, load float64, seed uint
 	}
 	ts := app.MustSynthesize(rng.New(seed*0x9e3779b9), workload.Options{Shape: shape})
 	ts = ts.ScaleToLoad(load, ft.Max())
-	var s sched.Scheduler = eua.New(opts...)
-	if wrapped {
-		policy := partition.FirstFit
-		if seed%2 == 0 {
-			policy = partition.WorstFit
-		}
-		s = partition.New(1, policy, func() sched.Scheduler { return eua.New(opts...) })
-	}
 	return engine.Config{
 		Tasks:              ts,
-		Scheduler:          s,
+		Scheduler:          identScheduler(seed, wrapped, func() sched.Scheduler { return eua.New(opts...) }),
 		Freqs:              ft,
 		Energy:             model,
 		Horizon:            0.5,
@@ -243,6 +309,7 @@ func requireIdentical(t *testing.T, ref, got *engine.Result) {
 		{"Events", ref.Events, got.Events},
 		{"Preemptions", ref.Preemptions, got.Preemptions},
 		{"Migrations", ref.Migrations, got.Migrations},
+		{"Inheritances", ref.Inheritances, got.Inheritances},
 		{"Cores", ref.Cores, got.Cores},
 		{"FaultEvents", ref.FaultEvents, got.FaultEvents},
 		{"SafeModeEntries", ref.SafeModeEntries, got.SafeModeEntries},
@@ -297,9 +364,18 @@ func requireIdentical(t *testing.T, ref, got *engine.Result) {
 
 func TestSingleCoreBitIdentity(t *testing.T) {
 	cases := identityCases()
-	if len(cases) < 200 {
-		t.Fatalf("identity grid shrank to %d cases; the suite requires at least 200", len(cases))
+	if len(cases) < 238 {
+		t.Fatalf("identity grid shrank to %d cases; the suite requires at least 238", len(cases))
 	}
+	// The resource cases must exercise what they are there for: cleanup
+	// runs once every parallel subtest has finished.
+	var inherits, deadlocks atomic.Int64
+	t.Cleanup(func() {
+		if inherits.Load() == 0 || deadlocks.Load() == 0 {
+			t.Errorf("grid went quiet: %d inheriting and %d deadlocking runs, want some of each",
+				inherits.Load(), deadlocks.Load())
+		}
+	})
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
@@ -313,6 +389,15 @@ func TestSingleCoreBitIdentity(t *testing.T) {
 				t.Fatalf("wrapped run: %v", err)
 			}
 			requireIdentical(t, ref, wrapped)
+			if ref.Inheritances > 0 {
+				inherits.Add(1)
+			}
+			for _, j := range ref.Jobs {
+				if j.AbortReason == "resource deadlock resolved" {
+					deadlocks.Add(1)
+					break
+				}
+			}
 		})
 	}
 }

@@ -8,9 +8,11 @@
 // subset. Global (global.go) is the contrasting design point: one shared
 // ready queue dispatched top-m by UER, with job migration allowed.
 //
-// With m = 1 Partitioned is a pure pass-through — Name, Init and Decide
-// delegate verbatim to the single wrapped instance — so uniprocessor
-// results through the wrapper are bit-identical to the bare scheme.
+// Both run through the engine's one decision path on every core count.
+// With m = 1 Partitioned keeps only two special cases: Init has nothing
+// to pack, so the single wrapped instance runs on the unmodified
+// context, and Name is the bare scheme's — so uniprocessor results and
+// fingerprints through the wrapper are bit-identical to the bare scheme.
 package partition
 
 import (
@@ -45,6 +47,36 @@ func ParsePolicy(s string) (Policy, error) {
 	return "", fmt.Errorf("partition: unknown policy %q (want %q or %q)", s, FirstFit, WorstFit)
 }
 
+// globalPlacement names the shared-queue dispatcher (NewGlobal) among
+// the placements Place accepts beside the bin-packing policies.
+const globalPlacement = "global"
+
+// CheckPlacement reports an error unless name is a placement Place
+// accepts on more than one core: a bin-packing Policy ("ff", "wf") or
+// "global".
+func CheckPlacement(name string) error {
+	if _, err := ParsePolicy(name); err != nil && name != globalPlacement {
+		return fmt.Errorf("partition: unknown placement %q (want ff, wf or global)", name)
+	}
+	return nil
+}
+
+// Place builds the scheduler for m cores from a scheme factory: the bare
+// scheme when m <= 1 (the placement is not read), otherwise Global for
+// "global" and the partitioned wrapper for a bin-packing policy.
+func Place(m int, placement string, factory func() sched.Scheduler) (sched.Scheduler, error) {
+	if m <= 1 {
+		return factory(), nil
+	}
+	if err := CheckPlacement(placement); err != nil {
+		return nil, err
+	}
+	if placement == globalPlacement {
+		return NewGlobal(m), nil
+	}
+	return New(m, Policy(placement), factory), nil
+}
+
 // eventObserver and budgetObserver mirror the engine's optional
 // scheduler extensions structurally, so the wrapper can forward
 // lifecycle and budget notifications to its sub-schedulers without
@@ -67,7 +99,7 @@ type Partitioned struct {
 
 	// probe is one factory instance made at construction time: it names
 	// the wrapped scheme before Init and doubles as the single
-	// sub-scheduler of the m = 1 pass-through.
+	// sub-scheduler when m = 1.
 	probe sched.Scheduler
 
 	subs   []sched.Scheduler // per-core instances; nil for task-less cores
@@ -95,8 +127,8 @@ func New(m int, policy Policy, factory func() sched.Scheduler) *Partitioned {
 	return &Partitioned{m: m, policy: policy, factory: factory, probe: factory()}
 }
 
-// Name identifies the configuration: the bare scheme name with m = 1
-// (the pass-through), otherwise e.g. "EUA*/P4ff".
+// Name identifies the configuration: the bare scheme name with m = 1,
+// otherwise e.g. "EUA*/P4ff".
 func (p *Partitioned) Name() string {
 	if p.m == 1 {
 		return p.probe.Name()
@@ -108,12 +140,15 @@ func (p *Partitioned) Name() string {
 func (p *Partitioned) Cores() int { return p.m }
 
 // Init partitions the task set and initializes one wrapped instance per
-// non-empty core. With m = 1 it initializes the single instance on the
-// unmodified context.
+// non-empty core. With m = 1 there is nothing to pack: the single
+// instance runs on the unmodified context, and the nil assignment
+// routes every job to core 0.
 func (p *Partitioned) Init(ctx *sched.Context) error {
+	p.subs = make([]sched.Scheduler, p.m)
+	p.bufs = make([][]*task.Job, p.m)
+	p.cores = make([]sched.CoreDecision, p.m)
 	if p.m == 1 {
-		p.subs = []sched.Scheduler{p.probe}
-		p.assign = nil // every job routes to core 0
+		p.subs[0], p.assign = p.probe, nil
 		return p.probe.Init(ctx)
 	}
 	if err := ctx.Validate(); err != nil {
@@ -121,9 +156,6 @@ func (p *Partitioned) Init(ctx *sched.Context) error {
 	}
 	tables := ctx.CoreTables(p.m)
 	coreTasks := p.partition(ctx.Tasks, tables)
-	p.subs = make([]sched.Scheduler, p.m)
-	p.bufs = make([][]*task.Job, p.m)
-	p.cores = make([]sched.CoreDecision, p.m)
 	for k := range coreTasks {
 		if len(coreTasks[k]) == 0 {
 			continue // task-less core: stays idle, needs no scheduler
@@ -209,27 +241,17 @@ func (p *Partitioned) partition(ts task.Set, tables []cpu.FrequencyTable) []task
 // wrapper's own; callers must not mutate it.
 func (p *Partitioned) Assignment() map[int]int { return p.assign }
 
-// Decide is the uniprocessor entry point: with m = 1 it delegates
-// verbatim to the wrapped scheme. The engine never calls it on
-// multi-core runs, and calling it there is a programming error.
+// Decide exists to satisfy sched.Scheduler. The engine asks a
+// MultiScheduler DecideMulti on every core count, so calling Decide is a
+// programming error.
 func (p *Partitioned) Decide(now float64, ready []*task.Job) sched.Decision {
-	if p.m != 1 {
-		panic(fmt.Sprintf("partition: Decide called on %d-core scheduler", p.m))
-	}
-	return p.subs[0].Decide(now, ready)
+	panic(fmt.Sprintf("partition: Decide called on %d-core scheduler; use DecideMulti", p.m))
 }
 
 // DecideMulti routes the shared ready queue through the Init-time
 // assignment and lets each core's wrapped instance decide over its own
 // jobs only — tasks never migrate under partitioning.
 func (p *Partitioned) DecideMulti(now float64, ready []*task.Job) sched.MultiDecision {
-	if p.m == 1 {
-		d := p.subs[0].Decide(now, ready)
-		return sched.MultiDecision{
-			Cores: []sched.CoreDecision{{Run: d.Run, Freq: d.Freq}},
-			Abort: d.Abort,
-		}
-	}
 	for k := range p.bufs {
 		p.bufs[k] = p.bufs[k][:0]
 	}
@@ -278,10 +300,8 @@ func (p *Partitioned) OnEnergy(spent, budget float64) {
 	}
 }
 
-// subOf returns the wrapped instance owning j's task (core 0 with m = 1).
+// subOf returns the wrapped instance owning j's task (core 0 with m = 1,
+// whose assignment is nil).
 func (p *Partitioned) subOf(j *task.Job) sched.Scheduler {
-	if p.assign == nil {
-		return p.subs[0]
-	}
 	return p.subs[p.assign[j.Task.ID]]
 }

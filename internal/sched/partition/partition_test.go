@@ -1,6 +1,7 @@
 package partition_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -39,6 +40,43 @@ func TestParsePolicy(t *testing.T) {
 	}
 	if _, err := partition.ParsePolicy("best-fit"); err == nil {
 		t.Fatal("unknown policy accepted")
+	}
+}
+
+// TestPlace pins the placement switch the experiment runner, euad and
+// euatrace share.
+func TestPlace(t *testing.T) {
+	for _, name := range []string{"ff", "wf", "global"} {
+		if err := partition.CheckPlacement(name); err != nil {
+			t.Fatalf("CheckPlacement(%q): %v", name, err)
+		}
+	}
+	for _, name := range []string{"", "rr", "FF"} {
+		if partition.CheckPlacement(name) == nil {
+			t.Fatalf("CheckPlacement(%q) accepted", name)
+		}
+	}
+	for _, c := range []struct {
+		m         int
+		placement string
+		name      string
+	}{
+		{0, "rr", "EUA*"}, // one core never reads the placement
+		{1, "global", "EUA*"},
+		{2, "ff", "EUA*/P2ff"},
+		{4, "wf", "EUA*/P4wf"},
+		{4, "global", "G-UER/4"},
+	} {
+		s, err := partition.Place(c.m, c.placement, euaFactory)
+		if err != nil {
+			t.Fatalf("Place(%d, %q): %v", c.m, c.placement, err)
+		}
+		if s.Name() != c.name {
+			t.Fatalf("Place(%d, %q) built %q, want %q", c.m, c.placement, s.Name(), c.name)
+		}
+	}
+	if _, err := partition.Place(2, "rr", euaFactory); err == nil {
+		t.Fatal("Place accepted an unknown placement on 2 cores")
 	}
 }
 
@@ -224,6 +262,59 @@ func TestPartitionedBudget(t *testing.T) {
 	}
 }
 
+// TestBudgetIsHardCap: on multicore runs the energy budget caps the
+// metered energy whichever core drains it, and every metered cycle is
+// an executed one. Budgets are 5%, 20% and 50% of the unbudgeted run's
+// energy on the identical workload.
+func TestBudgetIsHardCap(t *testing.T) {
+	ft := cpu.PowerNowK6()
+	for _, m := range []int{2, 4} {
+		for seed := uint64(1); seed <= 10; seed++ {
+			cfg := engine.Config{
+				Tasks:              testSet(1.2*float64(m), seed),
+				Freqs:              ft,
+				Energy:             energy.MustPreset(energy.E1, ft.Max()),
+				Cores:              m,
+				Horizon:            0.3,
+				Seed:               seed,
+				AbortAtTermination: true,
+			}
+			run := func(budget float64) *engine.Result {
+				cfg.Scheduler = partition.New(m, partition.FirstFit, euaFactory)
+				cfg.EnergyBudget = budget
+				res, err := engine.Run(cfg)
+				if err != nil {
+					t.Fatalf("m=%d seed=%d budget=%g: %v", m, seed, budget, err)
+				}
+				return res
+			}
+			full := run(0).TotalEnergy
+			for _, share := range []float64{0.05, 0.2, 0.5} {
+				budget := share * full
+				res := run(budget)
+				if !res.Depleted {
+					t.Fatalf("m=%d seed=%d share=%g: budget never ran out", m, seed, share)
+				}
+				// 1e-9 absorbs the rounding of the cut stretch (its length
+				// is the remaining budget over the power, re-metered as
+				// cycles); the overshoot this guards against is percents.
+				if res.TotalEnergy > budget*(1+1e-9) {
+					t.Fatalf("m=%d seed=%d share=%g: metered %v, budget %v (+%.3g%%)",
+						m, seed, share, res.TotalEnergy, budget, 100*(res.TotalEnergy/budget-1))
+				}
+				var executed float64
+				for _, j := range res.Jobs {
+					executed += j.Executed
+				}
+				if math.Abs(executed-res.Cycles) > 1e-3 {
+					t.Fatalf("m=%d seed=%d share=%g: executed %v cycles, metered %v",
+						m, seed, share, executed, res.Cycles)
+				}
+			}
+		}
+	}
+}
+
 func TestGlobalRun(t *testing.T) {
 	ts := testSet(1.6, 1)
 	res := runPartitioned(t, partition.NewGlobal(2), 2, ts, 0.3)
@@ -246,8 +337,8 @@ func TestGlobalRun(t *testing.T) {
 	}
 }
 
-// TestGlobalUniprocessor runs the m = 1 degenerate case through the
-// plain Decide path.
+// TestGlobalUniprocessor runs the m = 1 degenerate case: top-1
+// dispatch through the engine's one decision path.
 func TestGlobalUniprocessor(t *testing.T) {
 	ft := cpu.PowerNowK6()
 	res, err := engine.Run(engine.Config{

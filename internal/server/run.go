@@ -131,18 +131,10 @@ func (s *Server) runSimulate(spec JobSpec, interrupt <-chan struct{}) (any, erro
 	if seed == 0 {
 		seed = 1
 	}
-	cores, policyName := s.multiDefaults(spec)
-	scheduler := scheme.New()
-	if cores > 1 {
-		if policyName == "global" {
-			scheduler = partition.NewGlobal(cores)
-		} else {
-			policy, perr := partition.ParsePolicy(policyName)
-			if perr != nil {
-				return nil, invalidf("%v", perr)
-			}
-			scheduler = partition.New(cores, policy, scheme.New)
-		}
+	cores, placement := s.multiDefaults(spec)
+	scheduler, perr := partition.Place(cores, placement, scheme.New)
+	if perr != nil {
+		return nil, invalidf("%v", perr)
 	}
 	res, err := engine.Run(engine.Config{
 		Tasks:              ts,

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/euastar/euastar/internal/experiment"
+	"github.com/euastar/euastar/internal/sched/partition"
 )
 
 // Job kinds accepted by the service. KindTest is only admitted when the
@@ -98,9 +99,7 @@ func (s *JobSpec) Validate(testJobs bool) error {
 	if s.Cores < 0 {
 		return fmt.Errorf("cores must be non-negative")
 	}
-	switch s.Partition {
-	case "", "ff", "wf", "global":
-	default:
+	if s.Partition != "" && partition.CheckPlacement(s.Partition) != nil {
 		return fmt.Errorf("unknown partition policy %q (ff|wf|global)", s.Partition)
 	}
 	switch s.Kind {
