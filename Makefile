@@ -103,10 +103,11 @@ telemetry-smoke:
 # (unit + differential + golden threshold suites), the optimality oracles
 # internal/oracle (unit + soundness + cross-oracle suites), the
 # multi-tenant admission controller internal/tenancy, the
-# fault-injectable filesystem internal/storage and the multiprocessor
+# fault-injectable filesystem internal/storage, the multiprocessor
 # meta-schedulers internal/sched/partition (bin packing + global UER +
-# single-core identity suite) must each stay at or above 80% statement
-# coverage.
+# single-core identity suite) and the comparison schedulers
+# internal/sched/baseline (all ten EDF and utility-accrual variants) must
+# each stay at or above 80% statement coverage.
 cover:
 	$(GO) test -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -1
@@ -122,6 +123,8 @@ cover:
 	@$(GO) tool cover -func=coverage-storage.out | awk '/^total:/ { pct = $$3 + 0; printf "internal/storage coverage: %s (floor 80%%)\n", $$3; if (pct < 80) { print "FAIL: internal/storage below the 80% coverage floor"; exit 1 } }'
 	$(GO) test -coverprofile=coverage-partition.out ./internal/sched/partition/
 	@$(GO) tool cover -func=coverage-partition.out | awk '/^total:/ { pct = $$3 + 0; printf "internal/sched/partition coverage: %s (floor 80%%)\n", $$3; if (pct < 80) { print "FAIL: internal/sched/partition below the 80% coverage floor"; exit 1 } }'
+	$(GO) test -coverprofile=coverage-baseline.out ./internal/sched/baseline/
+	@$(GO) tool cover -func=coverage-baseline.out | awk '/^total:/ { pct = $$3 + 0; printf "internal/sched/baseline coverage: %s (floor 80%%)\n", $$3; if (pct < 80) { print "FAIL: internal/sched/baseline below the 80% coverage floor"; exit 1 } }'
 
 fuzz:
 	$(GO) test -fuzz=FuzzCompliant -fuzztime=30s ./internal/uam/

@@ -53,16 +53,17 @@ func scrapeMetric(t *testing.T, base, name string) float64 {
 	return v
 }
 
-// waitMetric polls a metric until it reaches at least want.
-func waitMetric(t *testing.T, base, name string, want float64, deadline time.Duration) {
+// waitMetric polls a metric until ok accepts its value.
+func waitMetric(t *testing.T, base, name string, ok func(float64) bool, deadline time.Duration) {
 	t.Helper()
 	stop := time.Now().Add(deadline)
 	for {
-		if v := scrapeMetric(t, base, name); v >= want {
+		v := scrapeMetric(t, base, name)
+		if ok(v) {
 			return
 		}
 		if time.Now().After(stop) {
-			t.Fatalf("%s never reached %v (last %v)", name, want, scrapeMetric(t, base, name))
+			t.Fatalf("%s still %v after %v", name, v, deadline)
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
@@ -98,8 +99,12 @@ func TestClusterChaosSoak(t *testing.T) {
 	}
 
 	// The cluster: short leases so revocation and reassignment are
-	// exercised within the test budget.
-	coord := startDaemon(t, t.TempDir(), "-coordinator", "-lease-ttl", "2s")
+	// exercised within the test budget. An idle worker asks for a lease
+	// once per heartbeat, which the coordinator sets to a quarter of the
+	// TTL.
+	const leaseTTL = 2 * time.Second
+	idlePoll := leaseTTL / 4
+	coord := startDaemon(t, t.TempDir(), "-coordinator", "-lease-ttl", leaseTTL.String())
 	defer coord.cmd.Process.Kill()
 	var workers [3]*daemon
 	for i := range workers {
@@ -107,14 +112,17 @@ func TestClusterChaosSoak(t *testing.T) {
 			"-join", coord.base, "-worker-id", fmt.Sprintf("w%d", i+1), "-cells", "1")
 		defer workers[i].cmd.Process.Kill()
 	}
-	waitMetric(t, coord.base, "euad_coord_workers_live", 3, 15*time.Second)
+	waitMetric(t, coord.base, "euad_coord_workers_live", func(v float64) bool { return v >= 3 }, 15*time.Second)
 
 	if _, err := client.New(coord.base).Submit(ctx, clusterSweepSpec("cluster-sweep")); err != nil {
 		t.Fatalf("cluster submit: %v; logs:\n%s", err, coord.logs)
 	}
 	// Let the sweep get airborne, then take two of the three workers out:
-	// one vanishes without a trace, one freezes while holding leases.
-	time.Sleep(refDur / 8)
+	// one vanishes without a trace, one freezes while holding leases. A
+	// busy worker asks for its next lease as soon as it commits, so once
+	// every worker has had an idle-poll interval (plus slack) to pick up
+	// its first lease, each holds one for all but a moment.
+	time.Sleep(max(refDur/8, idlePoll*3/2))
 	if err := workers[0].cmd.Process.Kill(); err != nil { // SIGKILL: no cleanup
 		t.Fatal(err)
 	}
@@ -136,7 +144,11 @@ func TestClusterChaosSoak(t *testing.T) {
 
 	// Wake the frozen worker: a zombie resuming after a partition. Its
 	// leases expired long ago; whatever it tries to commit must fence as
-	// a stale epoch, never land in a sweep.
+	// a stale epoch, never land in a sweep. Wake it only once the
+	// coordinator has declared it dead (only w3 still live): a worker
+	// still registered learns of the revocation from its first
+	// heartbeat and rightly drops the cell without committing.
+	waitMetric(t, coord.base, "euad_coord_workers_live", func(v float64) bool { return v <= 1 }, 10*leaseTTL)
 	if err := syscall.Kill(workers[1].cmd.Process.Pid, syscall.SIGCONT); err != nil {
 		t.Fatal(err)
 	}

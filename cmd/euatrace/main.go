@@ -23,12 +23,8 @@ import (
 	"github.com/euastar/euastar/internal/metrics"
 	"github.com/euastar/euastar/internal/rng"
 	"github.com/euastar/euastar/internal/sched"
-	"github.com/euastar/euastar/internal/sched/ccedf"
-	"github.com/euastar/euastar/internal/sched/dasa"
-	"github.com/euastar/euastar/internal/sched/edf"
+	"github.com/euastar/euastar/internal/sched/baseline"
 	"github.com/euastar/euastar/internal/sched/eua"
-	"github.com/euastar/euastar/internal/sched/gus"
-	"github.com/euastar/euastar/internal/sched/laedf"
 	"github.com/euastar/euastar/internal/sched/partition"
 	"github.com/euastar/euastar/internal/task"
 	"github.com/euastar/euastar/internal/trace"
@@ -49,19 +45,19 @@ func newScheduler(name string) (sched.Scheduler, bool, error) {
 	case "eua-nodvs":
 		return eua.New(eua.WithoutDVS()), true, nil
 	case "edf":
-		return edf.New(true), true, nil
+		return baseline.NewEDF(true), true, nil
 	case "edf-na":
-		return edf.New(false), false, nil
+		return baseline.NewEDF(false), false, nil
 	case "ccedf":
-		return ccedf.New(true), true, nil
+		return baseline.NewCCEDF(true), true, nil
 	case "laedf":
-		return laedf.New(true), true, nil
+		return baseline.NewLAEDF(true), true, nil
 	case "laedf-na":
-		return laedf.New(false), false, nil
+		return baseline.NewLAEDF(false), false, nil
 	case "dasa":
-		return dasa.New(), true, nil
+		return baseline.NewDASA(), true, nil
 	case "gus":
-		return gus.New(), true, nil
+		return baseline.NewGUS(), true, nil
 	default:
 		return nil, false, fmt.Errorf("unknown scheduler %q (eua|eua-nodvs|edf|edf-na|ccedf|laedf|laedf-na|dasa|gus)", name)
 	}

@@ -51,14 +51,9 @@ import (
 	"github.com/euastar/euastar/internal/metrics"
 	"github.com/euastar/euastar/internal/profile"
 	"github.com/euastar/euastar/internal/sched"
-	"github.com/euastar/euastar/internal/sched/ccedf"
-	"github.com/euastar/euastar/internal/sched/dasa"
-	"github.com/euastar/euastar/internal/sched/edf"
+	"github.com/euastar/euastar/internal/sched/baseline"
 	"github.com/euastar/euastar/internal/sched/eua"
-	"github.com/euastar/euastar/internal/sched/gus"
-	"github.com/euastar/euastar/internal/sched/laedf"
 	"github.com/euastar/euastar/internal/sched/partition"
-	"github.com/euastar/euastar/internal/sched/staticedf"
 	"github.com/euastar/euastar/internal/task"
 	"github.com/euastar/euastar/internal/tuf"
 	"github.com/euastar/euastar/internal/uam"
@@ -189,27 +184,27 @@ var (
 // NewEDF returns EDF on critical times at the fixed highest frequency —
 // the paper's normalization baseline. abortInfeasible selects whether
 // doomed jobs are dropped (true) or left to run (false).
-func NewEDF(abortInfeasible bool) Scheduler { return edf.New(abortInfeasible) }
+func NewEDF(abortInfeasible bool) Scheduler { return baseline.NewEDF(abortInfeasible) }
 
 // NewCCEDF returns Pillai–Shin cycle-conserving EDF.
-func NewCCEDF(abortInfeasible bool) Scheduler { return ccedf.New(abortInfeasible) }
+func NewCCEDF(abortInfeasible bool) Scheduler { return baseline.NewCCEDF(abortInfeasible) }
 
 // NewLAEDF returns Pillai–Shin look-ahead EDF; with abortInfeasible =
 // false this is the paper's "-NA" domino-effect baseline.
-func NewLAEDF(abortInfeasible bool) Scheduler { return laedf.New(abortInfeasible) }
+func NewLAEDF(abortInfeasible bool) Scheduler { return baseline.NewLAEDF(abortInfeasible) }
 
 // NewDASA returns Locke's best-effort utility-accrual scheduler (no DVS).
-func NewDASA() Scheduler { return dasa.New() }
+func NewDASA() Scheduler { return baseline.NewDASA() }
 
 // NewStaticEDF returns statically-scaled EDF (the first Pillai–Shin RT-DVS
 // algorithm): plain EDF at the single lowest frequency covering the task
 // set's allocated utilization, chosen once at Init.
-func NewStaticEDF(abortInfeasible bool) Scheduler { return staticedf.New(abortInfeasible) }
+func NewStaticEDF(abortInfeasible bool) Scheduler { return baseline.NewStaticEDF(abortInfeasible) }
 
 // NewGUS returns GUS (Li & Ravindran), the dependency-aware
 // utility-accrual baseline: jobs are ranked by the potential utility
 // density of their whole blocking chain; no DVS.
-func NewGUS() Scheduler { return gus.New() }
+func NewGUS() Scheduler { return baseline.NewGUS() }
 
 // NewPartitioned returns a partitioned multiprocessor scheduler for
 // SimConfig.Cores DVS cores: tasks are packed onto cores at Init time

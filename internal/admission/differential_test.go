@@ -29,19 +29,6 @@ import (
 	"github.com/euastar/euastar/internal/workload"
 )
 
-// differentialSchemes are the schemes the suite exercises: the baseline,
-// the Figure 2 family, and the two non-EDF utility-accrual baselines.
-func differentialSchemes() []experiment.Scheme {
-	schemes := []experiment.Scheme{experiment.BaselineScheme()}
-	schemes = append(schemes, experiment.Figure2Schemes()...)
-	for _, sc := range experiment.AblationSchemes() {
-		if sc.Name == "DASA" || sc.Name == "GUS" {
-			schemes = append(schemes, sc)
-		}
-	}
-	return schemes
-}
-
 // simulate runs one scheme on the set and reports whether every task met
 // its statistical requirement — the oracle a decisive verdict is checked
 // against.
@@ -126,7 +113,7 @@ func synthesizeTable1(t *testing.T, seed uint64, shape workload.Shape, load floa
 // TestDifferentialSoundness is the grid half of the suite: Table 1
 // workloads across shapes × loads × seeds × schemes.
 func TestDifferentialSoundness(t *testing.T) {
-	schemes := differentialSchemes()
+	schemes := experiment.ComparisonSchemes()
 	shapes := []workload.Shape{workload.Step, workload.LinearDecay}
 	loads := []float64{0.05, 0.3, 0.6, 0.85, 0.98, 1.15, 1.4, 1.8, 2.4, 3.2, 4.5}
 	seeds := []uint64{1, 2}

@@ -9,7 +9,7 @@ import (
 	"github.com/euastar/euastar/internal/energy"
 	"github.com/euastar/euastar/internal/engine"
 	"github.com/euastar/euastar/internal/rng"
-	"github.com/euastar/euastar/internal/sched/edf"
+	"github.com/euastar/euastar/internal/sched/baseline"
 	"github.com/euastar/euastar/internal/task"
 	"github.com/euastar/euastar/internal/tuf"
 	"github.com/euastar/euastar/internal/uam"
@@ -154,7 +154,7 @@ func TestSchedulableAgainstSimulation(t *testing.T) {
 		predicted, _ := Schedulable(ts, fm)
 
 		res, err := engine.Run(engine.Config{
-			Tasks: ts, Scheduler: edf.New(false), Freqs: table,
+			Tasks: ts, Scheduler: baseline.NewEDF(false), Freqs: table,
 			Energy:  energy.MustPreset(energy.E1, fm),
 			Horizon: 1.0, Seed: uint64(rep + 1),
 			Arrivals: func(tk *task.Task) uam.Generator {

@@ -7,7 +7,7 @@ import (
 
 	"github.com/euastar/euastar/internal/faults"
 	"github.com/euastar/euastar/internal/rng"
-	"github.com/euastar/euastar/internal/sched/edf"
+	"github.com/euastar/euastar/internal/sched/baseline"
 	"github.com/euastar/euastar/internal/sched/eua"
 	"github.com/euastar/euastar/internal/task"
 	"github.com/euastar/euastar/internal/uam"
@@ -23,7 +23,7 @@ func TestOverrunForcesAbortAndMetersAbortCost(t *testing.T) {
 	// overrun (18 ms) cannot.
 	tk := stepTask(1, 0.01, 10, 6e6)
 	plan := &faults.Plan{Seed: 9, OverrunProb: 1, OverrunFactor: 3}
-	cfg := baseConfig(task.Set{tk}, edf.New(true), 0.1)
+	cfg := baseConfig(task.Set{tk}, baseline.NewEDF(true), 0.1)
 	cfg.Faults = plan
 	cfg.AbortCost = 5e4
 	res, err := Run(cfg)
@@ -134,7 +134,7 @@ func TestStickySwitchChangesOutcome(t *testing.T) {
 func TestInterruptPreClosed(t *testing.T) {
 	intr := make(chan struct{})
 	close(intr)
-	cfg := baseConfig(task.Set{stepTask(1, 0.01, 10, 1e6)}, edf.New(true), 1.0)
+	cfg := baseConfig(task.Set{stepTask(1, 0.01, 10, 1e6)}, baseline.NewEDF(true), 1.0)
 	cfg.Interrupt = intr
 	if _, err := Run(cfg); !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("err = %v, want ErrInterrupted", err)
@@ -154,7 +154,7 @@ func TestSafeModeShedsLowUER(t *testing.T) {
 		stepTask(2, 0.012, 20, 4e6),
 		stepTask(3, 0.03, 30, 4e6),
 	}
-	cfg := baseConfig(ts, edf.New(true), 0.2)
+	cfg := baseConfig(ts, baseline.NewEDF(true), 0.2)
 	cfg.Faults = &faults.Plan{Seed: 5, OverrunProb: 1, OverrunFactor: 3}
 	cfg.SafeModeMisses = 1
 	res, err := Run(cfg)
@@ -200,7 +200,7 @@ func (g violatingGen) Generate(horizon float64, _ *rng.Source) []float64 {
 // result.
 func TestWatchdogFlagsUAMViolation(t *testing.T) {
 	tk := stepTask(1, 0.01, 10, 1e5)
-	cfg := baseConfig(task.Set{tk}, edf.New(true), 0.05)
+	cfg := baseConfig(task.Set{tk}, baseline.NewEDF(true), 0.05)
 	cfg.Arrivals = func(t *task.Task) uam.Generator { return violatingGen{s: t.Arrival} }
 	_, err := Run(cfg)
 	var ie *InvariantError
@@ -215,7 +215,7 @@ func TestWatchdogFlagsUAMViolation(t *testing.T) {
 // TestValidateRejectsDegradationKnobs pins the hardened Config.Validate
 // on the new fields.
 func TestValidateRejectsDegradationKnobs(t *testing.T) {
-	base := baseConfig(task.Set{stepTask(1, 0.01, 10, 1e6)}, edf.New(true), 0.1)
+	base := baseConfig(task.Set{stepTask(1, 0.01, 10, 1e6)}, baseline.NewEDF(true), 0.1)
 	cases := []struct {
 		name string
 		mut  func(*Config)

@@ -178,11 +178,6 @@ type Config struct {
 	// on the hot path. Multi-core runs additionally register core-labeled
 	// series (euastar_engine_core_*_total{core="k"}).
 	Telemetry *telemetry.Registry
-
-	// Trace, when non-nil, receives one TraceEvent per processed
-	// simulation event, scheduler decision, abort and watchdog detection.
-	// Nil (the default) skips all TraceEvent construction.
-	Trace telemetry.TraceFunc
 }
 
 // coreCount resolves Cores to the effective core count (>= 1).
@@ -400,7 +395,7 @@ type state struct {
 
 	// ins holds every counting site of the run: always-on per-run
 	// counters feeding Result's integer fields, plus optional registered
-	// mirrors and trace hooks (Config.Telemetry / Config.Trace).
+	// mirrors (Config.Telemetry).
 	ins instruments
 
 	// Resource state: holders maps resource id → holding job.
@@ -478,7 +473,7 @@ func Run(cfg Config) (res *Result, err error) {
 	if m > 1 {
 		st.lastCore = make(map[*task.Job]int)
 	}
-	st.ins.init(cfg.Telemetry, cfg.Trace, m)
+	st.ins.init(cfg.Telemetry, m)
 	if obs, ok := cfg.Scheduler.(EventObserver); ok {
 		st.observer = obs
 	}
@@ -726,7 +721,7 @@ func (st *state) handle(now float64, ev *sim.Event) error {
 			j.State = task.Aborted
 			j.FinishedAt = now
 			j.AbortReason = "energy budget depleted"
-			st.ins.noteAbort(now, j.Task.ID, j.Index, j.AbortReason)
+			st.ins.noteAbort(j.AbortReason)
 			return nil
 		}
 		st.pending = append(st.pending, j)
@@ -816,7 +811,7 @@ func (st *state) abort(now float64, j *task.Job, reason string) {
 	if j.AbortReason == "" {
 		j.AbortReason = reason
 	}
-	st.ins.noteAbort(now, j.Task.ID, j.Index, j.AbortReason)
+	st.ins.noteAbort(j.AbortReason)
 	if j.Task.Profiler != nil && j.Executed > 0 {
 		// The aborted job consumed at least this many cycles: a censored
 		// demand observation.
@@ -888,7 +883,7 @@ func (st *state) decide(now float64) {
 	// afresh on every decision.
 	st.readyBuf = append(st.readyBuf[:0], st.pending...)
 	d := st.multi.DecideMulti(now, st.readyBuf)
-	st.ins.noteDecision(now, len(st.pending))
+	st.ins.noteDecision(len(st.pending))
 	for _, j := range d.Abort {
 		st.abort(now, j, "scheduler abort")
 	}

@@ -7,8 +7,7 @@ import (
 	"github.com/euastar/euastar/internal/cpu"
 	"github.com/euastar/euastar/internal/energy"
 	"github.com/euastar/euastar/internal/sched"
-	"github.com/euastar/euastar/internal/sched/ccedf"
-	"github.com/euastar/euastar/internal/sched/edf"
+	"github.com/euastar/euastar/internal/sched/baseline"
 	"github.com/euastar/euastar/internal/sched/eua"
 	"github.com/euastar/euastar/internal/task"
 	"github.com/euastar/euastar/internal/tuf"
@@ -43,7 +42,7 @@ func baseConfig(ts task.Set, s sched.Scheduler, horizon float64) Config {
 
 func TestSinglePeriodicTaskEDF(t *testing.T) {
 	tk := stepTask(1, 0.1, 10, 1e6)
-	cfg := baseConfig(task.Set{tk}, edf.New(true), 1.0)
+	cfg := baseConfig(task.Set{tk}, baseline.NewEDF(true), 1.0)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +80,7 @@ func TestPreemptionEDFOrder(t *testing.T) {
 	long := stepTask(1, 1.0, 10, 100e6) // 100 ms at f_m
 	short := stepTask(2, 0.05, 5, 10e6) // 10 ms at f_m
 	// Short task arrives at 0.02 via offset.
-	cfg := baseConfig(task.Set{long, short}, edf.New(true), 0.06)
+	cfg := baseConfig(task.Set{long, short}, baseline.NewEDF(true), 0.06)
 	cfg.Arrivals = func(tk *task.Task) uam.Generator {
 		if tk.ID == 2 {
 			return uam.Burst{S: tk.Arrival, Offset: 0.02}
@@ -129,7 +128,7 @@ func TestPreemptionEDFOrder(t *testing.T) {
 func TestOverloadAbortAtTermination(t *testing.T) {
 	// Demand of 150 ms at f_m per 100 ms window: persistent overload.
 	tk := stepTask(1, 0.1, 10, 150e6)
-	cfg := baseConfig(task.Set{tk}, edf.New(false), 0.5) // no scheduler aborts
+	cfg := baseConfig(task.Set{tk}, baseline.NewEDF(false), 0.5) // no scheduler aborts
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +152,7 @@ func TestOverloadAbortAtTermination(t *testing.T) {
 
 func TestNoAbortRunsPastTermination(t *testing.T) {
 	tk := stepTask(1, 0.1, 10, 150e6)
-	cfg := baseConfig(task.Set{tk}, edf.New(false), 0.3)
+	cfg := baseConfig(task.Set{tk}, baseline.NewEDF(false), 0.3)
 	cfg.AbortAtTermination = false
 	res, err := Run(cfg)
 	if err != nil {
@@ -187,7 +186,7 @@ func TestSchedulerAbortHonored(t *testing.T) {
 	// EDF with abortion enabled drops the infeasible job immediately
 	// rather than at its termination time.
 	tk := stepTask(1, 0.1, 10, 150e6)
-	cfg := baseConfig(task.Set{tk}, edf.New(true), 0.3)
+	cfg := baseConfig(task.Set{tk}, baseline.NewEDF(true), 0.3)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -236,7 +235,7 @@ func TestSeedInvarianceAcrossSchedulers(t *testing.T) {
 		Demand: task.Demand{Mean: 5e6, Variance: 5e6},
 		Req:    task.Requirement{Nu: 0.3, Rho: 0.9},
 	}
-	cfgA := baseConfig(task.Set{tk}, edf.New(true), 1.0)
+	cfgA := baseConfig(task.Set{tk}, baseline.NewEDF(true), 1.0)
 	cfgB := baseConfig(task.Set{tk}, eua.New(), 1.0)
 	ra, err := Run(cfgA)
 	if err != nil {
@@ -265,7 +264,7 @@ func TestEUASavesEnergyUnderload(t *testing.T) {
 		stepTask(1, 0.1, 10, 5e6),
 		stepTask(2, 0.05, 20, 2e6),
 	}
-	resEDF, err := Run(baseConfig(ts, edf.New(true), 2.0))
+	resEDF, err := Run(baseConfig(ts, baseline.NewEDF(true), 2.0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +312,7 @@ func TestObserverCalled(t *testing.T) {
 	// callback path. Completion shrinks its utilization, so the chosen
 	// frequency after an early completion can drop: just assert it runs.
 	tk := stepTask(1, 0.1, 10, 5e6)
-	res, err := Run(baseConfig(task.Set{tk}, ccedf.New(true), 0.5))
+	res, err := Run(baseConfig(task.Set{tk}, baseline.NewCCEDF(true), 0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +325,7 @@ func TestObserverCalled(t *testing.T) {
 
 func TestSwitchLatencyDelaysCompletion(t *testing.T) {
 	tk := stepTask(1, 0.1, 10, 1e6)
-	cfg := baseConfig(task.Set{tk}, edf.New(true), 0.1)
+	cfg := baseConfig(task.Set{tk}, baseline.NewEDF(true), 0.1)
 	cfg.SwitchLatency = 1e-3
 	// EDF runs at f_m and the processor starts at f_m, so no switch occurs
 	// and the latency must not affect anything.
@@ -361,7 +360,7 @@ func TestSwitchLatencyDelaysCompletion(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	tk := stepTask(1, 0.1, 10, 1e6)
-	good := baseConfig(task.Set{tk}, edf.New(true), 1)
+	good := baseConfig(task.Set{tk}, baseline.NewEDF(true), 1)
 	bad := []func(*Config){
 		func(c *Config) { c.Tasks = nil },
 		func(c *Config) { c.Scheduler = nil },
@@ -389,7 +388,7 @@ func TestUtilityAccruedAtCompletionTime(t *testing.T) {
 		Demand: task.Demand{Mean: 10e6, Variance: 0},
 		Req:    task.Requirement{Nu: 0.3, Rho: 0.9},
 	}
-	cfg := baseConfig(task.Set{tk}, edf.New(true), 0.1)
+	cfg := baseConfig(task.Set{tk}, baseline.NewEDF(true), 0.1)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -408,7 +407,7 @@ func TestBurstArrivalsSimultaneous(t *testing.T) {
 		Demand: task.Demand{Mean: 1e6, Variance: 0},
 		Req:    task.Requirement{Nu: 1, Rho: 0.9},
 	}
-	cfg := baseConfig(task.Set{tk}, edf.New(true), 0.1)
+	cfg := baseConfig(task.Set{tk}, baseline.NewEDF(true), 0.1)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

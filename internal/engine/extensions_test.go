@@ -6,7 +6,7 @@ import (
 
 	"github.com/euastar/euastar/internal/energy"
 	"github.com/euastar/euastar/internal/profile"
-	"github.com/euastar/euastar/internal/sched/edf"
+	"github.com/euastar/euastar/internal/sched/baseline"
 	"github.com/euastar/euastar/internal/sched/eua"
 	"github.com/euastar/euastar/internal/task"
 )
@@ -15,7 +15,7 @@ import (
 
 func TestEnergyBudgetDepletion(t *testing.T) {
 	tk := stepTask(1, 0.1, 10, 50e6) // heavy: 50 ms at f_m per 100 ms
-	cfg := baseConfig(task.Set{tk}, edf.New(true), 1.0)
+	cfg := baseConfig(task.Set{tk}, baseline.NewEDF(true), 1.0)
 	// Budget for roughly 2.5 jobs at f_m.
 	perJob := 50e6 * cfg.Energy.PerCycle(1000e6)
 	cfg.EnergyBudget = 2.5 * perJob
@@ -54,7 +54,7 @@ func TestEnergyBudgetDepletion(t *testing.T) {
 
 func TestEnergyBudgetExactAccounting(t *testing.T) {
 	tk := stepTask(1, 0.1, 10, 50e6)
-	cfg := baseConfig(task.Set{tk}, edf.New(true), 0.3)
+	cfg := baseConfig(task.Set{tk}, baseline.NewEDF(true), 0.3)
 	perJob := 50e6 * cfg.Energy.PerCycle(1000e6)
 	cfg.EnergyBudget = 1.5 * perJob
 	res, err := Run(cfg)
@@ -74,7 +74,7 @@ func TestEnergyBudgetExactAccounting(t *testing.T) {
 
 func TestEnergyBudgetGenerousNeverDepletes(t *testing.T) {
 	tk := stepTask(1, 0.1, 10, 1e6)
-	cfg := baseConfig(task.Set{tk}, edf.New(true), 0.5)
+	cfg := baseConfig(task.Set{tk}, baseline.NewEDF(true), 0.5)
 	cfg.EnergyBudget = 1e9 * cfg.Energy.PerCycle(1000e6)
 	res, err := Run(cfg)
 	if err != nil {
@@ -110,7 +110,7 @@ func TestEnergyBudgetDVSStretchesBattery(t *testing.T) {
 		}
 		return n
 	}
-	edfJobs := count(func() Config { return baseConfig(task.Set{tk}, edf.New(true), 10) })
+	edfJobs := count(func() Config { return baseConfig(task.Set{tk}, baseline.NewEDF(true), 10) })
 	euaJobs := count(func() Config { return baseConfig(task.Set{tk}, eua.New(), 10) })
 	if euaJobs <= edfJobs {
 		t.Fatalf("EUA* %d jobs <= EDF %d jobs under the same budget", euaJobs, edfJobs)
@@ -124,7 +124,7 @@ func TestEnergyBudgetDVSStretchesBattery(t *testing.T) {
 
 func TestNegativeBudgetRejected(t *testing.T) {
 	tk := stepTask(1, 0.1, 10, 1e6)
-	cfg := baseConfig(task.Set{tk}, edf.New(true), 0.5)
+	cfg := baseConfig(task.Set{tk}, baseline.NewEDF(true), 0.5)
 	cfg.EnergyBudget = -1
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("negative budget accepted")
@@ -174,7 +174,7 @@ func TestOnlineProfilingConvergesToTruth(t *testing.T) {
 func TestOnlineProfilingObservesOnlyCompletions(t *testing.T) {
 	tk := stepTask(1, 0.1, 10, 150e6) // overload: many aborts
 	tk.Profiler = profile.MustNew(150e6, 0, 1)
-	cfg := baseConfig(task.Set{tk}, edf.New(false), 0.5)
+	cfg := baseConfig(task.Set{tk}, baseline.NewEDF(false), 0.5)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +203,7 @@ func TestProfilerPriorDrivesAllocationBeforeWarmup(t *testing.T) {
 
 func TestDepletionResolvesEveryJob(t *testing.T) {
 	tk := stepTask(1, 0.1, 10, 50e6)
-	cfg := baseConfig(task.Set{tk}, edf.New(true), 0.5)
+	cfg := baseConfig(task.Set{tk}, baseline.NewEDF(true), 0.5)
 	cfg.EnergyBudget = 1.2 * 50e6 * cfg.Energy.PerCycle(1000e6)
 	res, err := Run(cfg)
 	if err != nil {
@@ -231,7 +231,7 @@ func TestProgressUtilityPartialCredit(t *testing.T) {
 	// One job per window, demand 150 ms at f_m, window 100 ms: each job is
 	// ~2/3 done when its termination aborts it.
 	tk := stepTask(1, 0.1, 30, 150e6)
-	cfg := baseConfig(task.Set{tk}, edf.New(false), 0.3)
+	cfg := baseConfig(task.Set{tk}, baseline.NewEDF(false), 0.3)
 	cfg.ProgressUtility = true
 	res, err := Run(cfg)
 	if err != nil {
@@ -257,7 +257,7 @@ func TestProgressUtilityPartialCredit(t *testing.T) {
 
 func TestProgressUtilityOffByDefault(t *testing.T) {
 	tk := stepTask(1, 0.1, 30, 150e6)
-	cfg := baseConfig(task.Set{tk}, edf.New(false), 0.3)
+	cfg := baseConfig(task.Set{tk}, baseline.NewEDF(false), 0.3)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -289,7 +289,7 @@ func TestProgressUtilityNeverExceedsFull(t *testing.T) {
 func TestIdleStaticPowerCharged(t *testing.T) {
 	// 10 ms of work per 100 ms window at f_m: 90% idle.
 	tk := stepTask(1, 0.1, 10, 10e6)
-	cfg := baseConfig(task.Set{tk}, edf.New(true), 0.5)
+	cfg := baseConfig(task.Set{tk}, baseline.NewEDF(true), 0.5)
 	cfg.IdleStaticPower = 100
 	res, err := Run(cfg)
 	if err != nil {
@@ -313,7 +313,7 @@ func TestIdleStaticPowerCharged(t *testing.T) {
 
 func TestIdleStaticPowerOffByDefault(t *testing.T) {
 	tk := stepTask(1, 0.1, 10, 10e6)
-	res, err := Run(baseConfig(task.Set{tk}, edf.New(true), 0.5))
+	res, err := Run(baseConfig(task.Set{tk}, baseline.NewEDF(true), 0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestIdleStaticPowerOffByDefault(t *testing.T) {
 
 func TestIdleStaticPowerRejectsNegative(t *testing.T) {
 	tk := stepTask(1, 0.1, 10, 1e6)
-	cfg := baseConfig(task.Set{tk}, edf.New(true), 0.5)
+	cfg := baseConfig(task.Set{tk}, baseline.NewEDF(true), 0.5)
 	cfg.IdleStaticPower = -1
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("negative idle power accepted")
@@ -346,7 +346,7 @@ func TestIdlePowerChangesRaceToIdleTradeoff(t *testing.T) {
 		return res
 	}
 	mkEUA := func() Config { return baseConfig(task.Set{tk}, eua.New(), 0.5) }
-	mkEDF := func() Config { return baseConfig(task.Set{tk}, edf.New(true), 0.5) }
+	mkEDF := func() Config { return baseConfig(task.Set{tk}, baseline.NewEDF(true), 0.5) }
 	// Without idle draw EUA* wins big; with a huge idle draw the gap
 	// narrows because EDF's shorter busy time buys more idle... which
 	// costs the same either way (same horizon) — the *ratio* must shrink.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/euastar/euastar/internal/sim"
-	"github.com/euastar/euastar/internal/task"
 	"github.com/euastar/euastar/internal/telemetry"
 )
 
@@ -82,8 +81,6 @@ func (p *pairCounter) Value() int { return int(p.run.Value()) }
 
 // instruments gathers every counting site of one engine run.
 type instruments struct {
-	trace telemetry.TraceFunc
-
 	events      [len(eventKinds)]pairCounter
 	decisions   pairCounter
 	preemptions pairCounter
@@ -108,8 +105,7 @@ type instruments struct {
 	coreBusy     []*telemetry.Gauge
 }
 
-func (ins *instruments) init(reg *telemetry.Registry, trace telemetry.TraceFunc, cores int) {
-	ins.trace = trace
+func (ins *instruments) init(reg *telemetry.Registry, cores int) {
 	if reg == nil {
 		return // per-run counters stay standalone; every reg pointer stays nil
 	}
@@ -166,24 +162,13 @@ func (ins *instruments) init(reg *telemetry.Registry, trace telemetry.TraceFunc,
 		"Pending-job count observed at each scheduler invocation.", telemetry.DepthBuckets())
 }
 
-// noteEvent counts one processed simulation event and, with a trace hook
-// installed, annotates it.
+// noteEvent counts one processed simulation event.
 func (ins *instruments) noteEvent(ev *sim.Event) {
 	k := int(ev.Kind)
 	if k < 0 || k >= len(eventKinds) {
 		k = int(sim.Custom)
 	}
 	ins.events[k].Inc()
-	if ins.trace != nil {
-		te := telemetry.TraceEvent{Time: ev.Time, Kind: eventKinds[k]}
-		switch p := ev.Payload.(type) {
-		case arrivalPayload:
-			te.TaskID, te.Index = p.task.ID, p.index
-		case *task.Job:
-			te.TaskID, te.Index = p.Task.ID, p.Index
-		}
-		ins.trace(te)
-	}
 }
 
 // eventTotal sums the per-kind per-run counters — Result.Events is this
@@ -197,14 +182,9 @@ func (ins *instruments) eventTotal() int {
 }
 
 // noteAbort counts one aborted job under its normalized reason.
-func (ins *instruments) noteAbort(now float64, taskID, index int, reason string) {
+func (ins *instruments) noteAbort(reason string) {
 	if ins.aborts != nil {
 		ins.aborts[abortReasonLabel(reason)].Inc()
-	}
-	if ins.trace != nil {
-		ins.trace(telemetry.TraceEvent{
-			Time: now, Kind: "abort", TaskID: taskID, Index: index, Detail: reason,
-		})
 	}
 }
 
@@ -220,9 +200,6 @@ func (ins *instruments) noteInvariant(ierr *InvariantError) *InvariantError {
 		} else {
 			ins.invariants[InvInternal].Inc()
 		}
-	}
-	if ins.trace != nil {
-		ins.trace(telemetry.TraceEvent{Time: ierr.Time, Kind: "invariant", Detail: ierr.Invariant})
 	}
 	return ierr
 }
@@ -256,11 +233,8 @@ func (ins *instruments) noteCoreResults(per []CoreResult) {
 
 // noteDecision records one scheduler invocation and the pending-queue
 // depth it saw.
-func (ins *instruments) noteDecision(now float64, depth int) {
+func (ins *instruments) noteDecision(depth int) {
 	ins.decisions.Inc()
 	ins.pending.Set(float64(depth))
 	ins.queueDepth.Observe(float64(depth))
-	if ins.trace != nil {
-		ins.trace(telemetry.TraceEvent{Time: now, Kind: "decision"})
-	}
 }

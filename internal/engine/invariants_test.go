@@ -9,11 +9,8 @@ import (
 	"github.com/euastar/euastar/internal/energy"
 	"github.com/euastar/euastar/internal/rng"
 	"github.com/euastar/euastar/internal/sched"
-	"github.com/euastar/euastar/internal/sched/ccedf"
-	"github.com/euastar/euastar/internal/sched/dasa"
-	"github.com/euastar/euastar/internal/sched/edf"
+	"github.com/euastar/euastar/internal/sched/baseline"
 	"github.com/euastar/euastar/internal/sched/eua"
-	"github.com/euastar/euastar/internal/sched/laedf"
 	"github.com/euastar/euastar/internal/task"
 	"github.com/euastar/euastar/internal/tuf"
 	"github.com/euastar/euastar/internal/uam"
@@ -59,14 +56,14 @@ func randomConfig(seed uint64) Config {
 	case 1:
 		s = eua.New(eua.WithoutPhantomReservation())
 	case 2:
-		s = edf.New(true)
+		s = baseline.NewEDF(true)
 	case 3:
-		s = ccedf.New(true)
+		s = baseline.NewCCEDF(true)
 	case 4:
-		s = laedf.New(false)
+		s = baseline.NewLAEDF(false)
 		abort = false
 	default:
-		s = dasa.New()
+		s = baseline.NewDASA()
 	}
 	gens := []func(*task.Task) uam.Generator{
 		nil,
@@ -237,7 +234,7 @@ func TestSimultaneousArrivalAndTermination(t *testing.T) {
 	// at its termination instant, which is also task 2's second arrival.
 	t1 := stepTask(1, 0.1, 10, 100e6)
 	t2 := stepTask(2, 0.1, 5, 1e6)
-	cfg := baseConfig(task.Set{t1, t2}, edf.New(false), 0.2)
+	cfg := baseConfig(task.Set{t1, t2}, baseline.NewEDF(false), 0.2)
 	cfg.Arrivals = func(tk *task.Task) uam.Generator {
 		if tk.ID == 2 {
 			return uam.Burst{S: tk.Arrival, Offset: 0} // arrivals at 0, 0.1

@@ -6,7 +6,7 @@ import (
 
 	"github.com/euastar/euastar/internal/cpu"
 	"github.com/euastar/euastar/internal/sched"
-	"github.com/euastar/euastar/internal/sched/edf"
+	"github.com/euastar/euastar/internal/sched/baseline"
 	"github.com/euastar/euastar/internal/task"
 )
 
@@ -67,7 +67,7 @@ func TestMultiCoreValidate(t *testing.T) {
 		}
 	})
 	t.Run("single-core scheduler on multi-core config", func(t *testing.T) {
-		cfg := baseConfig(ts, edf.New(true), 0.05)
+		cfg := baseConfig(ts, baseline.NewEDF(true), 0.05)
 		cfg.Cores = 2
 		if _, err := Run(cfg); err == nil {
 			t.Fatal("plain Scheduler accepted for 2 cores")
@@ -106,7 +106,7 @@ func TestMultiCoreValidate(t *testing.T) {
 	})
 	t.Run("per-core table on one core", func(t *testing.T) {
 		for _, cores := range []int{0, 1} {
-			cfg := baseConfig(ts, edf.New(true), 0.05)
+			cfg := baseConfig(ts, baseline.NewEDF(true), 0.05)
 			cfg.Cores = cores
 			cfg.CoreFreqs = []cpu.FrequencyTable{cpu.Uniform(200e6, 600e6, 5)}
 			if err := cfg.Validate(); err == nil {

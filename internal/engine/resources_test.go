@@ -4,7 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"github.com/euastar/euastar/internal/sched/edf"
+	"github.com/euastar/euastar/internal/sched/baseline"
 	"github.com/euastar/euastar/internal/sched/eua"
 	"github.com/euastar/euastar/internal/task"
 	"github.com/euastar/euastar/internal/uam"
@@ -45,7 +45,7 @@ func TestSectionValidation(t *testing.T) {
 func TestIndependentTasksUnaffected(t *testing.T) {
 	// Sanity: the resource machinery must not change independent runs.
 	tk := stepTask(1, 0.1, 10, 1e6)
-	res, err := Run(baseConfig(task.Set{tk}, edf.New(true), 0.5))
+	res, err := Run(baseConfig(task.Set{tk}, baseline.NewEDF(true), 0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestMutualExclusionSerializes(t *testing.T) {
 	// otherwise interleave at the second job's earlier critical time.
 	a := sectionTask(1, 0.2, 50e6, task.Section{Resource: 7, Start: 0, End: 1})
 	b := sectionTask(2, 0.1, 20e6, task.Section{Resource: 7, Start: 0, End: 1})
-	cfg := baseConfig(task.Set{a, b}, edf.New(true), 0.05)
+	cfg := baseConfig(task.Set{a, b}, baseline.NewEDF(true), 0.05)
 	cfg.RecordTrace = true
 	res, err := Run(cfg)
 	if err != nil {
@@ -102,7 +102,7 @@ func TestInheritanceRunsHolder(t *testing.T) {
 	// must execute L (inheritance) until it releases, then run H.
 	l := sectionTask(1, 0.5, 40e6, task.Section{Resource: 3, Start: 0, End: 0.5})
 	h := sectionTask(2, 0.1, 10e6, task.Section{Resource: 3, Start: 0, End: 1})
-	cfg := baseConfig(task.Set{l, h}, edf.New(true), 0.05)
+	cfg := baseConfig(task.Set{l, h}, baseline.NewEDF(true), 0.05)
 	cfg.Arrivals = func(tk *task.Task) uam.Generator {
 		if tk.ID == 2 {
 			return uam.Burst{S: tk.Arrival, Offset: 0.005} // H arrives at 5 ms
@@ -138,7 +138,7 @@ func TestSectionBoundariesReleaseMidJob(t *testing.T) {
 	// A job holding a resource only for its middle third: boundary events
 	// must fire and the resource must be free afterwards.
 	a := sectionTask(1, 0.2, 30e6, task.Section{Resource: 5, Start: 1.0 / 3, End: 2.0 / 3})
-	cfg := baseConfig(task.Set{a}, edf.New(true), 0.05)
+	cfg := baseConfig(task.Set{a}, baseline.NewEDF(true), 0.05)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +172,7 @@ func TestDeadlockResolvedByAbort(t *testing.T) {
 	// first and runs past its R2 acquisition, then T1 preempts (earlier
 	// critical time), locks R1, and reaches its R2 boundary while T2
 	// holds R2; T2 resumes (inheritance) and reaches its R1 boundary: cycle.
-	cfg := baseConfig(task.Set{t1, t2}, edf.New(true), 0.05)
+	cfg := baseConfig(task.Set{t1, t2}, baseline.NewEDF(true), 0.05)
 	cfg.Arrivals = func(tk *task.Task) uam.Generator {
 		if tk.ID == 1 {
 			return uam.Burst{S: tk.Arrival, Offset: 0.005}
@@ -235,7 +235,7 @@ func TestAbortReleasesResources(t *testing.T) {
 	// waiter must then acquire the resource and complete.
 	hog := sectionTask(1, 0.1, 150e6, task.Section{Resource: 9, Start: 0, End: 1})
 	waiter := sectionTask(2, 0.3, 20e6, task.Section{Resource: 9, Start: 0, End: 1})
-	cfg := baseConfig(task.Set{hog, waiter}, edf.New(false), 0.05)
+	cfg := baseConfig(task.Set{hog, waiter}, baseline.NewEDF(false), 0.05)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

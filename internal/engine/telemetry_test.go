@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"github.com/euastar/euastar/internal/faults"
-	"github.com/euastar/euastar/internal/sched/edf"
+	"github.com/euastar/euastar/internal/sched/baseline"
 	"github.com/euastar/euastar/internal/sched/eua"
 	"github.com/euastar/euastar/internal/task"
 	"github.com/euastar/euastar/internal/telemetry"
@@ -106,7 +106,7 @@ func TestTelemetrySafeModeCounters(t *testing.T) {
 		stepTask(3, 0.03, 30, 4e6),
 	}
 	reg := telemetry.NewRegistry()
-	cfg := baseConfig(ts, edf.New(true), 0.2)
+	cfg := baseConfig(ts, baseline.NewEDF(true), 0.2)
 	cfg.Faults = &faults.Plan{Seed: 5, OverrunProb: 1, OverrunFactor: 3}
 	cfg.SafeModeMisses = 1
 	cfg.Telemetry = reg
@@ -152,7 +152,7 @@ func TestTelemetrySafeModeCounters(t *testing.T) {
 func TestTelemetryInvariantCounter(t *testing.T) {
 	tk := stepTask(1, 0.01, 10, 1e5)
 	reg := telemetry.NewRegistry()
-	cfg := baseConfig(task.Set{tk}, edf.New(true), 0.05)
+	cfg := baseConfig(task.Set{tk}, baseline.NewEDF(true), 0.05)
 	cfg.Arrivals = func(t *task.Task) uam.Generator { return violatingGen{s: t.Arrival} }
 	cfg.Telemetry = reg
 	_, err := Run(cfg)

@@ -18,12 +18,8 @@ import (
 	"github.com/euastar/euastar/internal/metrics"
 	"github.com/euastar/euastar/internal/rng"
 	"github.com/euastar/euastar/internal/sched"
-	"github.com/euastar/euastar/internal/sched/ccedf"
-	"github.com/euastar/euastar/internal/sched/dasa"
-	"github.com/euastar/euastar/internal/sched/edf"
+	"github.com/euastar/euastar/internal/sched/baseline"
 	"github.com/euastar/euastar/internal/sched/eua"
-	"github.com/euastar/euastar/internal/sched/gus"
-	"github.com/euastar/euastar/internal/sched/laedf"
 	"github.com/euastar/euastar/internal/sched/partition"
 	"github.com/euastar/euastar/internal/stats"
 	"github.com/euastar/euastar/internal/task"
@@ -44,7 +40,7 @@ type Scheme struct {
 // BaselineScheme is the normalization baseline used throughout Section 5:
 // EDF that always uses the highest frequency, with abortion.
 func BaselineScheme() Scheme {
-	return Scheme{Name: "EDF-fm", New: func() sched.Scheduler { return edf.New(true) }, Abort: true}
+	return Scheme{Name: "EDF-fm", New: func() sched.Scheduler { return baseline.NewEDF(true) }, Abort: true}
 }
 
 // Figure2Schemes are the schemes compared in Figure 2, paper order:
@@ -53,9 +49,9 @@ func BaselineScheme() Scheme {
 func Figure2Schemes() []Scheme {
 	return []Scheme{
 		{Name: "EUA*", New: func() sched.Scheduler { return eua.New() }, Abort: true},
-		{Name: "ccEDF", New: func() sched.Scheduler { return ccedf.New(true) }, Abort: true},
-		{Name: "laEDF", New: func() sched.Scheduler { return laedf.New(true) }, Abort: true},
-		{Name: "laEDF-NA", New: func() sched.Scheduler { return laedf.New(false) }, Abort: false},
+		{Name: "ccEDF", New: func() sched.Scheduler { return baseline.NewCCEDF(true) }, Abort: true},
+		{Name: "laEDF", New: func() sched.Scheduler { return baseline.NewLAEDF(true) }, Abort: true},
+		{Name: "laEDF-NA", New: func() sched.Scheduler { return baseline.NewLAEDF(false) }, Abort: false},
 	}
 }
 
@@ -64,7 +60,7 @@ func AblationSchemes() []Scheme {
 	mk := func(opts ...eua.Option) func() sched.Scheduler {
 		return func() sched.Scheduler { return eua.New(opts...) }
 	}
-	return []Scheme{
+	return append([]Scheme{
 		{Name: "EUA*", New: mk(), Abort: true},
 		{Name: "EUA*-noUER", New: mk(eua.WithoutUERInsertion()), Abort: true},
 		{Name: "EUA*-noFo", New: mk(eua.WithoutFoClamp()), Abort: true},
@@ -72,9 +68,26 @@ func AblationSchemes() []Scheme {
 		{Name: "EUA*-noPhantom", New: mk(eua.WithoutPhantomReservation()), Abort: true},
 		{Name: "EUA*-strictBreak", New: mk(eua.WithStrictBreak()), Abort: true},
 		{Name: "EUA*-noDVS", New: mk(eua.WithoutDVS()), Abort: true},
-		{Name: "DASA", New: func() sched.Scheduler { return dasa.New() }, Abort: true},
-		{Name: "GUS", New: func() sched.Scheduler { return gus.New() }, Abort: true},
+	}, uaSchemes()...)
+}
+
+// uaSchemes are the two non-EDF utility-accrual baselines: DASA and its
+// blocking-chain-aware generalization GUS, both at f_m.
+func uaSchemes() []Scheme {
+	return []Scheme{
+		{Name: "DASA", New: func() sched.Scheduler { return baseline.NewDASA() }, Abort: true},
+		{Name: "GUS", New: func() sched.Scheduler { return baseline.NewGUS() }, Abort: true},
 	}
+}
+
+// ComparisonSchemes is the scheduler family the gaps and threshold
+// sweeps compare: the baseline, the Figure 2 family, and the two non-EDF
+// utility-accrual baselines. The baseline is included as a scheme of its
+// own so its gaps are reported too (its normalized columns are
+// trivially 1).
+func ComparisonSchemes() []Scheme {
+	schemes := append([]Scheme{BaselineScheme()}, Figure2Schemes()...)
+	return append(schemes, uaSchemes()...)
 }
 
 // DefaultLoads is the Figure 2/3 load sweep: 0.2 to 1.8.

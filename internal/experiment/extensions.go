@@ -11,7 +11,7 @@ import (
 	"github.com/euastar/euastar/internal/engine"
 	"github.com/euastar/euastar/internal/metrics"
 	"github.com/euastar/euastar/internal/sched"
-	"github.com/euastar/euastar/internal/sched/edf"
+	"github.com/euastar/euastar/internal/sched/baseline"
 	"github.com/euastar/euastar/internal/sched/eua"
 	"github.com/euastar/euastar/internal/task"
 	"github.com/euastar/euastar/internal/workload"
@@ -43,7 +43,7 @@ func Budget(cfg Config, fracs []float64) ([]BudgetRow, error) {
 		{Name: "EUA*-budget", New: func() sched.Scheduler {
 			return eua.New(eua.WithBudgetAwareness(cfg.Horizon))
 		}, Abort: true},
-		{Name: "EDF-fm", New: func() sched.Scheduler { return edf.New(true) }, Abort: true},
+		{Name: "EDF-fm", New: func() sched.Scheduler { return baseline.NewEDF(true) }, Abort: true},
 	}
 	// Fan out the (budget fraction, seed) cells; merge in sequential order.
 	g := grid(len(fracs), len(cfg.Seeds))

@@ -55,21 +55,6 @@ func GapsApp() workload.App {
 	}
 }
 
-// GapSchemes is the scheduler family of the gaps experiment: the
-// baseline, the Figure 2 family, and the two non-EDF utility-accrual
-// baselines. The baseline is included as a scheme of its own so its
-// gaps are reported too (its normalized columns are trivially 1).
-func GapSchemes() []Scheme {
-	schemes := []Scheme{BaselineScheme()}
-	schemes = append(schemes, Figure2Schemes()...)
-	for _, sc := range AblationSchemes() {
-		if sc.Name == "DASA" || sc.Name == "GUS" {
-			schemes = append(schemes, sc)
-		}
-	}
-	return schemes
-}
-
 // GapsConfig normalizes a config the way Gaps does, so Describe-based
 // fingerprints (checkpoints, the committed bench) agree with the sweep
 // that actually ran.
@@ -109,7 +94,7 @@ type GapRow struct {
 // on, reduced to per-load GapRows.
 func Gaps(cfg Config) ([]GapRow, error) {
 	cfg = GapsConfig(cfg)
-	schemes := GapSchemes()
+	schemes := ComparisonSchemes()
 	g := grid(len(cfg.Loads), len(cfg.Seeds))
 	coords := func(c []int) Coords {
 		return Coords{Load: cfg.Loads[c[0]], Seed: cfg.Seeds[c[1]]}

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -90,17 +91,18 @@ func TestKilledSweepResumesIdentically(t *testing.T) {
 		t.Fatalf("checkpoint holds %d fig2 cells, want 2", n)
 	}
 	cfg2.Store = store2
-	recomputed := 0
+	// The hook runs on the worker pool's goroutines.
+	var recomputed atomic.Int32
 	cfg2.testCellFault = func(exp string, i, attempt int) error {
-		recomputed++
+		recomputed.Add(1)
 		return nil
 	}
 	got, err := Figure2(cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if recomputed != 2 {
-		t.Fatalf("resume recomputed %d cells, want only the 2 missing ones", recomputed)
+	if n := recomputed.Load(); n != 2 {
+		t.Fatalf("resume recomputed %d cells, want only the 2 missing ones", n)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("resumed rows differ from uninterrupted run:\n%v\nvs\n%v", got, want)
@@ -241,13 +243,13 @@ func TestCheckpointFingerprintInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg2.Store = store2
-	recomputed := 0
-	cfg2.testCellFault = func(exp string, i, attempt int) error { recomputed++; return nil }
+	var recomputed atomic.Int32
+	cfg2.testCellFault = func(exp string, i, attempt int) error { recomputed.Add(1); return nil }
 	if _, err := Figure2(cfg2); err != nil {
 		t.Fatal(err)
 	}
-	if recomputed != 1 {
-		t.Fatalf("fingerprint change recomputed %d cells, want 1", recomputed)
+	if n := recomputed.Load(); n != 1 {
+		t.Fatalf("fingerprint change recomputed %d cells, want 1", n)
 	}
 }
 

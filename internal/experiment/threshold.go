@@ -52,26 +52,12 @@ type ThresholdRow struct {
 	Gap float64 `json:"gap"`
 }
 
-// ThresholdSchemes is the default scheduler family of the sweep: the
-// baseline, the Figure 2 family, and the two non-EDF utility-accrual
-// baselines.
-func ThresholdSchemes() []Scheme {
-	schemes := []Scheme{BaselineScheme()}
-	schemes = append(schemes, Figure2Schemes()...)
-	for _, sc := range AblationSchemes() {
-		if sc.Name == "DASA" || sc.Name == "GUS" {
-			schemes = append(schemes, sc)
-		}
-	}
-	return schemes
-}
-
 // Threshold runs the sweep: one cell per scheduler, each bisecting its
 // own empirical threshold over cfg.Seeds (Step TUFs, Table 1 workload).
 func Threshold(cfg Config, schemes []Scheme) ([]ThresholdRow, error) {
 	cfg = cfg.withDefaults()
 	if len(schemes) == 0 {
-		schemes = ThresholdSchemes()
+		schemes = ComparisonSchemes()
 	}
 	names := make([]string, len(schemes))
 	for i, sc := range schemes {

@@ -29,19 +29,6 @@ import (
 	"github.com/euastar/euastar/internal/workload"
 )
 
-// oracleSchemes are the schedulers the suites bracket: the baseline,
-// the Figure 2 family, and the two non-EDF utility-accrual baselines.
-func oracleSchemes() []experiment.Scheme {
-	schemes := []experiment.Scheme{experiment.BaselineScheme()}
-	schemes = append(schemes, experiment.Figure2Schemes()...)
-	for _, sc := range experiment.AblationSchemes() {
-		if sc.Name == "DASA" || sc.Name == "GUS" {
-			schemes = append(schemes, sc)
-		}
-	}
-	return schemes
-}
-
 // simulateRaw runs one scheme and returns the raw engine result (the
 // oracles need the resolved jobs, not just the aggregate report).
 func simulateRaw(t *testing.T, ts task.Set, sc experiment.Scheme, seed uint64, horizon float64, preset energy.Preset) *engine.Result {
@@ -91,7 +78,7 @@ func TestYDSLowerBoundsSimulatedEnergy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs >100 simulations; skipped in -short")
 	}
-	schemes := oracleSchemes()
+	schemes := experiment.ComparisonSchemes()
 	shapes := []workload.Shape{workload.Step, workload.LinearDecay}
 	loads := []float64{0.3, 0.7, 1.0, 1.6}
 	seeds := []uint64{1, 2, 3}
@@ -179,7 +166,7 @@ func TestBnBUpperBoundsSimulatedUtility(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs >100 simulations; skipped in -short")
 	}
-	schemes := oracleSchemes()
+	schemes := experiment.ComparisonSchemes()
 	loads := []float64{0.3, 0.6, 0.9, 1.2, 1.6, 2.2}
 	seeds := []uint64{1, 2, 3, 4}
 	const horizon = 0.06

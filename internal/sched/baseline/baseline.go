@@ -1,0 +1,54 @@
+// Package baseline implements the schedulers Section 5 compares EUA*
+// against, as two schedulers with one per-variant part each:
+//
+//   - EDF (Horn's algorithm on absolute critical times), whose variant
+//     part is its frequency rule: f_m — the paper's normalization
+//     baseline, "EDF that always uses the highest frequency" — or one of
+//     the three Pillai–Shin RT-DVS rules (SOSP'01, the paper's reference
+//     [13]): the static step chosen at Init (staticEDF), the
+//     cycle-conserving utilization ledger (ccEDF), or look-ahead deferral
+//     (laEDF). Each comes with and without abortion of jobs that can no
+//     longer meet their termination time at f_m; the no-abort "-NA"
+//     variants exhibit the domino effect during overloads.
+//   - UA, best-effort utility-accrual scheduling at f_m, whose variant
+//     part is its density: the job alone (Locke's DASA, the canonical UA
+//     scheduler EUA*'s sequencing descends from) or its whole blocking
+//     chain (GUS, Li & Ravindran's dependency-aware generalization).
+//     Against EUA* they isolate what the energy term in the UER and
+//     frequency scaling add.
+//
+// As Section 5 specifies for the baselines, job deadlines are critical
+// times and the per-job cycle budgets are "the cycles allocated by EUA*"
+// (the Chebyshev allocations c_i) rather than worst cases.
+package baseline
+
+import (
+	"fmt"
+
+	"github.com/euastar/euastar/internal/sched"
+)
+
+// infeasible is the abort reason of a job that could not finish by its
+// termination time even if it ran alone at f_m from now on.
+const infeasible = "infeasible at f_m"
+
+// scheme is what every baseline shares: its name, its context and
+// per-scheme instruments, and f_m.
+type scheme struct {
+	name string
+	ctx  *sched.Context
+	ins  *sched.Instruments
+	fm   float64
+}
+
+// Name implements sched.Scheduler.
+func (s *scheme) Name() string { return s.name }
+
+// init validates and records the context.
+func (s *scheme) init(ctx *sched.Context) error {
+	if err := ctx.Validate(); err != nil {
+		return fmt.Errorf("%s: %w", s.name, err)
+	}
+	s.ctx, s.ins, s.fm = ctx, ctx.Instruments(s.name), ctx.Freqs.Max()
+	return nil
+}

@@ -11,7 +11,7 @@ import (
 	"github.com/euastar/euastar/internal/metrics"
 	"github.com/euastar/euastar/internal/rng"
 	"github.com/euastar/euastar/internal/sched"
-	"github.com/euastar/euastar/internal/sched/edf"
+	"github.com/euastar/euastar/internal/sched/baseline"
 	"github.com/euastar/euastar/internal/sched/eua"
 	"github.com/euastar/euastar/internal/task"
 	"github.com/euastar/euastar/internal/tuf"
@@ -261,7 +261,7 @@ func TestTheorem2EDFEquivalenceUnderload(t *testing.T) {
 		src := rng.New(seed * 7)
 		ts := periodicStepSet(src, 4, false).ScaleToLoad(0.5, cpu.PowerNowK6().Max())
 		resEUA := runWith(t, ts, eua.New(), seed, 1.0)
-		resEDF := runWith(t, ts, edf.New(true), seed, 1.0)
+		resEDF := runWith(t, ts, baseline.NewEDF(true), seed, 1.0)
 		ua, ue := metrics.Analyze(resEUA), metrics.Analyze(resEDF)
 		if math.Abs(ua.AccruedUtility-ue.AccruedUtility) > 1e-6*ue.AccruedUtility {
 			t.Fatalf("seed %d: EUA %v != EDF %v", seed, ua.AccruedUtility, ue.AccruedUtility)
@@ -295,7 +295,7 @@ func TestCorollary4MaxLateness(t *testing.T) {
 	src := rng.New(99)
 	ts := periodicStepSet(src, 4, false).ScaleToLoad(0.7, cpu.PowerNowK6().Max())
 	ra := metrics.Analyze(runWith(t, ts, eua.New(), 3, 1.0))
-	re := metrics.Analyze(runWith(t, ts, edf.New(true), 3, 1.0))
+	re := metrics.Analyze(runWith(t, ts, baseline.NewEDF(true), 3, 1.0))
 	if ra.MaxLateness > 1e-9 {
 		t.Fatalf("EUA max lateness %v > 0 underload", ra.MaxLateness)
 	}
@@ -355,7 +355,7 @@ func TestOverloadPrefersImportance(t *testing.T) {
 	}
 	ts = ts.ScaleToLoad(1.6, cpu.PowerNowK6().Max())
 	ra := metrics.Analyze(runWith(t, ts, eua.New(), 5, 2.0))
-	re := metrics.Analyze(runWith(t, ts, edf.New(true), 5, 2.0))
+	re := metrics.Analyze(runWith(t, ts, baseline.NewEDF(true), 5, 2.0))
 	if ra.AccruedUtility <= re.AccruedUtility {
 		t.Fatalf("overload: EUA %v <= EDF %v", ra.AccruedUtility, re.AccruedUtility)
 	}

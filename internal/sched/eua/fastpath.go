@@ -50,7 +50,7 @@
 //     invariant that the current schedule passed its own checks with
 //     unchanged fin values.
 //   - decideFreq builds its look-ahead entries in ctx.Tasks order and
-//     calls sched.LookAheadFrequencyInPlace on one reusable buffer; the
+//     calls sched.LookAheadFrequency on one reusable buffer; the
 //     deferral loop's sort permutes entries with equal critical times
 //     exactly as the literal sort.Slice version did, so the summation
 //     order — and the float — is unchanged.
@@ -432,13 +432,14 @@ func (s *Scheduler) greedyHeadFast(now, fm float64) *task.Job {
 // core's dense per-task view: earliest pending job and pending count per
 // task come from two reusable arrays instead of a per-event map, entries
 // reuse one buffer, and the deferral loop is the shared
-// sched.LookAheadFrequencyInPlace.
+// sched.LookAheadFrequency.
 func (s *Scheduler) decideFreqFast(now float64, jexe *task.Job) float64 {
 	fp := &s.fp
 	live, liveTi, rem := fp.live, fp.liveTi, fp.rem
 
-	// Dense EarliestByTask: minimum by the critical-time total order is
-	// iteration-order independent, so this matches the per-task map.
+	// Dense per-task view: minimum by the critical-time total order is
+	// iteration-order independent, so this matches the reference's
+	// per-task map.
 	for ti := range fp.tasks {
 		fp.earliest[ti] = -1
 		fp.pending[ti] = 0
@@ -489,7 +490,7 @@ func (s *Scheduler) decideFreqFast(now float64, jexe *task.Job) float64 {
 	fp.entries = entries
 
 	fm := fp.fm
-	req := sched.LookAheadFrequencyInPlace(now, fm, entries)
+	req := sched.LookAheadFrequency(now, fm, entries)
 	if req > fm {
 		req = fm
 	}

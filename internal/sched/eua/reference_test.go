@@ -190,7 +190,7 @@ func (r *refScheduler) nextPossibleArrival(now float64, t *task.Task) (at float6
 
 // decideFreq is the reference Algorithm 2: the stochastic DVS technique.
 func (r *refScheduler) decideFreq(now float64, live []*task.Job, jexe *task.Job) float64 {
-	views := sched.EarliestByTask(live)
+	views := earliestByTask(live)
 	entries := make([]sched.LookAheadEntry, 0, len(r.ctx.Tasks))
 	for _, t := range r.ctx.Tasks {
 		v, ok := views[t.ID]
@@ -212,7 +212,7 @@ func (r *refScheduler) decideFreq(now float64, live []*task.Job, jexe *task.Job)
 			entries = append(entries, entry)
 			continue
 		}
-		remaining := sched.WindowRemaining(t, v)
+		remaining := windowRemaining(t, v)
 		if r.noWindowed {
 			remaining = v.Earliest.EstimatedRemaining()
 		}
@@ -253,8 +253,52 @@ func (r *refScheduler) decideFreq(now float64, live []*task.Job, jexe *task.Job)
 	return fexe
 }
 
+// taskView is the reference's per-task aggregate of the live jobs.
+type taskView struct {
+	Earliest *task.Job // pending job with the earliest absolute critical time
+	Pending  int       // number of pending jobs of the task
+}
+
+// earliestByTask groups ready jobs by task and returns, per task ID, the
+// pending job with the earliest absolute critical time together with the
+// number of pending jobs of that task.
+func earliestByTask(ready []*task.Job) map[int]taskView {
+	m := make(map[int]taskView)
+	for _, j := range ready {
+		v, ok := m[j.Task.ID]
+		if !ok {
+			m[j.Task.ID] = taskView{Earliest: j, Pending: 1}
+			continue
+		}
+		v.Pending++
+		if sched.Less(j, v.Earliest) {
+			v.Earliest = j
+		}
+		m[j.Task.ID] = v
+	}
+	return m
+}
+
+// windowRemaining returns C_i^r, the remaining allocated cycles of task t
+// in the current time window (Section 3.3):
+//
+//	C_i^r = c_i^r + (a_i − 1)·c_i
+//
+// the earliest pending job's remaining allocation plus a full allocation
+// c_i for each further instance the window may carry — whether it has
+// already arrived or not (the UAM adversary may still release it), and
+// capped at a_i instances in total even when unfinished jobs from the
+// previous window push the actual pending count a'_i above a_i ("we only
+// need to consider at most a_i instances").
+func windowRemaining(t *task.Task, v taskView) float64 {
+	if v.Pending == 0 || v.Earliest == nil {
+		return 0
+	}
+	return v.Earliest.EstimatedRemaining() + float64(t.Arrival.A-1)*t.CycleAllocation()
+}
+
 // lookAheadFrequencyRef is the deferral loop of Algorithm 2 lines 2–9 as
-// it stood before sched.LookAheadFrequencyInPlace moved to slices.SortFunc:
+// it stood before sched.LookAheadFrequency moved to slices.SortFunc:
 // sort.Slice on a private copy. The core's result must match it bit for
 // bit, ties among equal critical times included.
 func lookAheadFrequencyRef(now, fmax float64, entries []sched.LookAheadEntry) float64 {

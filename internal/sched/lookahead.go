@@ -30,18 +30,11 @@ type LookAheadEntry struct {
 // The loop walks tasks in reverse EDF order (latest critical time first),
 // assuming worst-case aggregate demand Util by earlier-critical-time tasks,
 // and pushes as much of each task's work as possible beyond D_n^a.
+// entries is reordered in place, so callers can keep one reusable entry
+// buffer; entries with equal critical times are always processed in the
+// same order for the same input sequence, and so summed into the same
+// float.
 func LookAheadFrequency(now, fmax float64, entries []LookAheadEntry) float64 {
-	order := append([]LookAheadEntry(nil), entries...)
-	return LookAheadFrequencyInPlace(now, fmax, order)
-}
-
-// LookAheadFrequencyInPlace is LookAheadFrequency without the defensive
-// copy: entries is reordered in place. Hot paths that own a reusable
-// entry buffer call this variant to avoid the per-event allocation; both
-// variants run the identical deferral loop (including the identical sort,
-// so entries with equal critical times are processed in the same order)
-// and therefore return bit-identical results for the same input sequence.
-func LookAheadFrequencyInPlace(now, fmax float64, entries []LookAheadEntry) float64 {
 	if len(entries) == 0 {
 		return 0
 	}

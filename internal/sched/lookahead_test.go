@@ -8,7 +8,7 @@ import (
 	"github.com/euastar/euastar/internal/rng"
 )
 
-// lookAheadSortSlice is LookAheadFrequencyInPlace as it was written on
+// lookAheadSortSlice is LookAheadFrequency as it was written on
 // sort.Slice, kept verbatim as the baseline for the slices.SortFunc
 // version: same deferral loop, entries reordered in place.
 func lookAheadSortSlice(now, fmax float64, entries []LookAheadEntry) float64 {
@@ -76,7 +76,7 @@ func TestLookAheadSortMatchesSortSlice(t *testing.T) {
 		want := append([]LookAheadEntry(nil), entries...)
 		got := append([]LookAheadEntry(nil), entries...)
 		wantF := lookAheadSortSlice(now, 1000e6, want)
-		gotF := LookAheadFrequencyInPlace(now, 1000e6, got)
+		gotF := LookAheadFrequency(now, 1000e6, got)
 		for i := range want {
 			if want[i] != got[i] {
 				t.Fatalf("trial %d (n=%d, %d keys): entry %d is %+v, sort.Slice put %+v there",

@@ -28,9 +28,8 @@ import (
 	"github.com/euastar/euastar/internal/profile"
 	"github.com/euastar/euastar/internal/rng"
 	"github.com/euastar/euastar/internal/sched"
-	"github.com/euastar/euastar/internal/sched/edf"
+	"github.com/euastar/euastar/internal/sched/baseline"
 	"github.com/euastar/euastar/internal/sched/eua"
-	"github.com/euastar/euastar/internal/sched/laedf"
 	"github.com/euastar/euastar/internal/sched/partition"
 	"github.com/euastar/euastar/internal/task"
 	"github.com/euastar/euastar/internal/workload"
@@ -186,8 +185,8 @@ func identityCases() []identCase {
 		name string
 		make func() sched.Scheduler
 	}{
-		{"EDF", func() sched.Scheduler { return edf.New(true) }},
-		{"laEDF", func() sched.Scheduler { return laedf.New(true) }},
+		{"EDF", func() sched.Scheduler { return baseline.NewEDF(true) }},
+		{"laEDF", func() sched.Scheduler { return baseline.NewLAEDF(true) }},
 		{"EUA", func() sched.Scheduler { return eua.New() }},
 	}
 	for _, sc := range schemes {

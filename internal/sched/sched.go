@@ -225,48 +225,3 @@ func InsertByCritical(order []*task.Job, j *task.Job) []*task.Job {
 	order[i] = j
 	return order
 }
-
-// EarliestByTask groups ready jobs by task and returns, per task ID, the
-// pending job with the earliest absolute critical time together with the
-// number of pending jobs of that task. Both EUA*'s decideFreq and the
-// DVS baselines consume this per-task view.
-func EarliestByTask(ready []*task.Job) map[int]TaskView {
-	m := make(map[int]TaskView)
-	for _, j := range ready {
-		v, ok := m[j.Task.ID]
-		if !ok {
-			m[j.Task.ID] = TaskView{Earliest: j, Pending: 1}
-			continue
-		}
-		v.Pending++
-		if jobLess(j, v.Earliest) {
-			v.Earliest = j
-		}
-		m[j.Task.ID] = v
-	}
-	return m
-}
-
-// TaskView is the per-task aggregate used by DVS analyses.
-type TaskView struct {
-	Earliest *task.Job // pending job with the earliest absolute critical time
-	Pending  int       // number of pending jobs of the task
-}
-
-// WindowRemaining returns C_i^r, the remaining allocated cycles of task t
-// in the current time window (Section 3.3):
-//
-//	C_i^r = c_i^r + (a_i − 1)·c_i
-//
-// the earliest pending job's remaining allocation plus a full allocation
-// c_i for each further instance the window may carry — whether it has
-// already arrived or not (the UAM adversary may still release it), and
-// capped at a_i instances in total even when unfinished jobs from the
-// previous window push the actual pending count a'_i above a_i ("we only
-// need to consider at most a_i instances").
-func WindowRemaining(t *task.Task, v TaskView) float64 {
-	if v.Pending == 0 || v.Earliest == nil {
-		return 0
-	}
-	return v.Earliest.EstimatedRemaining() + float64(t.Arrival.A-1)*t.CycleAllocation()
-}

@@ -1,9 +1,9 @@
 // Package telemetry is the repo's single instrumentation core: counters,
-// gauges and fixed-bucket histograms with a Prometheus text exposition,
-// plus cheap per-event tracing hooks. Every layer — the engine, the
-// schedulers, the experiment runner and the euad service — reports
-// through this package instead of bespoke ad-hoc fields, so one audited
-// surface covers them all (see DESIGN.md §10 for names and conventions).
+// gauges and fixed-bucket histograms with a Prometheus text exposition.
+// Every layer — the engine, the schedulers, the experiment runner and the
+// euad service — reports through this package instead of bespoke ad-hoc
+// fields, so one audited surface covers them all (see DESIGN.md §10 for
+// names and conventions).
 //
 // The zero-cost default: every metric method is nil-receiver-safe, so an
 // uninstrumented component simply holds nil pointers and each would-be
@@ -257,18 +257,3 @@ func LatencyBuckets() []float64 { return ExpBuckets(50e-9, 2, 25) }
 // DepthBuckets is the default ladder for queue-depth / heap-size style
 // histograms: 1 to 4096 in doubling steps.
 func DepthBuckets() []float64 { return ExpBuckets(1, 2, 13) }
-
-// TraceEvent is one annotation delivered to a TraceFunc hook: a
-// simulation-time instant plus a kind tag and optional job coordinates.
-type TraceEvent struct {
-	Time   float64 // simulation time (seconds)
-	Kind   string  // "arrival", "completion", "termination", "boundary", "decision", "abort", ...
-	TaskID int     // job coordinates, when the event concerns a job
-	Index  int
-	Detail string // free-form annotation (abort reason, chosen frequency, ...)
-}
-
-// TraceFunc receives per-event annotations from instrumented components.
-// A nil TraceFunc is the zero-cost default: emit sites guard with a
-// single nil check and build no TraceEvent.
-type TraceFunc func(TraceEvent)

@@ -10,7 +10,7 @@ import (
 	"github.com/euastar/euastar/internal/energy"
 	"github.com/euastar/euastar/internal/engine"
 	"github.com/euastar/euastar/internal/rng"
-	"github.com/euastar/euastar/internal/sched/edf"
+	"github.com/euastar/euastar/internal/sched/baseline"
 	"github.com/euastar/euastar/internal/sched/eua"
 	"github.com/euastar/euastar/internal/task"
 	"github.com/euastar/euastar/internal/tuf"
@@ -66,7 +66,7 @@ func TestValidatePassesEDF(t *testing.T) {
 	}
 	ft := cpu.PowerNowK6()
 	res, err := engine.Run(engine.Config{
-		Tasks: task.Set{tk}, Scheduler: edf.New(true), Freqs: ft,
+		Tasks: task.Set{tk}, Scheduler: baseline.NewEDF(true), Freqs: ft,
 		Energy: energy.MustPreset(energy.E1, ft.Max()), Horizon: 0.5,
 		Seed: 1, AbortAtTermination: true, RecordTrace: true,
 	})
