@@ -117,6 +117,11 @@ func run(args []string) int {
 		return 1
 	}
 
+	// Catch shutdown signals before announcing the address: a SIGTERM that
+	// arrives as soon as the daemon answers must drain it, not kill it.
+	sigC := make(chan os.Signal, 1)
+	signal.Notify(sigC, syscall.SIGTERM, syscall.SIGINT)
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		logf("euad: %v", err)
@@ -157,9 +162,6 @@ func run(args []string) int {
 		}()
 	}
 	defer stopWorker()
-
-	sigC := make(chan os.Signal, 1)
-	signal.Notify(sigC, syscall.SIGTERM, syscall.SIGINT)
 
 	select {
 	case sig := <-sigC:
