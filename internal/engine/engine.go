@@ -444,6 +444,10 @@ func Run(cfg Config) (res *Result, err error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	// The scheduler and the arrival streams see the tasks in ID order,
+	// so a run does not depend on the order of the caller's slice.
+	cfg.Tasks = append(task.Set(nil), cfg.Tasks...)
+	sort.Slice(cfg.Tasks, func(i, j int) bool { return cfg.Tasks[i].ID < cfg.Tasks[j].ID })
 	m := cfg.coreCount()
 	ctx := &sched.Context{Tasks: cfg.Tasks, Freqs: cfg.Freqs, Energy: cfg.Energy, Telemetry: cfg.Telemetry}
 	if m > 1 {
@@ -550,7 +554,8 @@ type arrivalPayload struct {
 
 // seedArrivals pre-generates every task's arrival trace and enqueues the
 // corresponding events. Each task gets independent RNG streams (in task
-// order) so that demands and arrivals are identical across schedulers.
+// ID order, the order Run sorted the tasks into) so that demands and
+// arrivals are identical across schedulers.
 func (st *state) seedArrivals() {
 	root := rng.New(st.cfg.Seed)
 	genF := st.cfg.Arrivals
@@ -563,10 +568,8 @@ func (st *state) seedArrivals() {
 			genF = defaultArrivals
 		}
 	}
-	tasks := append(task.Set(nil), st.cfg.Tasks...)
-	sort.Slice(tasks, func(i, j int) bool { return tasks[i].ID < tasks[j].ID })
-	st.demandSrc = make(map[int]*rng.Source, len(tasks))
-	for _, t := range tasks {
+	st.demandSrc = make(map[int]*rng.Source, len(st.cfg.Tasks))
+	for _, t := range st.cfg.Tasks {
 		genSrc := root.Split()
 		st.demandSrc[t.ID] = root.Split()
 		trace := genF(t).Generate(st.cfg.Horizon, genSrc)

@@ -16,6 +16,8 @@ import (
 //   - determinism: both oracles are pure functions of the instance
 //     (SolveUA under a node budget only — a wall-clock budget is
 //     documented as non-deterministic);
+//   - exactness: YDS matches the plain peel ydsReference bit for bit in
+//     every speed and in its round count;
 //   - ordering: per-job YDS speeds are a permutation-stable assignment
 //     with EnergyContinuous <= EnergyDiscrete (intensities never exceed
 //     the table maximum here), and SolveUA never inverts Best <= Upper.
@@ -25,19 +27,28 @@ func FuzzOracle(f *testing.F) {
 	f.Add([]byte{10, 0, 5, 20, 10, 5, 0xff, 0xff, 0xff})
 	f.Add([]byte{0, 1, 200, 0, 1, 200, 0, 1, 200, 0, 1, 200, 0, 1, 200})
 	f.Add([]byte{7, 7, 7, 7, 7, 7, 9, 9, 9, 1, 1, 1, 250, 3, 128})
+	// Touching windows ([0, 10], [10, 20], [20, 30] ms) and equal
+	// deadlines ([0, 20], [10, 20] and [5, 20] ms).
+	f.Add([]byte{0, 9, 100, 10, 9, 101, 20, 9, 99})
+	f.Add([]byte{0, 19, 80, 10, 9, 160, 5, 14, 120})
+	// Forty 4 ms windows laid end to end, two per slot, for the
+	// many-job path SolveUA's cap leaves to YDS alone.
+	var chain []byte
+	for i := 0; i < 40; i++ {
+		chain = append(chain, byte(4*(i/2)), 3, byte(60+5*i))
+	}
+	f.Add(chain)
 
 	ft := cpu.PowerNowK6()
 	fm := ft.Max()
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Three bytes per job: release slot, window width, work. Cap at
-		// 8 jobs so the exact search stays fast under the fuzzer.
-		n := len(data) / 3
-		if n > 8 {
-			n = 8
-		}
+		// Three bytes per job: release slot, window width, work. YDS
+		// takes up to 64 jobs; SolveUA the first 8, so the exact search
+		// stays fast under the fuzzer.
+		n := min(len(data)/3, 64)
 		yjobs := make([]Job, 0, n)
-		ujobs := make([]UAJob, 0, n)
+		ujobs := make([]UAJob, 0, 8)
 		for i := 0; i < n; i++ {
 			rel := float64(data[3*i]) * 1e-3
 			width := (1 + float64(data[3*i+1])) * 1e-3
@@ -45,17 +56,31 @@ func FuzzOracle(f *testing.F) {
 			// may still stack past fm (checked below).
 			cycles := float64(data[3*i+2]) / 255 * width * fm
 			yjobs = append(yjobs, Job{Release: rel, Deadline: rel + width, Cycles: cycles})
-			ujobs = append(ujobs, UAJob{
-				Release: rel,
-				Cycles:  cycles,
-				TUF:     tuf.NewStep(1+float64(data[3*i+2]), width),
-			})
+			if i < 8 {
+				ujobs = append(ujobs, UAJob{
+					Release: rel,
+					Cycles:  cycles,
+					TUF:     tuf.NewStep(1+float64(data[3*i+2]), width),
+				})
+			}
 		}
 
 		in := Instance{Jobs: yjobs}
 		s1, err := YDS(in)
 		if err != nil {
 			t.Fatalf("YDS rejected a well-formed instance: %v", err)
+		}
+		ref, err := ydsReference(in)
+		if err != nil {
+			t.Fatalf("reference peel: %v", err)
+		}
+		if s1.Rounds != ref.Rounds {
+			t.Fatalf("YDS peeled %d rounds, the reference %d", s1.Rounds, ref.Rounds)
+		}
+		for i := range s1.Speeds {
+			if math.Float64bits(s1.Speeds[i]) != math.Float64bits(ref.Speeds[i]) {
+				t.Fatalf("YDS speed of job %d is %v, the reference's %v", i, s1.Speeds[i], ref.Speeds[i])
+			}
 		}
 		s2, err := YDS(in)
 		if err != nil {

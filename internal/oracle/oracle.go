@@ -110,7 +110,9 @@ func ExecutedInstance(jobs []*task.Job, end float64) Instance {
 // ReleasedInstance builds the clairvoyant planning instance: every
 // released job's full realized demand inside its [Arrival, Termination]
 // window. This is the instance an offline optimum that completes all
-// work would face; it backs the cross-oracle differential test.
+// work would face. Its caller is the YDS differential test
+// (TestYDSMatchesReference), which peels these wide-window, few-round
+// instances alongside the executed ones.
 func ReleasedInstance(jobs []*task.Job) Instance {
 	out := Instance{Jobs: make([]Job, 0, len(jobs))}
 	for _, j := range jobs {

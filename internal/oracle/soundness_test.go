@@ -31,7 +31,7 @@ import (
 
 // simulateRaw runs one scheme and returns the raw engine result (the
 // oracles need the resolved jobs, not just the aggregate report).
-func simulateRaw(t *testing.T, ts task.Set, sc experiment.Scheme, seed uint64, horizon float64, preset energy.Preset) *engine.Result {
+func simulateRaw(t testing.TB, ts task.Set, sc experiment.Scheme, seed uint64, horizon float64, preset energy.Preset) *engine.Result {
 	t.Helper()
 	ft := cpu.PowerNowK6()
 	model, err := energy.NewPreset(preset, ft.Max())
@@ -54,7 +54,7 @@ func simulateRaw(t *testing.T, ts task.Set, sc experiment.Scheme, seed uint64, h
 }
 
 // synthesizeTable1 mirrors the experiment harness's workload synthesis.
-func synthesizeTable1(t *testing.T, seed uint64, shape workload.Shape, load float64) task.Set {
+func synthesizeTable1(t testing.TB, seed uint64, shape workload.Shape, load float64) task.Set {
 	t.Helper()
 	src := rng.New(seed * 0x9e3779b9)
 	var ts task.Set

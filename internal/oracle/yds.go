@@ -1,27 +1,18 @@
 package oracle
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/euastar/euastar/internal/cpu"
 	"github.com/euastar/euastar/internal/energy"
 )
 
-// YDS runs the Yao–Demers–Shenker critical-interval peeling algorithm
-// (the Li–Yao–Yuan formulation from PAPERS.md) on the instance and
-// returns the optimal continuous speed schedule: every job is assigned
-// the intensity of the critical interval it was peeled with, and the
-// per-round intensities are non-increasing.
-//
-// Each round finds the interval [t1, t2] maximizing the intensity
-// g = W(t1, t2) / (t2 − t1), where W sums the cycles of jobs whose
-// window is contained in [t1, t2]; those jobs are scheduled at speed g
-// and removed, and the interval is collapsed out of the remaining
-// windows. Critical-interval endpoints are always a release and a
-// deadline, so a round scans release × deadline candidate pairs with a
-// prefix accumulation — O(n²) per round, and each round removes at
-// least one job.
+// Schedule is the Yao–Demers–Shenker optimal continuous speed schedule
+// of an instance (the Li–Yao–Yuan formulation from PAPERS.md): every
+// job is assigned the intensity of the critical interval it was peeled
+// with, and the per-round intensities are non-increasing.
 //
 // The schedule's structure depends only on the instance geometry, never
 // on the power model; pricing happens in EnergyContinuous /
@@ -41,6 +32,48 @@ type Schedule struct {
 
 // YDS computes the optimal continuous speed assignment for the
 // instance. It returns an error only for invalid instances.
+//
+// Each round finds the interval [t1, t2] maximizing the intensity
+// g = W(t1, t2) / (t2 − t1), where W sums the cycles of jobs whose
+// window is contained in [t1, t2]; those jobs are scheduled at speed g
+// and removed, and the interval is collapsed out of the remaining
+// windows (endpoints inside it snap to t1, endpoints past it shift left
+// by its length). Critical-interval endpoints are always a release and
+// a deadline, so a round sweeps each distinct release t1 over the jobs
+// in (deadline, index) order, adding the work of every job released at
+// or after t1: each prefix is a candidate, and among equal intensities
+// the earlier start, then the earlier end, wins. Each round removes at
+// least one job.
+//
+// A round rescans only what the last peel could have changed, with the
+// float operations of the plain peel (ydsReference in the tests), so
+// Speeds and Rounds match it bit for bit:
+//
+//   - The jobs stay in (deadline, index) order across rounds. A peel
+//     moves few of them (the snapped deadlines, up to rounding), so one
+//     insertion pass restores the order.
+//   - The order splits into window components: a new one starts after
+//     position k when every later job is released more than gapRel of
+//     the active span after the k-th deadline. An interval spanning
+//     such a gap holds the work of one candidate on each side in
+//     strictly more time, so in exact arithmetic its intensity is below
+//     the better side's by a factor of at least 1 − gapRel. That factor
+//     exceeds the relative rounding error of the prefix sums, (2n+3)·2⁻⁵³
+//     for n ≤ maxSplitJobs jobs, four times over, so the spanning
+//     interval's computed intensity is strictly below too and never
+//     wins or ties. Each release is therefore swept only to the end of
+//     its own component: earlier components end before it, later ones
+//     come later in the order, so every prefix sum it forms is the one
+//     the full sweep forms, addition for addition.
+//   - A component whose jobs and coordinates are the same as in the
+//     last round (it lies wholly before the peeled interval) keeps its
+//     best interval; every other component is rescanned. The round's
+//     winner is the best of the component bests under the same order.
+//
+// Where that rounding argument does not apply — a collapsed window of
+// zero or negative width, intensities or the margin outside the normal
+// float range with room to spare, more than maxSplitJobs jobs — the
+// round runs as one component, which is the plain sweep.
 func YDS(in Instance) (*Schedule, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -49,95 +82,232 @@ func YDS(in Instance) (*Schedule, error) {
 		Jobs:   append([]Job(nil), in.Jobs...),
 		Speeds: make([]float64, len(in.Jobs)),
 	}
-
-	type item struct {
-		idx     int
-		rel, dl float64
-		w       float64
-	}
-	active := make([]*item, 0, len(in.Jobs))
-	for i, j := range in.Jobs {
-		if j.Cycles > 0 {
-			active = append(active, &item{idx: i, rel: j.Release, dl: j.Deadline, w: j.Cycles})
-		}
-	}
-
-	for len(active) > 0 {
+	p := newPeeler(in.Jobs)
+	var comps, prev []ydsComp
+	stable := 0 // leading positions whose jobs and coordinates the last peel left alone
+	for len(p.items) > 0 {
 		s.Rounds++
-
-		// Candidate left endpoints: the distinct releases. For each,
-		// sweep the deadlines in ascending order, accumulating the work
-		// of contained jobs; every prefix is a candidate interval.
-		rels := make([]float64, 0, len(active))
-		for _, it := range active {
-			rels = append(rels, it.rel)
-		}
-		sort.Float64s(rels)
-		rels = dedup(rels)
-		byDeadline := append([]*item(nil), active...)
-		sort.Slice(byDeadline, func(a, b int) bool {
-			if byDeadline[a].dl != byDeadline[b].dl {
-				return byDeadline[a].dl < byDeadline[b].dl
+		prev, comps = comps, p.components(prev[:0])
+		best := ydsComp{g: math.Inf(-1)}
+		k := 0
+		for c := range comps {
+			cc := &comps[c]
+			for k < len(prev) && prev[k].lo < cc.lo {
+				k++
 			}
-			return byDeadline[a].idx < byDeadline[b].idx
-		})
-
-		bestG, bestT1, bestT2 := math.Inf(-1), 0.0, 0.0
-		for _, t1 := range rels {
-			w := 0.0
-			for _, it := range byDeadline {
-				if it.rel < t1 || it.dl <= t1 {
-					continue
-				}
-				w += it.w
-				g := w / (it.dl - t1)
-				// Deterministic tie-break: higher intensity, then
-				// earlier start, then earlier end.
-				if g > bestG ||
-					(g == bestG && (t1 < bestT1 || (t1 == bestT1 && it.dl < bestT2))) {
-					bestG, bestT1, bestT2 = g, t1, it.dl
-				}
+			if k < len(prev) && prev[k].lo == cc.lo && prev[k].hi == cc.hi && cc.hi <= stable {
+				*cc = prev[k]
+			} else {
+				p.sweep(cc)
+			}
+			if better(cc.g, cc.t1, cc.t2, best) {
+				best = *cc
 			}
 		}
-
-		// Peel: assign the intensity to the contained jobs and collapse
-		// [t1, t2] out of the remaining windows (endpoints inside the
-		// interval snap to t1; endpoints past it shift left by its
-		// length).
-		length := bestT2 - bestT1
-		collapse := func(t float64) float64 {
-			switch {
-			case t <= bestT1:
-				return t
-			case t >= bestT2:
-				return t - length
-			default:
-				return bestT1
-			}
-		}
-		rest := active[:0]
-		for _, it := range active {
-			if it.rel >= bestT1 && it.dl <= bestT2 {
-				s.Speeds[it.idx] = bestG
-				continue
-			}
-			it.rel = collapse(it.rel)
-			it.dl = collapse(it.dl)
-			rest = append(rest, it)
-		}
-		active = rest
+		stable = p.peel(best, s.Speeds)
 	}
 	return s, nil
 }
 
-func dedup(xs []float64) []float64 {
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != out[len(out)-1] {
-			out = append(out, x)
+const (
+	// gapRel is the gap between two window components, relative to the
+	// active span, that keeps every interval spanning it from winning a
+	// round after rounding (see YDS).
+	gapRel = 1e-9
+	// maxSplitJobs is the most jobs whose prefix-sum rounding error
+	// gapRel covers with a factor of four to spare.
+	maxSplitJobs = 1 << 20
+)
+
+// ydsItem is one active job in the current, collapsed coordinates.
+type ydsItem struct {
+	rel, dl, w float64
+	idx        int
+}
+
+// byDeadline is the sweep order: deadline, then input index.
+func byDeadline(a, b ydsItem) int {
+	if c := cmp.Compare(a.dl, b.dl); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.idx, b.idx)
+}
+
+// ydsComp is one window component — the jobs at positions [lo, hi) of
+// the deadline order — with the best interval of its own sweep.
+type ydsComp struct {
+	lo, hi    int
+	g, t1, t2 float64
+}
+
+// better reports whether the candidate (g, t1, t2) beats best: higher
+// intensity, then earlier start, then earlier end.
+func better(g, t1, t2 float64, best ydsComp) bool {
+	return g > best.g || (g == best.g && (t1 < best.t1 || (t1 == best.t1 && t2 < best.t2)))
+}
+
+// peeler holds the active jobs in deadline order and, alongside, their
+// releases in ascending order. Window components are contiguous in
+// both: a component's jobs at positions [lo, hi) have the releases
+// rels[lo:hi], since every earlier component's jobs are released before
+// all of its own and every later one's after.
+type peeler struct {
+	items  []ydsItem
+	rels   []ydsRel
+	peeled []bool // by input index
+}
+
+// ydsRel is one active job's release, with the job's input index.
+type ydsRel struct {
+	t   float64
+	idx int
+}
+
+func newPeeler(jobs []Job) *peeler {
+	p := &peeler{items: make([]ydsItem, 0, len(jobs)), peeled: make([]bool, len(jobs))}
+	for i, j := range jobs {
+		if j.Cycles > 0 {
+			p.items = append(p.items, ydsItem{rel: j.Release, dl: j.Deadline, w: j.Cycles, idx: i})
 		}
 	}
-	return out
+	slices.SortFunc(p.items, byDeadline)
+	p.rels = make([]ydsRel, len(p.items))
+	for k, it := range p.items {
+		p.rels[k] = ydsRel{t: it.rel, idx: it.idx}
+	}
+	slices.SortFunc(p.rels, byRelease)
+	return p
+}
+
+func byRelease(a, b ydsRel) int { return cmp.Compare(a.t, b.t) }
+
+// components appends the window components of the deadline order to
+// comps, in order, with empty bests.
+func (p *peeler) components(comps []ydsComp) []ydsComp {
+	margin := p.gapMargin()
+	items := p.items
+	hi := len(items)
+	minRel := math.Inf(1)
+	for k := len(items) - 1; k > 0; k-- {
+		if items[k].rel < minRel {
+			minRel = items[k].rel
+		}
+		if minRel-items[k-1].dl > margin {
+			comps = append(comps, ydsComp{lo: k, hi: hi})
+			hi = k
+		}
+	}
+	comps = append(comps, ydsComp{lo: 0, hi: hi})
+	slices.Reverse(comps)
+	return comps
+}
+
+// gapMargin is the gap a component boundary must exceed: gapRel of the
+// active span, or +Inf (no boundary) outside the range the rounding
+// argument in YDS covers.
+func (p *peeler) gapMargin() float64 {
+	if len(p.items) > maxSplitJobs {
+		return math.Inf(1)
+	}
+	span := p.items[len(p.items)-1].dl - p.rels[0].t
+	wSum, wMin, widthMin := 0.0, math.Inf(1), math.Inf(1)
+	for _, it := range p.items {
+		wSum += it.w
+		if it.w < wMin {
+			wMin = it.w
+		}
+		if width := it.dl - it.rel; width < widthMin {
+			widthMin = width
+		}
+	}
+	if !(widthMin > 0) || wSum/widthMin > 0x1p1000 || wMin/span < 0x1p-1000 || gapRel*span < 0x1p-1000 {
+		return math.Inf(1)
+	}
+	return gapRel * span
+}
+
+// sweep finds the component's best interval, sweeping each of its
+// distinct releases from the first deadline after it to the
+// component's end.
+func (p *peeler) sweep(c *ydsComp) {
+	items := p.items[c.lo:c.hi]
+	best := ydsComp{g: math.Inf(-1)}
+	start := 0
+	for k, r := range p.rels[c.lo:c.hi] {
+		t1 := r.t
+		if k > 0 && t1 == p.rels[c.lo+k-1].t {
+			continue
+		}
+		for start < len(items) && items[start].dl <= t1 {
+			start++
+		}
+		w := 0.0
+		for _, it := range items[start:] {
+			if it.rel < t1 {
+				continue
+			}
+			w += it.w
+			if g := w / (it.dl - t1); better(g, t1, it.dl, best) {
+				best.g, best.t1, best.t2 = g, t1, it.dl
+			}
+		}
+	}
+	c.g, c.t1, c.t2 = best.g, best.t1, best.t2
+}
+
+// peel assigns the winner's intensity to the jobs inside [t1, t2],
+// collapses the interval out of the other windows and restores both
+// orders. It returns how many leading positions of the deadline order
+// still hold the same jobs at the same coordinates.
+func (p *peeler) peel(best ydsComp, speeds []float64) int {
+	t1, t2 := best.t1, best.t2
+	length := t2 - t1
+	collapse := func(t float64) float64 {
+		switch {
+		case t <= t1:
+			return t
+		case t >= t2:
+			return t - length
+		default:
+			return t1
+		}
+	}
+	n, stable := 0, len(p.items)
+	for _, it := range p.items {
+		if it.rel >= t1 && it.dl <= t2 {
+			speeds[it.idx] = best.g
+			p.peeled[it.idx] = true
+			stable = min(stable, n)
+			continue
+		}
+		rel, dl := collapse(it.rel), collapse(it.dl)
+		if rel != it.rel || dl != it.dl {
+			stable = min(stable, n)
+		}
+		p.items[n] = ydsItem{rel: rel, dl: dl, w: it.w, idx: it.idx}
+		n++
+	}
+	p.items = p.items[:n]
+	for i := max(stable, 1); i < n; i++ {
+		it, j := p.items[i], i
+		for j > 0 && byDeadline(it, p.items[j-1]) < 0 {
+			p.items[j] = p.items[j-1]
+			j--
+		}
+		p.items[j] = it
+		stable = min(stable, j)
+	}
+
+	m := 0
+	for _, r := range p.rels {
+		if !p.peeled[r.idx] {
+			p.rels[m] = ydsRel{t: collapse(r.t), idx: r.idx}
+			m++
+		}
+	}
+	p.rels = p.rels[:m]
+	slices.SortFunc(p.rels, byRelease)
+	return stable
 }
 
 // MaxSpeed is the highest intensity in the schedule — the speed the
