@@ -288,6 +288,9 @@ func (p *peeler) peel(best ydsComp, speeds []float64) int {
 		n++
 	}
 	p.items = p.items[:n]
+	// Deadlines inside the interval snapped to t1 and now tie with
+	// each other (and with deadlines already at t1), so their index
+	// order must be restored; positions before stable are in order.
 	for i := max(stable, 1); i < n; i++ {
 		it, j := p.items[i], i
 		for j > 0 && byDeadline(it, p.items[j-1]) < 0 {
@@ -306,6 +309,9 @@ func (p *peeler) peel(best ydsComp, speeds []float64) int {
 		}
 	}
 	p.rels = p.rels[:m]
+	// Collapsing keeps the releases in order except one at exactly t2,
+	// which t2 − length can round below t1; the sweep's start pointer
+	// and the component ranges rely on the order.
 	slices.SortFunc(p.rels, byRelease)
 	return stable
 }
