@@ -175,7 +175,7 @@ func BenchmarkFig3UAMEnergy(b *testing.B) {
 		Seeds:   []uint64{1, 2, 3},
 		Horizon: 1.5,
 	}
-	rows, err := experiment.Figure3(cfg, nil)
+	rows, err := experiment.Figure3(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

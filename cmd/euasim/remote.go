@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"github.com/euastar/euastar/internal/client"
@@ -16,25 +15,13 @@ import (
 	"github.com/euastar/euastar/internal/server"
 )
 
-// remoteOpts is the subset of euasim flags a remote run forwards to euad.
+// remoteOpts is what a remote run needs from the euasim flags.
 type remoteOpts struct {
 	base     string // euad address
 	jobID    string // idempotency-key prefix ("" = random per invocation)
-	exp      string
-	preset   string
-	loads    []float64
-	seeds    int
-	horizon  float64
-	faults   string
+	exps     []experiment.Experiment
+	spec     server.JobSpec // every sweep's parameters; ID and Experiment are set per sweep
 	jsonPath string
-}
-
-// remoteExperiments are the sweeps euad can run on our behalf.
-var remoteExperiments = map[string]bool{
-	"fig2":      true,
-	"fig3":      true,
-	"assurance": true,
-	"ablation":  true,
 }
 
 // runRemote submits each requested sweep to a euad daemon and prints the
@@ -42,10 +29,9 @@ var remoteExperiments = map[string]bool{
 // writers and configuration description as the local path, stdout is
 // byte-identical to running the sweep locally with the same parameters.
 func runRemote(opts remoteOpts, out, diag io.Writer, sigs <-chan os.Signal) error {
-	todo := strings.Split(opts.exp, ",")
-	for _, e := range todo {
-		if !remoteExperiments[e] {
-			return fmt.Errorf("experiment %q cannot run remotely (supported: fig2, fig3, assurance, ablation)", e)
+	for _, x := range opts.exps {
+		if !x.Sweep() {
+			return fmt.Errorf("experiment %q cannot run remotely (supported: %s)", x.Name, experimentNames(true, ", "))
 		}
 	}
 	prefix := opts.jobID
@@ -76,18 +62,11 @@ func runRemote(opts remoteOpts, out, diag io.Writer, sigs <-chan os.Signal) erro
 	c := client.New(opts.base)
 	var docs []experiment.JSONDocument
 	total := time.Now()
-	for _, e := range todo {
+	for _, x := range opts.exps {
+		e := x.Name
 		start := time.Now()
-		spec := server.JobSpec{
-			ID:         fmt.Sprintf("%s-%s", prefix, e),
-			Kind:       server.KindSweep,
-			Experiment: e,
-			Energy:     opts.preset,
-			Loads:      opts.loads,
-			Seeds:      opts.seeds,
-			Horizon:    opts.horizon,
-			Faults:     opts.faults,
-		}
+		spec := opts.spec
+		spec.ID, spec.Experiment = fmt.Sprintf("%s-%s", prefix, e), e
 		st, err := c.Run(ctx, spec)
 		if err != nil {
 			return fmt.Errorf("%s: %w", e, err)
@@ -104,21 +83,10 @@ func runRemote(opts remoteOpts, out, diag io.Writer, sigs <-chan os.Signal) erro
 		fmt.Fprintln(out)
 		fmt.Fprintf(diag, "euasim: %s done remotely in %v (job %s)\n",
 			e, time.Since(start).Round(time.Millisecond), st.ID)
-		docs = append(docs, res.JSONDocument)
+		if x.JSON() {
+			docs = append(docs, res.JSONDocument)
+		}
 	}
 	fmt.Fprintf(diag, "euasim: all experiments done in %v\n", time.Since(total).Round(time.Millisecond))
-	if opts.jsonPath != "" {
-		f, err := os.Create(opts.jsonPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		for _, doc := range docs {
-			if err := experiment.WriteJSON(f, doc); err != nil {
-				return err
-			}
-		}
-		fmt.Fprintf(out, "JSON results written to %s\n", opts.jsonPath)
-	}
-	return nil
+	return writeDocs(out, opts.jsonPath, docs)
 }

@@ -44,6 +44,7 @@ func (s SweepSpec) Config() (experiment.Config, error) {
 		Energy:    energy.E1,
 		Loads:     s.Loads,
 		Horizon:   s.Horizon,
+		Bounds:    s.Bounds,
 		Cores:     s.Cores,
 		Partition: s.Partition,
 	}
@@ -78,7 +79,7 @@ func (s SweepSpec) Plan() (*experiment.CellPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return experiment.PlanCells(cfg, s.Experiment, s.Bounds)
+	return experiment.PlanCells(cfg, s.Experiment)
 }
 
 // Error codes specific to the cluster protocol, carried in the same

@@ -33,7 +33,9 @@ type BudgetRow struct {
 
 // Budget sweeps a finite energy budget at fixed load 0.6 and reports each
 // scheme's utility ratio — how much mission the same battery buys.
-func Budget(cfg Config, fracs []float64) ([]BudgetRow, error) {
+func Budget(cfg Config, fracs []float64) ([]BudgetRow, error) { return budget(cfg, fracs).rows() }
+
+func budget(cfg Config, fracs []float64) *sweep[map[string]float64, BudgetRow] {
 	cfg = cfg.withDefaults()
 	if len(fracs) == 0 {
 		fracs = []float64{0.1, 0.2, 0.4, 0.7, 1.0}
@@ -45,15 +47,8 @@ func Budget(cfg Config, fracs []float64) ([]BudgetRow, error) {
 		}, Abort: true},
 		{Name: "EDF-fm", New: func() sched.Scheduler { return baseline.NewEDF(true) }, Abort: true},
 	}
-	// Fan out the (budget fraction, seed) cells; merge in sequential order.
-	g := grid(len(fracs), len(cfg.Seeds))
-	coords := func(c []int) Coords {
-		return Coords{Load: 0.6, Seed: cfg.Seeds[c[1]], Extra: fmt.Sprintf("frac=%g", fracs[c[0]])}
-	}
-	units, done, err := runCells(cfg, "budget", fmt.Sprintf("fracs=%v", fracs), g, coords,
-		func(i int, interrupt <-chan struct{}) (map[string]float64, error) {
-			c := g.coords(i)
-			frac, seed := fracs[c[0]], cfg.Seeds[c[1]]
+	return seedMeans("budget", cfg, axis[float64]{load: 0.6, param: "fracs", coord: "frac", points: fracs},
+		func(frac float64, seed uint64, interrupt <-chan struct{}) (map[string]float64, error) {
 			ts, err := synthesize(cfg, seed, workload.Step, 1)
 			if err != nil {
 				return nil, err
@@ -74,32 +69,22 @@ func Budget(cfg Config, fracs []float64) ([]BudgetRow, error) {
 				u[sc.Name] = rep.UtilityRatio()
 			}
 			return u, nil
-		})
-	if units == nil {
-		return nil, err
-	}
-	rows := make([]BudgetRow, 0, len(fracs))
-	for fi, frac := range fracs {
-		row := BudgetRow{BudgetFrac: frac, Utility: map[string]float64{}}
-		n := 0
-		for si := range cfg.Seeds {
-			idx := fi*len(cfg.Seeds) + si
-			if !done[idx] {
-				continue
+		},
+		func(u map[string]float64) []float64 {
+			v := make([]float64, len(schemes))
+			for i, sc := range schemes {
+				v[i] = u[sc.Name]
 			}
-			n++
-			for _, sc := range schemes {
-				row.Utility[sc.Name] += units[idx][sc.Name]
+			return v
+		},
+		func(frac float64, mean []float64) BudgetRow {
+			row := BudgetRow{BudgetFrac: frac, Utility: map[string]float64{}}
+			for i, m := range mean {
+				row.Utility[schemes[i].Name] = m
 			}
-		}
-		if n > 0 {
-			for _, sc := range schemes {
-				row.Utility[sc.Name] /= float64(n)
-			}
-		}
-		rows = append(rows, row)
-	}
-	return rows, err
+			return row
+		},
+		WriteBudget)
 }
 
 // WriteBudget prints the battery sweep.
@@ -149,71 +134,63 @@ type LatencyRow struct {
 // execution time, so utility falls and the effective saving shrinks as
 // latency grows.
 func SwitchLatency(cfg Config, latencies []float64) ([]LatencyRow, error) {
+	return switchLatency(cfg, latencies).rows()
+}
+
+// energyUtility is the unit of the latency and ladder sweeps: EUA*'s
+// energy and utility relative to the EDF-f_m baseline.
+type energyUtility struct {
+	Energy  float64 `json:"energy"`
+	Utility float64 `json:"utility"`
+}
+
+func (u energyUtility) fields() []float64 { return []float64{u.Energy, u.Utility} }
+
+// euaVsBaseline runs the baseline and EUA* on one task set under opts
+// (EUA* additionally with switchLatency) and returns EUA*'s ratios.
+func euaVsBaseline(cfg Config, ts task.Set, seed uint64, opts runOptions, switchLatency float64) (energyUtility, error) {
+	var u energyUtility
+	base, err := runOne(cfg, BaselineScheme(), ts, seed, opts)
+	if err != nil {
+		return u, &schemeError{BaselineScheme().Name, err}
+	}
+	euaScheme := Scheme{Name: "EUA*", New: func() sched.Scheduler { return eua.New() }, Abort: true}
+	opts.switchLatency = switchLatency
+	rep, err := runOne(cfg, euaScheme, ts, seed, opts)
+	if err != nil {
+		return u, &schemeError{euaScheme.Name, err}
+	}
+	if base.TotalEnergy > 0 {
+		u.Energy = rep.TotalEnergy / base.TotalEnergy
+	}
+	if base.AccruedUtility > 0 {
+		u.Utility = rep.AccruedUtility / base.AccruedUtility
+	}
+	return u, nil
+}
+
+func switchLatency(cfg Config, latencies []float64) *sweep[energyUtility, LatencyRow] {
 	cfg = cfg.withDefaults()
 	if len(latencies) == 0 {
 		latencies = []float64{0, 25e-6, 100e-6, 400e-6, 1600e-6}
 	}
-	euaScheme := Scheme{Name: "EUA*", New: func() sched.Scheduler { return eua.New() }, Abort: true}
-	// Fan out the (latency, seed) cells; merge in sequential order.
-	type latUnit struct {
-		Energy  float64 `json:"energy"`
-		Utility float64 `json:"utility"`
-	}
-	g := grid(len(latencies), len(cfg.Seeds))
-	coords := func(c []int) Coords {
-		return Coords{Load: 0.6, Seed: cfg.Seeds[c[1]], Extra: fmt.Sprintf("latency=%g", latencies[c[0]])}
-	}
-	units, done, err := runCells(cfg, "latency", fmt.Sprintf("latencies=%v", latencies), g, coords,
-		func(i int, interrupt <-chan struct{}) (latUnit, error) {
-			var u latUnit
-			c := g.coords(i)
-			lat, seed := latencies[c[0]], cfg.Seeds[c[1]]
+	return seedMeans("latency", cfg, axis[float64]{load: 0.6, param: "latencies", coord: "latency", points: latencies},
+		func(lat float64, seed uint64, interrupt <-chan struct{}) (energyUtility, error) {
 			ts, err := synthesize(cfg, seed, workload.Step, 1)
 			if err != nil {
-				return u, err
+				return energyUtility{}, err
 			}
 			ts = ts.ScaleToLoad(0.6, cpu.PowerNowK6().Max())
-			base, err := runOne(cfg, BaselineScheme(), ts, seed, runOptions{interrupt: interrupt})
-			if err != nil {
-				return u, &schemeError{BaselineScheme().Name, err}
+			return euaVsBaseline(cfg, ts, seed, runOptions{interrupt: interrupt}, lat)
+		},
+		energyUtility.fields,
+		func(lat float64, mean []float64) LatencyRow {
+			if mean == nil {
+				return LatencyRow{Latency: lat}
 			}
-			rep, err := runOne(cfg, euaScheme, ts, seed, runOptions{switchLatency: lat, interrupt: interrupt})
-			if err != nil {
-				return u, &schemeError{euaScheme.Name, err}
-			}
-			if base.TotalEnergy > 0 {
-				u.Energy = rep.TotalEnergy / base.TotalEnergy
-			}
-			if base.AccruedUtility > 0 {
-				u.Utility = rep.AccruedUtility / base.AccruedUtility
-			}
-			return u, nil
-		})
-	if units == nil {
-		return nil, err
-	}
-	rows := make([]LatencyRow, 0, len(latencies))
-	for li, lat := range latencies {
-		var row LatencyRow
-		row.Latency = lat
-		n := 0
-		for si := range cfg.Seeds {
-			idx := li*len(cfg.Seeds) + si
-			if !done[idx] {
-				continue
-			}
-			n++
-			u := units[idx]
-			row.Energy += u.Energy
-			row.Utility += u.Utility
-		}
-		if n > 0 {
-			row.Energy /= float64(n)
-			row.Utility /= float64(n)
-		}
-		rows = append(rows, row)
-	}
-	return rows, err
+			return LatencyRow{Latency: lat, Energy: mean[0], Utility: mean[1]}
+		},
+		WriteLatency)
 }
 
 // WriteLatency prints the switch-latency sweep.
@@ -238,31 +215,30 @@ type ContentionRow struct {
 // (one global resource) at fixed load 0.6, measuring how blocking erodes
 // accrued utility and how often the engine's execution inheritance fires.
 func Contention(cfg Config, fracs []float64) ([]ContentionRow, error) {
-	cfg = cfg.withDefaults()
-	if len(fracs) == 0 {
-		fracs = []float64{0, 0.1, 0.25, 0.5, 0.8}
-	}
 	for _, frac := range fracs {
 		if frac < 0 || frac >= 1 {
 			return nil, fmt.Errorf("experiment: section fraction %g outside [0, 1)", frac)
 		}
 	}
-	// Fan out the (section fraction, seed) cells; merge in sequential
-	// order. Each cell synthesizes its own task set, so mutating Sections
-	// here never races with another cell.
-	type contUnit struct {
-		Utility      float64 `json:"utility"`
-		Inheritances float64 `json:"inheritances"`
+	return contention(cfg, fracs).rows()
+}
+
+// contUnit is one (section fraction, seed) cell of the contention sweep.
+type contUnit struct {
+	Utility      float64 `json:"utility"`
+	Inheritances float64 `json:"inheritances"`
+}
+
+func contention(cfg Config, fracs []float64) *sweep[contUnit, ContentionRow] {
+	cfg = cfg.withDefaults()
+	if len(fracs) == 0 {
+		fracs = []float64{0, 0.1, 0.25, 0.5, 0.8}
 	}
-	g := grid(len(fracs), len(cfg.Seeds))
-	coords := func(c []int) Coords {
-		return Coords{Load: 0.6, Seed: cfg.Seeds[c[1]], Extra: fmt.Sprintf("section=%g", fracs[c[0]])}
-	}
-	units, done, err := runCells(cfg, "contention", fmt.Sprintf("fracs=%v", fracs), g, coords,
-		func(i int, interrupt <-chan struct{}) (contUnit, error) {
+	// Each cell synthesizes its own task set, so mutating Sections here
+	// never races with another cell.
+	return seedMeans("contention", cfg, axis[float64]{load: 0.6, param: "fracs", coord: "section", points: fracs},
+		func(frac float64, seed uint64, interrupt <-chan struct{}) (contUnit, error) {
 			var u contUnit
-			c := g.coords(i)
-			frac, seed := fracs[c[0]], cfg.Seeds[c[1]]
 			ts, err := synthesize(cfg, seed, workload.Step, 1)
 			if err != nil {
 				return u, err
@@ -290,32 +266,15 @@ func Contention(cfg Config, fracs []float64) ([]ContentionRow, error) {
 			}
 			rep := metrics.Analyze(res)
 			return contUnit{Utility: rep.UtilityRatio(), Inheritances: float64(res.Inheritances)}, nil
-		})
-	if units == nil {
-		return nil, err
-	}
-	rows := make([]ContentionRow, 0, len(fracs))
-	for fi, frac := range fracs {
-		var row ContentionRow
-		row.SectionFrac = frac
-		n := 0
-		for si := range cfg.Seeds {
-			idx := fi*len(cfg.Seeds) + si
-			if !done[idx] {
-				continue
+		},
+		func(u contUnit) []float64 { return []float64{u.Utility, u.Inheritances} },
+		func(frac float64, mean []float64) ContentionRow {
+			if mean == nil {
+				return ContentionRow{SectionFrac: frac}
 			}
-			n++
-			u := units[idx]
-			row.Utility += u.Utility
-			row.Inheritances += u.Inheritances
-		}
-		if n > 0 {
-			row.Utility /= float64(n)
-			row.Inheritances /= float64(n)
-		}
-		rows = append(rows, row)
-	}
-	return rows, err
+			return ContentionRow{SectionFrac: frac, Utility: mean[0], Inheritances: mean[1]}
+		},
+		WriteContention)
 }
 
 // WriteContention prints the contention sweep.
@@ -341,77 +300,37 @@ type LadderRow struct {
 // faster-than-needed frequencies, quantifying the value of fine-grained
 // DVS hardware.
 func Ladder(cfg Config, steps []int) ([]LadderRow, error) {
-	cfg = cfg.withDefaults()
-	if len(steps) == 0 {
-		steps = []int{2, 3, 5, 7, 13, 25}
-	}
-	euaScheme := Scheme{Name: "EUA*", New: func() sched.Scheduler { return eua.New() }, Abort: true}
 	for _, n := range steps {
 		if n < 1 {
 			return nil, fmt.Errorf("experiment: ladder needs >= 1 step, got %d", n)
 		}
 	}
-	// Fan out the (ladder, seed) cells; merge in sequential order.
-	type ladderUnit struct {
-		Energy  float64 `json:"energy"`
-		Utility float64 `json:"utility"`
+	return ladder(cfg, steps).rows()
+}
+
+func ladder(cfg Config, steps []int) *sweep[energyUtility, LadderRow] {
+	cfg = cfg.withDefaults()
+	if len(steps) == 0 {
+		steps = []int{2, 3, 5, 7, 13, 25}
 	}
-	g := grid(len(steps), len(cfg.Seeds))
-	coords := func(c []int) Coords {
-		return Coords{Load: 0.6, Seed: cfg.Seeds[c[1]], Extra: fmt.Sprintf("steps=%d", steps[c[0]])}
-	}
-	units, done, err := runCells(cfg, "ladder", fmt.Sprintf("steps=%v", steps), g, coords,
-		func(i int, interrupt <-chan struct{}) (ladderUnit, error) {
-			var u ladderUnit
-			c := g.coords(i)
-			n, seed := steps[c[0]], cfg.Seeds[c[1]]
+	return seedMeans("ladder", cfg, axis[int]{load: 0.6, param: "steps", coord: "steps", points: steps},
+		func(n int, seed uint64, interrupt <-chan struct{}) (energyUtility, error) {
 			table := cpu.Uniform(360e6, 1000e6, n)
 			ts, err := synthesize(cfg, seed, workload.Step, 1)
 			if err != nil {
-				return u, err
+				return energyUtility{}, err
 			}
 			ts = ts.ScaleToLoad(0.6, table.Max())
-			base, err := runOne(cfg, BaselineScheme(), ts, seed, runOptions{freqs: table, interrupt: interrupt})
-			if err != nil {
-				return u, &schemeError{BaselineScheme().Name, err}
+			return euaVsBaseline(cfg, ts, seed, runOptions{freqs: table, interrupt: interrupt}, 0)
+		},
+		energyUtility.fields,
+		func(n int, mean []float64) LadderRow {
+			if mean == nil {
+				return LadderRow{Steps: n}
 			}
-			rep, err := runOne(cfg, euaScheme, ts, seed, runOptions{freqs: table, interrupt: interrupt})
-			if err != nil {
-				return u, &schemeError{euaScheme.Name, err}
-			}
-			if base.TotalEnergy > 0 {
-				u.Energy = rep.TotalEnergy / base.TotalEnergy
-			}
-			if base.AccruedUtility > 0 {
-				u.Utility = rep.AccruedUtility / base.AccruedUtility
-			}
-			return u, nil
-		})
-	if units == nil {
-		return nil, err
-	}
-	rows := make([]LadderRow, 0, len(steps))
-	for ni, n := range steps {
-		var row LadderRow
-		row.Steps = n
-		cnt := 0
-		for si := range cfg.Seeds {
-			idx := ni*len(cfg.Seeds) + si
-			if !done[idx] {
-				continue
-			}
-			cnt++
-			u := units[idx]
-			row.Energy += u.Energy
-			row.Utility += u.Utility
-		}
-		if cnt > 0 {
-			row.Energy /= float64(cnt)
-			row.Utility /= float64(cnt)
-		}
-		rows = append(rows, row)
-	}
-	return rows, err
+			return LadderRow{Steps: n, Energy: mean[0], Utility: mean[1]}
+		},
+		WriteLadder)
 }
 
 // WriteLadder prints the frequency-granularity sweep.

@@ -49,35 +49,35 @@ func planFor(intensity float64) *faults.Plan {
 // degrade relative to the fault-free run — the quantitative version of
 // "faults degrade output, they do not corrupt it".
 func FaultSweep(cfg Config, intensities []float64) ([]FaultRow, error) {
-	cfg = cfg.withDefaults()
-	if len(intensities) == 0 {
-		intensities = []float64{0, 0.05, 0.1, 0.2, 0.4}
-	}
 	for _, x := range intensities {
 		if x < 0 || x > 1 {
 			return nil, fmt.Errorf("experiment: fault intensity %g outside [0, 1]", x)
 		}
 	}
+	return faultSweep(cfg, intensities).rows()
+}
+
+// faultUnit is one (intensity, seed) cell of the fault sweep.
+type faultUnit struct {
+	Utility     float64 `json:"utility"`
+	Energy      float64 `json:"energy"`
+	FaultEvents float64 `json:"faultEvents"`
+	JobsShed    float64 `json:"jobsShed"`
+	SafeEntries float64 `json:"safeEntries"`
+}
+
+func faultSweep(cfg Config, intensities []float64) *sweep[faultUnit, FaultRow] {
+	cfg = cfg.withDefaults()
+	if len(intensities) == 0 {
+		intensities = []float64{0, 0.05, 0.1, 0.2, 0.4}
+	}
 	if cfg.SafeModeMisses == 0 {
 		cfg.SafeModeMisses = 4 // arm the safe mode so shedding is observable
 	}
 	const load = 1.0
-	type faultUnit struct {
-		Utility     float64 `json:"utility"`
-		Energy      float64 `json:"energy"`
-		FaultEvents float64 `json:"faultEvents"`
-		JobsShed    float64 `json:"jobsShed"`
-		SafeEntries float64 `json:"safeEntries"`
-	}
-	g := grid(len(intensities), len(cfg.Seeds))
-	coords := func(c []int) Coords {
-		return Coords{Load: load, Seed: cfg.Seeds[c[1]], Extra: fmt.Sprintf("intensity=%g", intensities[c[0]])}
-	}
-	units, done, err := runCells(cfg, "faults", fmt.Sprintf("intensities=%v", intensities), g, coords,
-		func(i int, interrupt <-chan struct{}) (faultUnit, error) {
+	return seedMeans("faults", cfg, axis[float64]{load: load, param: "intensities", coord: "intensity", points: intensities},
+		func(intensity float64, seed uint64, interrupt <-chan struct{}) (faultUnit, error) {
 			var u faultUnit
-			c := g.coords(i)
-			intensity, seed := intensities[c[0]], cfg.Seeds[c[1]]
 			ts, err := synthesize(cfg, seed, workload.Step, 1)
 			if err != nil {
 				return u, err
@@ -116,37 +116,18 @@ func FaultSweep(cfg Config, intensities []float64) ([]FaultRow, error) {
 			u.JobsShed = float64(faulty.JobsShed)
 			u.SafeEntries = float64(faulty.SafeModeEntries)
 			return u, nil
-		})
-	if units == nil {
-		return nil, err
-	}
-	rows := make([]FaultRow, 0, len(intensities))
-	for xi, x := range intensities {
-		row := FaultRow{Intensity: x}
-		n := 0
-		for si := range cfg.Seeds {
-			idx := xi*len(cfg.Seeds) + si
-			if !done[idx] {
-				continue
+		},
+		func(u faultUnit) []float64 {
+			return []float64{u.Utility, u.Energy, u.FaultEvents, u.JobsShed, u.SafeEntries}
+		},
+		func(x float64, mean []float64) FaultRow {
+			if mean == nil {
+				return FaultRow{Intensity: x}
 			}
-			n++
-			u := units[idx]
-			row.Utility += u.Utility
-			row.Energy += u.Energy
-			row.FaultEvents += u.FaultEvents
-			row.JobsShed += u.JobsShed
-			row.SafeEntries += u.SafeEntries
-		}
-		if n > 0 {
-			row.Utility /= float64(n)
-			row.Energy /= float64(n)
-			row.FaultEvents /= float64(n)
-			row.JobsShed /= float64(n)
-			row.SafeEntries /= float64(n)
-		}
-		rows = append(rows, row)
-	}
-	return rows, err
+			return FaultRow{Intensity: x, Utility: mean[0], Energy: mean[1],
+				FaultEvents: mean[2], JobsShed: mean[3], SafeEntries: mean[4]}
+		},
+		WriteFaults)
 }
 
 // WriteFaults prints the fault-injection sweep.

@@ -55,10 +55,11 @@ func GapsApp() workload.App {
 	}
 }
 
-// GapsConfig normalizes a config the way Gaps does, so Describe-based
-// fingerprints (checkpoints, the committed bench) agree with the sweep
-// that actually ran.
-func GapsConfig(cfg Config) Config {
+// gapsConfig is the configuration the gaps sweep runs: the GapsApp
+// workload, the capped horizon and the oracle columns forced on.
+// Describe-based fingerprints (checkpoints, the committed bench) are
+// taken from it, so they agree with the sweep that actually ran.
+func gapsConfig(cfg Config) Config {
 	if len(cfg.Apps) == 0 {
 		cfg.Apps = []workload.App{GapsApp()}
 	}
@@ -92,52 +93,57 @@ type GapRow struct {
 // Gaps runs the optimality-gap sweep: the Figure 2 cell structure (Step
 // TUFs, a = 1) on the GapsApp workload with the oracle columns forced
 // on, reduced to per-load GapRows.
-func Gaps(cfg Config) ([]GapRow, error) {
-	cfg = GapsConfig(cfg)
-	schemes := ComparisonSchemes()
+func Gaps(cfg Config) ([]GapRow, error) { return gaps(cfg).rows() }
+
+func gaps(cfg Config) *sweep[sweepUnit, GapRow] {
+	cfg = gapsConfig(cfg)
 	g := grid(len(cfg.Loads), len(cfg.Seeds))
-	coords := func(c []int) Coords {
-		return Coords{Load: cfg.Loads[c[0]], Seed: cfg.Seeds[c[1]]}
-	}
-	units, done, err := runCells(cfg, "gaps", "", g, coords, sweepCell(cfg, schemes, workload.Step, 1, g))
-	if units == nil {
-		return nil, err
-	}
-	rows := make([]GapRow, 0, len(cfg.Loads))
-	for li, load := range cfg.Loads {
-		row := GapRow{Load: load}
-		accEG := map[string]*stats.Welford{}
-		accUG := map[string]*stats.Welford{}
-		cells, exact := 0, 0
-		for si := range cfg.Seeds {
-			idx := li*len(cfg.Seeds) + si
-			if !done[idx] {
-				continue
+	return &sweep[sweepUnit, GapRow]{
+		name:   "gaps",
+		cfg:    cfg,
+		g:      g,
+		coords: loadSeedCoords(cfg),
+		cell:   sweepCell(cfg, ComparisonSchemes(), 1, g),
+		merge: func(units []sweepUnit, done []bool) []GapRow {
+			rows := make([]GapRow, 0, len(cfg.Loads))
+			for li, load := range cfg.Loads {
+				row := GapRow{Load: load}
+				accEG := map[string]*stats.Welford{}
+				accUG := map[string]*stats.Welford{}
+				cells, exact := 0, 0
+				for si := range cfg.Seeds {
+					idx := li*len(cfg.Seeds) + si
+					if !done[idx] {
+						continue
+					}
+					u := units[idx]
+					cells++
+					if u.BnBExact {
+						exact++
+					}
+					row.Jobs += float64(u.OracleJobs)
+					mergeGaps(accEG, u.EnergyGap)
+					mergeGaps(accUG, u.UtilityGap)
+				}
+				if cells > 0 {
+					row.ExactFrac = float64(exact) / float64(cells)
+					row.Jobs /= float64(cells)
+				}
+				row.EnergyGap, row.EnergyGapErr = gapColumns(accEG)
+				row.UtilityGap, row.UtilityGapErr = gapColumns(accUG)
+				if row.EnergyGap == nil {
+					row.EnergyGap = map[string]float64{}
+				}
+				if row.UtilityGap == nil {
+					row.UtilityGap = map[string]float64{}
+				}
+				rows = append(rows, row)
 			}
-			u := units[idx]
-			cells++
-			if u.BnBExact {
-				exact++
-			}
-			row.Jobs += float64(u.OracleJobs)
-			mergeGaps(accEG, u.EnergyGap)
-			mergeGaps(accUG, u.UtilityGap)
-		}
-		if cells > 0 {
-			row.ExactFrac = float64(exact) / float64(cells)
-			row.Jobs /= float64(cells)
-		}
-		row.EnergyGap, row.EnergyGapErr = gapColumns(accEG)
-		row.UtilityGap, row.UtilityGapErr = gapColumns(accUG)
-		if row.EnergyGap == nil {
-			row.EnergyGap = map[string]float64{}
-		}
-		if row.UtilityGap == nil {
-			row.UtilityGap = map[string]float64{}
-		}
-		rows = append(rows, row)
+			return rows
+		},
+		write: WriteGaps,
+		doc:   func(d *JSONDocument, rows []GapRow) { d.Gaps = rows },
 	}
-	return rows, err
 }
 
 // cellOracle holds one sweep cell's oracle state: the energy model and
@@ -302,7 +308,7 @@ func WriteGapsBench(w io.Writer, cfg Config, rows []GapRow) error {
 	return enc.Encode(GapsBenchDocument{
 		Version: 1,
 		Go:      runtime.Version(),
-		Config:  Describe(GapsConfig(cfg)),
+		Config:  Describe(gapsConfig(cfg)),
 		Rows:    rows,
 	})
 }

@@ -53,10 +53,28 @@ func TestForEachFirstErrorWins(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 4} {
 		var calls int32
+		// With a pool, units 0..workers-2 hold their workers until the
+		// failing unit (workers-1) runs, and fail too: every worker then
+		// records an error, and with it the cancel, before it can take
+		// another index. Free-running units would let the other workers
+		// start all remaining units before the cancel lands. One worker
+		// runs units in order, so holding one there would deadlock.
+		failing := 3
+		release := make(chan struct{})
+		if workers > 1 {
+			failing = workers - 1
+		}
 		err := forEach(workers, 100, func(i int) error {
 			atomic.AddInt32(&calls, 1)
-			if i == 3 {
+			switch {
+			case i == failing:
+				if workers > 1 {
+					close(release)
+				}
 				return fmt.Errorf("unit %d: %w", i, boom)
+			case workers > 1 && i < failing:
+				<-release
+				return fmt.Errorf("held unit %d: %w", i, boom)
 			}
 			return nil
 		})
@@ -170,12 +188,12 @@ func TestFigure3DeterministicAcrossWorkers(t *testing.T) {
 	cfg := detCfg(1)
 	cfg.Loads = []float64{0.5, 1.1}
 	cfg.Seeds = []uint64{1, 2}
-	seq, err := Figure3(cfg, nil)
+	seq, err := Figure3(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Workers = 8
-	par, err := Figure3(cfg, nil)
+	par, err := Figure3(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,8 +16,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
-
-	"github.com/euastar/euastar/internal/workload"
 )
 
 // CellStore persists completed sweep cells keyed by (experiment,
@@ -121,76 +119,4 @@ func (p *CellPlan) Run(i int, interrupt <-chan struct{}) (json.RawMessage, error
 		return nil, fmt.Errorf("experiment: cell %d out of range [0,%d)", i, p.g.size())
 	}
 	return p.run(i, interrupt)
-}
-
-// marshalCell adapts a typed cell function to the raw-JSON form a
-// CellPlan carries. json.Marshal/Unmarshal round-trips float64 exactly
-// (shortest round-trip representation), so a unit that travels through a
-// store or across the network merges bit-identically to one computed in
-// process.
-func marshalCell[U any](run func(i int, interrupt <-chan struct{}) (U, error)) func(i int, interrupt <-chan struct{}) (json.RawMessage, error) {
-	return func(i int, interrupt <-chan struct{}) (json.RawMessage, error) {
-		u, err := run(i, interrupt)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(u)
-	}
-}
-
-// PlanCells builds the cell plan for one of the service sweeps (fig2,
-// fig3, assurance, ablation) under cfg. The plan's cell functions,
-// grid order and fingerprint are exactly those of the corresponding
-// local entry point (Figure2, Figure3, Assurance, Ablation), so a sweep
-// whose cells were computed remotely and stored merges bit-identically
-// to a local run. bounds applies to fig3 only (nil selects the default
-// 1..3, as Figure3 does).
-func PlanCells(cfg Config, exp string, bounds []int) (*CellPlan, error) {
-	switch exp {
-	case "fig2", "ablation":
-		cfg = cfg.withDefaults()
-		schemes := Figure2Schemes()
-		burst := 1
-		if exp == "ablation" {
-			schemes = AblationSchemes()
-			burst = 0
-		}
-		g := grid(len(cfg.Loads), len(cfg.Seeds))
-		return &CellPlan{
-			experiment:  exp,
-			fingerprint: fingerprint(cfg, exp, "", g),
-			g:           g,
-			coords:      func(c []int) Coords { return Coords{Load: cfg.Loads[c[0]], Seed: cfg.Seeds[c[1]]} },
-			run:         marshalCell(sweepCell(cfg, schemes, workload.Step, burst, g)),
-		}, nil
-	case "fig3":
-		if len(cfg.Apps) == 0 {
-			cfg.Apps = []workload.App{Fig3App()}
-		}
-		cfg = cfg.withDefaults()
-		if len(bounds) == 0 {
-			bounds = []int{1, 2, 3}
-		}
-		g := grid(len(cfg.Loads), len(bounds), len(cfg.Seeds))
-		return &CellPlan{
-			experiment:  exp,
-			fingerprint: fingerprint(cfg, exp, fmt.Sprintf("bounds=%v", bounds), g),
-			g:           g,
-			coords: func(c []int) Coords {
-				return Coords{Load: cfg.Loads[c[0]], Seed: cfg.Seeds[c[2]], Extra: fmt.Sprintf("a=%d", bounds[c[1]])}
-			},
-			run: marshalCell(fig3Cell(cfg, bounds, g)),
-		}, nil
-	case "assurance":
-		cfg = cfg.withDefaults()
-		g := grid(len(cfg.Loads), len(cfg.Seeds))
-		return &CellPlan{
-			experiment:  exp,
-			fingerprint: fingerprint(cfg, exp, "", g),
-			g:           g,
-			coords:      func(c []int) Coords { return Coords{Load: cfg.Loads[c[0]], Seed: cfg.Seeds[c[1]]} },
-			run:         marshalCell(assuranceCell(cfg, assuranceSchemes(), g)),
-		}, nil
-	}
-	return nil, fmt.Errorf("experiment: no cell plan for experiment %q", exp)
 }

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -18,69 +19,77 @@ func shardCfg(t *testing.T) Config {
 	}
 }
 
-// TestPlanCellsMatchesLocalRun: computing every cell through the cell
-// plan (the distributed execution surface), storing the raw units in a
-// CellStore, and then running the sweep against that store must produce
-// rows bit-identical to a plain local run — the property that makes a
-// multi-node merge byte-identical to a single-node one.
+// TestPlanCellsMatchesLocalRun: for every registered sweep, computing
+// every cell through the cell plan (the distributed execution surface)
+// must give the raw units a local run stores under the same fingerprint,
+// and running the sweep against the planned cells must reproduce the
+// local run's table and -json document without recomputing a cell — the
+// property that makes a multi-node merge byte-identical to a single-node
+// one.
 func TestPlanCellsMatchesLocalRun(t *testing.T) {
-	for _, exp := range []string{"fig2", "fig3", "assurance"} {
-		exp := exp
-		t.Run(exp, func(t *testing.T) {
+	for _, e := range Experiments() {
+		if !e.Sweep() {
+			continue
+		}
+		e := e
+		t.Run(e.Name, func(t *testing.T) {
 			t.Parallel()
 			cfg := shardCfg(t)
 
-			plan, err := PlanCells(cfg, exp, nil)
+			plan, err := PlanCells(cfg, e.Name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if plan.Experiment() != exp {
-				t.Fatalf("plan experiment %q, want %q", plan.Experiment(), exp)
+			if plan.Experiment() != e.Name {
+				t.Fatalf("plan experiment %q, want %q", plan.Experiment(), e.Name)
 			}
 			if plan.N() <= 0 {
 				t.Fatalf("plan has %d cells", plan.N())
 			}
-			store := NewMemStore()
+			planned := NewMemStore()
 			for i := 0; i < plan.N(); i++ {
 				raw, err := plan.Run(i, nil)
 				if err != nil {
 					t.Fatalf("cell %d (%+v): %v", i, plan.Coords(i), err)
 				}
-				if err := store.Save(plan.Experiment(), plan.Fingerprint(), i, raw); err != nil {
+				if err := planned.Save(plan.Experiment(), plan.Fingerprint(), i, raw); err != nil {
 					t.Fatal(err)
 				}
 			}
 
-			run := func(cfg Config) any {
+			run := func(cfg Config) (string, *JSONDocument) {
 				t.Helper()
-				var (
-					out any
-					err error
-				)
-				switch exp {
-				case "fig2":
-					out, err = Figure2(cfg)
-				case "fig3":
-					out, err = Figure3(cfg, nil)
-				case "assurance":
-					out, err = Assurance(cfg)
-				}
+				var text bytes.Buffer
+				doc, err := e.Run(cfg, &text, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return out
+				return text.String(), doc
+			}
+			local := cfg
+			localStore := NewMemStore()
+			local.Store = localStore
+			wantText, wantDoc := run(local)
+			for i := 0; i < plan.N(); i++ {
+				want, ok := localStore.Lookup(e.Name, plan.Fingerprint(), i)
+				if !ok {
+					t.Fatalf("local run stored no cell %d under the plan's fingerprint", i)
+				}
+				got, _ := planned.Lookup(e.Name, plan.Fingerprint(), i)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("cell %d: planned unit %s, local unit %s", i, got, want)
+				}
 			}
 
-			local := run(cfg)
 			merged := cfg
-			merged.Store = store
-			mergedOut := run(merged)
-			if !reflect.DeepEqual(local, mergedOut) {
-				t.Fatalf("merge from stored cells differs from local run:\nlocal:  %+v\nmerged: %+v", local, mergedOut)
+			merged.Store = planned
+			gotText, gotDoc := run(merged)
+			if gotText != wantText || !reflect.DeepEqual(gotDoc, wantDoc) {
+				t.Fatalf("merge from planned cells differs from local run:\nlocal:  %s%+v\nmerged: %s%+v", wantText, wantDoc, gotText, gotDoc)
 			}
 			// The merge run must not have recomputed (and re-saved) any cell.
-			if store.Saves() != plan.N() {
-				t.Fatalf("merge run recomputed cells: %d saves for %d cells", store.Saves(), plan.N())
+			if planned.Saves() != plan.N() {
+				t.Fatalf("merge run recomputed cells: %d saves for %d cells", planned.Saves(), plan.N())
 			}
 		})
 	}
@@ -90,7 +99,7 @@ func TestPlanCellsMatchesLocalRun(t *testing.T) {
 // different fingerprint (changed loads) must not be resurrected.
 func TestPlanCellsFingerprintFencesStaleCells(t *testing.T) {
 	cfg := shardCfg(t)
-	plan, err := PlanCells(cfg, "fig2", nil)
+	plan, err := PlanCells(cfg, "fig2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +109,7 @@ func TestPlanCellsFingerprintFencesStaleCells(t *testing.T) {
 	}
 	changed := cfg
 	changed.Loads = []float64{0.2}
-	plan2, err := PlanCells(changed, "fig2", nil)
+	plan2, err := PlanCells(changed, "fig2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,9 +121,10 @@ func TestPlanCellsFingerprintFencesStaleCells(t *testing.T) {
 	}
 }
 
-// TestPlanCellsRange: out-of-range cells are rejected, never a panic.
+// TestPlanCellsRange: out-of-range cells are rejected, never a panic,
+// and experiments without cells have no plan.
 func TestPlanCellsRange(t *testing.T) {
-	plan, err := PlanCells(shardCfg(t), "fig2", nil)
+	plan, err := PlanCells(shardCfg(t), "fig2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +134,9 @@ func TestPlanCellsRange(t *testing.T) {
 	if _, err := plan.Run(plan.N(), nil); err == nil {
 		t.Fatal("past-the-end cell index accepted")
 	}
-	if _, err := PlanCells(shardCfg(t), "threshold", nil); err == nil {
-		t.Fatal("unknown experiment accepted")
+	for _, exp := range []string{"table1", "nosuch"} {
+		if _, err := PlanCells(shardCfg(t), exp); err == nil {
+			t.Fatalf("%s: cell plan built", exp)
+		}
 	}
 }

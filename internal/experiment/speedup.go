@@ -72,6 +72,10 @@ func speedupCell(cfg Config, coreCounts []int, g unitGrid) func(i int, interrupt
 // the Figure 2 workload, each core count normalized to the uniprocessor
 // EUA* run of the identical cell. coreCounts defaults to {1, 2, 4}.
 func Speedup(cfg Config, coreCounts []int) ([]SpeedupRow, error) {
+	return speedup(cfg, coreCounts).rows()
+}
+
+func speedup(cfg Config, coreCounts []int) *sweep[speedupUnit, SpeedupRow] {
 	cfg = cfg.withDefaults()
 	if len(coreCounts) == 0 {
 		coreCounts = []int{1, 2, 4}
@@ -80,40 +84,46 @@ func Speedup(cfg Config, coreCounts []int) ([]SpeedupRow, error) {
 		cfg.Partition = "ff"
 	}
 	g := grid(len(cfg.Loads), len(coreCounts), len(cfg.Seeds))
-	coords := func(c []int) Coords {
-		return Coords{Load: cfg.Loads[c[0]], Seed: cfg.Seeds[c[2]], Extra: fmt.Sprintf("m=%d", coreCounts[c[1]])}
-	}
-	units, done, err := runCells(cfg, "speedup", fmt.Sprintf("cores=%v partition=%s", coreCounts, cfg.Partition),
-		g, coords, speedupCell(cfg, coreCounts, g))
-	if units == nil {
-		return nil, err
-	}
-	rows := make([]SpeedupRow, 0, len(cfg.Loads))
-	for li, load := range cfg.Loads {
-		row := SpeedupRow{
-			Load:    load,
-			Utility: make(map[int]float64, len(coreCounts)),
-			Energy:  make(map[int]float64, len(coreCounts)),
-		}
-		for mi, m := range coreCounts {
-			n := 0
-			for si := range cfg.Seeds {
-				idx := (li*len(coreCounts)+mi)*len(cfg.Seeds) + si
-				if !done[idx] {
-					continue
+	return &sweep[speedupUnit, SpeedupRow]{
+		name:   "speedup",
+		cfg:    cfg,
+		params: fmt.Sprintf("cores=%v partition=%s", coreCounts, cfg.Partition),
+		g:      g,
+		coords: func(c []int) Coords {
+			return Coords{Load: cfg.Loads[c[0]], Seed: cfg.Seeds[c[2]], Extra: fmt.Sprintf("m=%d", coreCounts[c[1]])}
+		},
+		cell: speedupCell(cfg, coreCounts, g),
+		merge: func(units []speedupUnit, done []bool) []SpeedupRow {
+			rows := make([]SpeedupRow, 0, len(cfg.Loads))
+			for li, load := range cfg.Loads {
+				row := SpeedupRow{
+					Load:    load,
+					Utility: make(map[int]float64, len(coreCounts)),
+					Energy:  make(map[int]float64, len(coreCounts)),
 				}
-				row.Utility[m] += units[idx].Utility
-				row.Energy[m] += units[idx].Energy
-				n++
+				for mi, m := range coreCounts {
+					n := 0
+					for si := range cfg.Seeds {
+						idx := (li*len(coreCounts)+mi)*len(cfg.Seeds) + si
+						if !done[idx] {
+							continue
+						}
+						row.Utility[m] += units[idx].Utility
+						row.Energy[m] += units[idx].Energy
+						n++
+					}
+					if n > 0 {
+						row.Utility[m] /= float64(n)
+						row.Energy[m] /= float64(n)
+					}
+				}
+				rows = append(rows, row)
 			}
-			if n > 0 {
-				row.Utility[m] /= float64(n)
-				row.Energy[m] /= float64(n)
-			}
-		}
-		rows = append(rows, row)
+			return rows
+		},
+		write: WriteSpeedup,
+		doc:   func(d *JSONDocument, rows []SpeedupRow) { d.Speedup = rows },
 	}
-	return rows, err
 }
 
 // CoreCounts returns the sorted core counts present in rows.

@@ -52,30 +52,35 @@ type ThresholdRow struct {
 	Gap float64 `json:"gap"`
 }
 
-// Threshold runs the sweep: one cell per scheduler, each bisecting its
-// own empirical threshold over cfg.Seeds (Step TUFs, Table 1 workload).
-func Threshold(cfg Config, schemes []Scheme) ([]ThresholdRow, error) {
+// Threshold runs the sweep: one cell per ComparisonSchemes scheduler,
+// each bisecting its own empirical threshold over cfg.Seeds (Step TUFs,
+// Table 1 workload).
+func Threshold(cfg Config) ([]ThresholdRow, error) { return threshold(cfg).rows() }
+
+// thresholdUnit is one scheduler's cell of the threshold sweep.
+type thresholdUnit struct {
+	AcceptBound float64 `json:"accept_bound"`
+	RejectBound float64 `json:"reject_bound"`
+	Empirical   float64 `json:"empirical"`
+}
+
+func threshold(cfg Config) *sweep[thresholdUnit, ThresholdRow] {
 	cfg = cfg.withDefaults()
-	if len(schemes) == 0 {
-		schemes = ComparisonSchemes()
-	}
+	schemes := ComparisonSchemes()
 	names := make([]string, len(schemes))
 	for i, sc := range schemes {
 		names[i] = sc.Name
 	}
-
-	type thresholdUnit struct {
-		AcceptBound float64 `json:"accept_bound"`
-		RejectBound float64 `json:"reject_bound"`
-		Empirical   float64 `json:"empirical"`
-	}
 	g := grid(len(schemes))
-	coords := func(c []int) Coords {
-		return Coords{Extra: fmt.Sprintf("scheme=%s", schemes[c[0]].Name)}
-	}
-	params := fmt.Sprintf("schemes=%v range=[%g,%g] iters=%d", names, thresholdLo, thresholdHi, empiricalIters)
-	units, done, err := runCells(cfg, "threshold", params, g, coords,
-		func(i int, interrupt <-chan struct{}) (thresholdUnit, error) {
+	return &sweep[thresholdUnit, ThresholdRow]{
+		name:   "threshold",
+		cfg:    cfg,
+		params: fmt.Sprintf("schemes=%v range=[%g,%g] iters=%d", names, thresholdLo, thresholdHi, empiricalIters),
+		g:      g,
+		coords: func(c []int) Coords {
+			return Coords{Extra: fmt.Sprintf("scheme=%s", schemes[c[0]].Name)}
+		},
+		cell: func(i int, interrupt <-chan struct{}) (thresholdUnit, error) {
 			var u thresholdUnit
 			sc := schemes[g.coords(i)[0]]
 
@@ -145,25 +150,27 @@ func Threshold(cfg Config, schemes []Scheme) ([]ThresholdRow, error) {
 			}
 			u.Empirical = lo
 			return u, nil
-		})
-	if units == nil {
-		return nil, err
+		},
+		merge: func(units []thresholdUnit, done []bool) []ThresholdRow {
+			rows := make([]ThresholdRow, 0, len(schemes))
+			for i, sc := range schemes {
+				if !done[i] {
+					continue
+				}
+				u := units[i]
+				rows = append(rows, ThresholdRow{
+					Scheme:      sc.Name,
+					AcceptBound: u.AcceptBound,
+					RejectBound: u.RejectBound,
+					Empirical:   u.Empirical,
+					Gap:         u.Empirical - u.AcceptBound,
+				})
+			}
+			return rows
+		},
+		write: WriteThreshold,
+		doc:   func(d *JSONDocument, rows []ThresholdRow) { d.Threshold = rows },
 	}
-	rows := make([]ThresholdRow, 0, len(schemes))
-	for i, sc := range schemes {
-		if !done[i] {
-			continue
-		}
-		u := units[i]
-		rows = append(rows, ThresholdRow{
-			Scheme:      sc.Name,
-			AcceptBound: u.AcceptBound,
-			RejectBound: u.RejectBound,
-			Empirical:   u.Empirical,
-			Gap:         u.Empirical - u.AcceptBound,
-		})
-	}
-	return rows, err
 }
 
 // analyticBounds bisects the admission verdict over the load range for

@@ -278,6 +278,10 @@ func (s *Server) checkpointPath(id string) string {
 // resumes bit-identically on restart; the checkpoint is deleted once the
 // job's result is journaled.
 func (s *Server) runSweep(spec JobSpec, interrupt <-chan struct{}) (any, error) {
+	x, ok := sweepExperiment(spec.Experiment)
+	if !ok {
+		return nil, invalidf("unknown sweep experiment %q", spec.Experiment)
+	}
 	cfg, jerr := s.sweepConfig(spec, interrupt)
 	if jerr != nil {
 		return nil, jerr
@@ -317,47 +321,17 @@ func (s *Server) runSweep(spec JobSpec, interrupt <-chan struct{}) (any, error) 
 		}
 	}
 
-	res := SweepResult{}
-	res.Experiment = spec.Experiment
-	res.Config = experiment.Describe(cfg)
 	var text bytes.Buffer
-	var err error
-	switch spec.Experiment {
-	case "fig2":
-		res.Rows, err = experiment.Figure2(cfg)
-		if res.Rows != nil {
-			if werr := experiment.WriteRows(&text, fmt.Sprintf("Figure 2 (%s)", cfg.Energy), res.Rows); werr != nil {
-				return nil, werr
-			}
-		}
-	case "ablation":
-		res.Rows, err = experiment.Ablation(cfg)
-		if res.Rows != nil {
-			if werr := experiment.WriteRows(&text, "Ablation", res.Rows); werr != nil {
-				return nil, werr
-			}
-		}
-	case "fig3":
-		res.Fig3Rows, err = experiment.Figure3(cfg, spec.Bounds)
-		if res.Fig3Rows != nil {
-			if werr := experiment.WriteFig3(&text, res.Fig3Rows); werr != nil {
-				return nil, werr
-			}
-		}
-	case "assurance":
-		res.Assurance, err = experiment.Assurance(cfg)
-		if res.Assurance != nil {
-			if werr := experiment.WriteAssurance(&text, res.Assurance); werr != nil {
-				return nil, werr
-			}
-		}
-	default:
-		return nil, invalidf("unknown sweep experiment %q", spec.Experiment)
-	}
+	doc, err := x.Run(cfg, &text, nil)
 	if err != nil {
 		return nil, err
 	}
-	res.Text = text.String()
+	// Sweeps that write no -json document still report the configuration
+	// they ran, for the header euasim -remote prints.
+	res := SweepResult{JSONDocument: experiment.JSONDocument{Experiment: x.Name, Config: x.Describe(cfg)}, Text: text.String()}
+	if doc != nil {
+		res.JSONDocument = *doc
+	}
 	if ckpt != nil {
 		// The sweep is complete; its cells will never be resumed again.
 		s.fs.Remove(ckpt.Path())
