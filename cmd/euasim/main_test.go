@@ -236,6 +236,28 @@ func TestSignalFlushesPartialResults(t *testing.T) {
 	}
 }
 
+// failWriter fails every write.
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("write failed") }
+
+// TestInterruptStopsDespiteWriteError: an interrupted sweep whose table
+// cannot be written still stops the run before the next experiment, and
+// the run fails naming both the interruption and the write.
+func TestInterruptStopsDespiteWriteError(t *testing.T) {
+	sigs := make(chan os.Signal, 1)
+	sigs <- os.Interrupt
+	var diag bytes.Buffer
+	err := runWithSignals([]string{"-exp", "fig2,fig3", "-seeds", "1", "-horizon", "0.3",
+		"-loads", "0.5"}, failWriter{}, &diag, sigs)
+	if err == nil || !strings.Contains(err.Error(), "interrupted") || !strings.Contains(err.Error(), "write failed") {
+		t.Fatalf("err = %v, want the interruption and the write failure", err)
+	}
+	if strings.Contains(diag.String(), "fig3 done") {
+		t.Fatalf("fig3 ran after an interrupted fig2:\n%s", &diag)
+	}
+}
+
 // TestTimeoutReportedAndPartialFlushed: with an unmeetable per-cell
 // timeout every cell fails, yet euasim still writes the (empty) table and
 // the -json artifact before exiting non-zero, and the error names the

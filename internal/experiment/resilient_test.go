@@ -221,6 +221,35 @@ func TestInterruptedSweep(t *testing.T) {
 	}
 }
 
+// failWriter fails every write with errWrite.
+type failWriter struct{}
+
+var errWrite = errors.New("write failed")
+
+func (failWriter) Write([]byte) (int, error) { return 0, errWrite }
+
+// TestRunJoinsWriteError: a table write that fails does not hide the
+// sweep's own error (an interrupted sweep stays marked interrupted), and
+// the -json document is still returned.
+func TestRunJoinsWriteError(t *testing.T) {
+	cfg := quickCfg(0.5)
+	intr := make(chan struct{})
+	close(intr)
+	cfg.Interrupt = intr
+	x, _ := Lookup("fig2")
+	doc, err := x.Run(cfg, failWriter{}, nil)
+	var se *SweepError
+	if !errors.As(err, &se) || !se.Interrupted {
+		t.Fatalf("err = %v, want an interrupted *SweepError", err)
+	}
+	if !errors.Is(err, errWrite) {
+		t.Fatalf("err = %v, want the write error joined in", err)
+	}
+	if doc == nil || doc.Experiment != "fig2" {
+		t.Fatalf("doc = %+v, want the fig2 -json document", doc)
+	}
+}
+
 // TestCheckpointFingerprintInvalidation: cells checkpointed under one
 // parameterization must not be reused under another.
 func TestCheckpointFingerprintInvalidation(t *testing.T) {
