@@ -5,11 +5,12 @@
 // Usage:
 //
 //	euabench -out BENCH_sched.json          # refresh the committed baseline
-//	euabench -check BENCH_sched.json        # fail on >15% ns/event regression
+//	euabench -check BENCH_sched.json        # fail on >15% ns/event or any allocs/event regression
 //	euabench -quick                         # small matrix for smoke runs
 //	euabench -overhead                      # gate the telemetry sink cost
 //
-// The regression check only gates cells present in both reports; see
+// The regression check only gates cells present in both reports, and
+// allows allocs/event only bench.AllocSlack above the baseline; see
 // `make bench-check`. -overhead benchmarks each cell twice — no-op
 // telemetry vs a live registry — and fails when the median cost exceeds
 // -max-overhead percent (see `make telemetry-overhead`).
@@ -125,9 +126,11 @@ func run(args []string, out, diag io.Writer) error {
 			for _, r := range regs {
 				fmt.Fprintln(out, "REGRESSION", r)
 			}
-			return fmt.Errorf("%d cell(s) regressed beyond %.0f%% vs %s", len(regs), *tolerance*100, *checkPath)
+			return fmt.Errorf("%d regression(s) vs %s (ns/event beyond %.0f%%, allocs/event beyond +%g)",
+				len(regs), *checkPath, *tolerance*100, bench.AllocSlack)
 		}
-		fmt.Fprintf(out, "no regression beyond %.0f%% vs %s\n", *tolerance*100, *checkPath)
+		fmt.Fprintf(out, "no regression vs %s (ns/event within %.0f%%, allocs/event within +%g)\n",
+			*checkPath, *tolerance*100, bench.AllocSlack)
 	}
 	return nil
 }

@@ -322,23 +322,41 @@ func ReadJSON(r io.Reader) (Report, error) {
 	return rep, nil
 }
 
+// The two per-cell quantities Compare gates.
+const (
+	MetricNs     = "ns/event"
+	MetricAllocs = "allocs/event"
+)
+
+// AllocSlack is how far a cell's allocs/event may exceed its baseline.
+// A cell's allocation count is deterministic, so the slack only absorbs
+// the runtime's own stray allocations: about one per run, or 0.001 per
+// event on the smallest cells.
+const AllocSlack = 0.01
+
 // Regression is one cell whose current ns/event exceeds the
-// drift-normalized baseline by more than the tolerance.
+// drift-normalized baseline by more than the tolerance, or whose
+// allocs/event exceeds the baseline's by more than AllocSlack.
 type Regression struct {
 	Key      string
-	Baseline float64 // baseline ns/event, as committed
-	Current  float64 // current ns/event
-	Drift    float64 // suite drift factor the comparison normalized out
+	Metric   string  // MetricNs or MetricAllocs
+	Baseline float64 // baseline value, as committed
+	Current  float64 // current value
+	Drift    float64 // suite drift factor the ns/event comparison normalized out
 }
 
 func (r Regression) String() string {
+	if r.Metric == MetricAllocs {
+		return fmt.Sprintf("%s: %.3f -> %.3f allocs/event (%+.3f)", r.Key, r.Baseline, r.Current, r.Current-r.Baseline)
+	}
 	return fmt.Sprintf("%s: %.0f -> %.0f ns/event (%+.1f%% after x%.2f drift normalization)",
 		r.Key, r.Baseline, r.Current, 100*(r.Current/(r.Baseline*r.Drift)-1), r.Drift)
 }
 
 // Compare matches current cells against the baseline by key and returns
-// every cell slower than baseline*drift*(1+tolerance), plus the drift
-// factor itself.
+// every cell slower than baseline*drift*(1+tolerance), every cell whose
+// allocs/event exceeds the baseline's by more than AllocSlack, and the
+// drift factor itself.
 //
 // Drift is the lower quartile of the per-cell current/baseline ns-event
 // ratios. Benchmark hosts (CI runners, shared containers) routinely run
@@ -350,6 +368,10 @@ func (r Regression) String() string {
 // uniform slowdown is not flagged, but it is not silent either: the
 // caller gets the drift factor to report, and `make bench-sched` reviews
 // refresh the absolute numbers.
+//
+// Allocations need no drift normalization: a cell allocates the same
+// count on any host, so a fixed slack holds a win such as an
+// allocation-free event loop exactly where the baseline put it.
 //
 // Cells present in only one report are ignored: the gate protects
 // against slowdowns, not matrix drift (changing the matrix shows up in
@@ -365,24 +387,26 @@ func Compare(current, baseline Report, tolerance float64) ([]Regression, float64
 			ratios = append(ratios, m.NsPerEvent/b.NsPerEvent)
 		}
 	}
-	if len(ratios) == 0 {
-		return nil, 1
-	}
-	sort.Float64s(ratios)
-	drift := ratios[(len(ratios)-1)/4]
-	if drift <= 0 {
-		drift = 1
+	drift := 1.0
+	if len(ratios) > 0 {
+		sort.Float64s(ratios)
+		if d := ratios[(len(ratios)-1)/4]; d > 0 {
+			drift = d
+		}
 	}
 	var regs []Regression
 	for _, m := range current.Cells {
 		b, ok := base[m.Key()]
-		if !ok || b.NsPerEvent <= 0 {
+		if !ok {
 			continue
 		}
-		if m.NsPerEvent > b.NsPerEvent*drift*(1+tolerance) {
-			regs = append(regs, Regression{Key: m.Key(), Baseline: b.NsPerEvent, Current: m.NsPerEvent, Drift: drift})
+		if b.NsPerEvent > 0 && m.NsPerEvent > b.NsPerEvent*drift*(1+tolerance) {
+			regs = append(regs, Regression{Key: m.Key(), Metric: MetricNs, Baseline: b.NsPerEvent, Current: m.NsPerEvent, Drift: drift})
+		}
+		if m.AllocsPerEvent > b.AllocsPerEvent+AllocSlack {
+			regs = append(regs, Regression{Key: m.Key(), Metric: MetricAllocs, Baseline: b.AllocsPerEvent, Current: m.AllocsPerEvent, Drift: 1})
 		}
 	}
-	sort.Slice(regs, func(i, j int) bool { return regs[i].Key < regs[j].Key })
+	sort.SliceStable(regs, func(i, j int) bool { return regs[i].Key < regs[j].Key })
 	return regs, drift
 }

@@ -141,3 +141,31 @@ func TestReportRoundTrip(t *testing.T) {
 		t.Fatal("want version guard error")
 	}
 }
+
+// TestCompareFlagsAllocations pins the allocation gate: a cell whose
+// allocs/event exceeds its baseline by more than AllocSlack is flagged
+// however fast it ran, with no drift normalization; one within the slack
+// or below its baseline passes.
+func TestCompareFlagsAllocations(t *testing.T) {
+	cell := func(tasks int, ns, allocs float64) Measurement {
+		return Measurement{
+			Cell:       Cell{Tasks: tasks, Load: 1, Scheme: SchemeEUA, Seed: 1, Horizon: 0.4},
+			NsPerEvent: ns, AllocsPerEvent: allocs,
+		}
+	}
+	baseline := Report{Version: 1, Cells: []Measurement{
+		cell(8, 1000, 0.2), cell(24, 1000, 0.2), cell(64, 1000, 0.2),
+	}}
+	current := Report{Version: 1, Cells: []Measurement{
+		cell(8, 500, 0.2+AllocSlack/2), // within the slack
+		cell(24, 500, 2.1),             // one allocation per event came back
+		cell(64, 500, 0.1),             // fewer allocations: fine
+	}}
+	regs, _ := Compare(current, baseline, 0.15)
+	if len(regs) != 1 || regs[0].Metric != MetricAllocs || regs[0].Key != current.Cells[1].Key() {
+		t.Fatalf("got %v, want one allocs/event regression on %s", regs, current.Cells[1].Key())
+	}
+	if s := regs[0].String(); !strings.Contains(s, "0.200 -> 2.100 allocs/event") {
+		t.Fatalf("regression rendering %q", s)
+	}
+}

@@ -20,9 +20,10 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/euastar/euastar/internal/cpu"
 	"github.com/euastar/euastar/internal/energy"
@@ -335,12 +336,14 @@ type Result struct {
 	AbortCycles float64
 }
 
-// defaultArrivals is the generator selection described in Config.Arrivals.
-func defaultArrivals(t *task.Task) uam.Generator {
+// defaultTrace generates t's arrivals with the default generator
+// described in Config.Arrivals, called directly rather than through a
+// uam.Generator interface value, which would be allocated per task.
+func defaultTrace(t *task.Task, horizon float64, src *rng.Source) []float64 {
 	if t.Arrival.IsPeriodic() {
-		return uam.Even{S: t.Arrival}
+		return uam.Even{S: t.Arrival}.Generate(horizon, src)
 	}
-	return uam.Burst{S: t.Arrival}
+	return uam.Burst{S: t.Arrival}.Generate(horizon, src)
 }
 
 // coreState is one core's run state: the job it is executing, when that
@@ -349,7 +352,7 @@ func defaultArrivals(t *task.Task) uam.Generator {
 type coreState struct {
 	running    *task.Job
 	runStart   float64    // when the running job (re)starts making progress
-	completion *sim.Event // queued completion event of the running job
+	completion sim.Handle // queued completion or boundary event of the running job
 	proc       *cpu.Processor
 	meter      *energy.Meter
 	switchSeq  int       // commanded frequency switches, fault-plan label
@@ -373,15 +376,24 @@ func (o *oneCore) DecideMulti(now float64, ready []*task.Job) sched.MultiDecisio
 }
 
 // state is the mutable simulation state.
+//
+// The queue's events refer to the run's tables through sim.Event.Ref,
+// by kind: an arrival holds its task's position in cfg.Tasks and tasks,
+// a termination its job's slot in slab and all, and a completion or
+// boundary the core whose running job it concerns.
 type state struct {
-	cfg        Config
-	queue      sim.Queue
-	pending    []*task.Job
+	cfg     Config
+	queue   sim.Queue
+	pending []*task.Job
+	// slab holds every job of the run, allocated once from the arrival
+	// traces generated up front; all points into it in release order and
+	// becomes Result.Jobs.
+	slab       []task.Job
 	all        []*task.Job
+	tasks      []taskRun
 	cores      []coreState
 	multi      sched.MultiScheduler // the scheduler, or one wrapped in single
 	single     oneCore
-	demandSrc  map[int]*rng.Source
 	lastTime   float64
 	observer   EventObserver
 	readyBuf   []*task.Job // reusable Decide argument buffer
@@ -402,8 +414,15 @@ type state struct {
 	holders map[int]*task.Job
 
 	// Degradation state: the always-on invariant watchdog.
-	wd          *watchdog
+	wd          watchdog
 	abortCycles float64
+}
+
+// taskRun is one task's per-run state, indexed by the task's position in
+// the ID-sorted cfg.Tasks.
+type taskRun struct {
+	demand   rng.Source // draws each job's actual cycles, in release order
+	released int        // jobs released so far: the next job's Index
 }
 
 // energyTotal sums the per-core meters. With one core the sum is the
@@ -446,8 +465,8 @@ func Run(cfg Config) (res *Result, err error) {
 	}
 	// The scheduler and the arrival streams see the tasks in ID order,
 	// so a run does not depend on the order of the caller's slice.
-	cfg.Tasks = append(task.Set(nil), cfg.Tasks...)
-	sort.Slice(cfg.Tasks, func(i, j int) bool { return cfg.Tasks[i].ID < cfg.Tasks[j].ID })
+	cfg.Tasks = slices.Clone(cfg.Tasks)
+	slices.SortFunc(cfg.Tasks, func(a, b *task.Task) int { return cmp.Compare(a.ID, b.ID) })
 	m := cfg.coreCount()
 	ctx := &sched.Context{Tasks: cfg.Tasks, Freqs: cfg.Freqs, Energy: cfg.Energy, Telemetry: cfg.Telemetry}
 	if m > 1 {
@@ -459,11 +478,21 @@ func Run(cfg Config) (res *Result, err error) {
 	if err := cfg.Scheduler.Init(ctx); err != nil {
 		return nil, err
 	}
-	st := &state{
-		cfg:   cfg,
-		cores: make([]coreState, m),
-		wd:    newWatchdog(),
+	// No more than a_i jobs of a task are released within one window P_i,
+	// so with termination-time abortion at most window jobs are pending
+	// and window terminations are queued at once: it sizes those buffers.
+	window := 0
+	for _, t := range cfg.Tasks {
+		window += t.Arrival.A
 	}
+	st := &state{
+		cfg:      cfg,
+		cores:    make([]coreState, m),
+		wd:       newWatchdog(cfg.Tasks, window),
+		pending:  make([]*task.Job, 0, window),
+		readyBuf: make([]*task.Job, 0, window),
+	}
+	st.queue.Reserve(window + m)
 	for k := range st.cores {
 		st.cores[k].proc = cpu.NewProcessor(cfg.coreTable(k), cfg.SwitchLatency)
 		st.cores[k].meter = energy.NewMeter(cfg.Energy)
@@ -546,37 +575,52 @@ func Run(cfg Config) (res *Result, err error) {
 	return res, nil
 }
 
-// arrivalPayload identifies a not-yet-released job.
-type arrivalPayload struct {
-	task  *task.Task
-	index int
-}
-
-// seedArrivals pre-generates every task's arrival trace and enqueues the
-// corresponding events. Each task gets independent RNG streams (in task
-// ID order, the order Run sorted the tasks into) so that demands and
-// arrivals are identical across schedulers.
+// seedArrivals pre-generates every task's arrival trace and preloads the
+// queue with all of them as one stream sorted by time, ties in task
+// order: the order that pushing them one by one, before any other event,
+// gave them. The stream's length sizes the job slab. Each task
+// gets independent RNG streams (in task ID order, the order Run sorted
+// the tasks into) so that demands and arrivals are identical across
+// schedulers.
 func (st *state) seedArrivals() {
 	root := rng.New(st.cfg.Seed)
-	genF := st.cfg.Arrivals
-	if genF == nil {
+	gen := st.cfg.Arrivals
+	if gen == nil {
 		// The fault plan's adversarial bursts replace the default
 		// generators only; an explicit Arrivals selector wins.
-		if adv := st.cfg.Faults.Arrivals(); adv != nil {
-			genF = adv
+		gen = st.cfg.Faults.Arrivals()
+	}
+	st.tasks = make([]taskRun, len(st.cfg.Tasks))
+	traces := make([][]float64, len(st.cfg.Tasks))
+	n := 0
+	var genSrc rng.Source // each generator uses it only during its call
+	for i, t := range st.cfg.Tasks {
+		genSrc = *root.Split()
+		st.tasks[i].demand = *root.Split()
+		if gen != nil {
+			traces[i] = gen(t).Generate(st.cfg.Horizon, &genSrc)
 		} else {
-			genF = defaultArrivals
+			traces[i] = defaultTrace(t, st.cfg.Horizon, &genSrc)
+		}
+		n += len(traces[i])
+	}
+	stream := make([]sim.Event, 0, n)
+	for i, trace := range traces {
+		for _, at := range trace {
+			stream = append(stream, sim.Event{Time: at, Kind: sim.Arrival, Ref: i})
 		}
 	}
-	st.demandSrc = make(map[int]*rng.Source, len(st.cfg.Tasks))
-	for _, t := range st.cfg.Tasks {
-		genSrc := root.Split()
-		st.demandSrc[t.ID] = root.Split()
-		trace := genF(t).Generate(st.cfg.Horizon, genSrc)
-		for k, at := range trace {
-			st.queue.Push(at, sim.Arrival, arrivalPayload{task: t, index: k})
+	// Arrivals of one task at one instant are identical events, so
+	// ordering by (time, task position) reproduces the push order.
+	slices.SortFunc(stream, func(a, b sim.Event) int {
+		if c := cmp.Compare(a.Time, b.Time); c != 0 {
+			return c
 		}
-	}
+		return cmp.Compare(a.Ref, b.Ref)
+	})
+	st.queue.Preload(stream)
+	st.slab = make([]task.Job, n)
+	st.all = make([]*task.Job, 0, n)
 }
 
 func (st *state) loop() error {
@@ -593,7 +637,7 @@ func (st *state) loop() error {
 			break
 		}
 		now := ev.Time
-		st.ins.noteEvent(ev)
+		st.ins.noteEvent(ev.Kind)
 		if ierr := st.wd.checkEvent(st.lastTime, ev); ierr != nil {
 			return st.ins.noteInvariant(ierr)
 		}
@@ -611,7 +655,7 @@ func (st *state) loop() error {
 			if !ok {
 				break
 			}
-			st.ins.noteEvent(e)
+			st.ins.noteEvent(e.Kind)
 			if err := st.handle(now, e); err != nil {
 				return err
 			}
@@ -701,20 +745,23 @@ func (st *state) advanceCore(k int, now float64) {
 	}
 }
 
-func (st *state) handle(now float64, ev *sim.Event) error {
+func (st *state) handle(now float64, ev sim.Event) error {
 	switch ev.Kind {
 	case sim.Arrival:
-		p := ev.Payload.(arrivalPayload)
-		if ierr := st.wd.checkArrival(now, p.task); ierr != nil {
+		t, tr := st.cfg.Tasks[ev.Ref], &st.tasks[ev.Ref]
+		if ierr := st.wd.checkArrival(now, ev.Ref, t); ierr != nil {
 			return st.ins.noteInvariant(ierr)
 		}
-		j := task.NewJob(p.task, p.index, now, st.demandSrc[p.task.ID])
+		slot := len(st.all)
+		j := &st.slab[slot]
+		j.Init(t, tr.released, now, &tr.demand)
+		tr.released++
 		// Fault injection: an execution-time overrun inflates the realized
 		// demand past whatever the sampler drew — and, with the default
 		// factor, past the c_i allocation. The decision depends only on
 		// (plan seed, task, index), so every scheme sees the same overruns
 		// on the same jobs.
-		if fac, ok := st.cfg.Faults.Overrun(p.task.ID, p.index); ok {
+		if fac, ok := st.cfg.Faults.Overrun(t.ID, j.Index); ok {
 			j.ActualCycles *= fac
 			st.ins.faults.Inc()
 		}
@@ -728,18 +775,18 @@ func (st *state) handle(now float64, ev *sim.Event) error {
 			return nil
 		}
 		st.pending = append(st.pending, j)
-		st.queue.Push(j.Termination, sim.Termination, j)
+		st.queue.Push(j.Termination, sim.Termination, slot)
 		if st.observer != nil {
 			st.observer.OnRelease(now, j)
 		}
 	case sim.Completion:
-		j := ev.Payload.(*task.Job)
-		k := st.coreOf(j)
-		if k < 0 {
-			if st.depleted && j.State != task.Pending {
+		k := ev.Ref
+		j := st.cores[k].running
+		if j == nil {
+			if st.depleted {
 				return nil // stale event of a job the depletion aborted
 			}
-			panic(fmt.Sprintf("engine: completion event for non-running job %v", j))
+			panic(fmt.Sprintf("engine: completion event for idle core %d", k))
 		}
 		// advance() has executed the job to (numerically) zero remaining.
 		j.Executed = j.ActualCycles
@@ -753,7 +800,7 @@ func (st *state) handle(now float64, ev *sim.Event) error {
 		st.releaseAll(j)
 		st.removePending(j)
 		st.cores[k].running = nil
-		st.cores[k].completion = nil
+		st.cores[k].completion = 0
 		if st.lastCore != nil {
 			delete(st.lastCore, j)
 		}
@@ -767,7 +814,7 @@ func (st *state) handle(now float64, ev *sim.Event) error {
 			st.observer.OnComplete(now, j)
 		}
 	case sim.Termination:
-		j := ev.Payload.(*task.Job)
+		j := st.all[ev.Ref]
 		if j.State != task.Pending {
 			return nil // already resolved
 		}
@@ -785,13 +832,13 @@ func (st *state) handle(now float64, ev *sim.Event) error {
 		// executed exactly up to it; sync acquires/releases and the
 		// decide() after this batch re-dispatches. Resource sections are
 		// uniprocessor-only, so the boundary always belongs to core 0.
-		j := ev.Payload.(*task.Job)
-		k := st.coreOf(j)
-		if k < 0 {
-			if st.depleted && j.State != task.Pending {
+		k := ev.Ref
+		j := st.cores[k].running
+		if j == nil {
+			if st.depleted {
 				return nil
 			}
-			panic(fmt.Sprintf("engine: boundary event for non-running job %v", j))
+			panic(fmt.Sprintf("engine: boundary event for idle core %d", k))
 		}
 		st.stopCore(k)
 		st.syncResources(j)
@@ -1005,9 +1052,9 @@ func (st *state) dispatch(k int, now float64, run *task.Job, freq float64) {
 	c.runStart = now + cost
 	remCyc := run.Remaining()
 	if boundCyc := nextBoundaryCycles(run); boundCyc < remCyc {
-		c.completion = st.queue.Push(c.runStart+boundCyc/f, sim.Custom, run)
+		c.completion = st.queue.Push(c.runStart+boundCyc/f, sim.Custom, k)
 	} else {
-		c.completion = st.queue.Push(c.runStart+remCyc/f, sim.Completion, run)
+		c.completion = st.queue.Push(c.runStart+remCyc/f, sim.Completion, k)
 	}
 }
 
@@ -1015,9 +1062,7 @@ func (st *state) dispatch(k int, now float64, run *task.Job, freq float64) {
 // job itself stays pending unless separately resolved).
 func (st *state) stopCore(k int) {
 	c := &st.cores[k]
-	if c.completion != nil {
-		st.queue.Cancel(c.completion)
-		c.completion = nil
-	}
+	st.queue.Cancel(c.completion)
+	c.completion = 0
 	c.running = nil
 }

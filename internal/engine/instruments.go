@@ -163,8 +163,8 @@ func (ins *instruments) init(reg *telemetry.Registry, cores int) {
 }
 
 // noteEvent counts one processed simulation event.
-func (ins *instruments) noteEvent(ev *sim.Event) {
-	k := int(ev.Kind)
+func (ins *instruments) noteEvent(kind sim.Kind) {
+	k := int(kind)
 	if k < 0 || k >= len(eventKinds) {
 		k = int(sim.Custom)
 	}

@@ -9,6 +9,7 @@ import (
 	"github.com/euastar/euastar/internal/sched"
 	"github.com/euastar/euastar/internal/sim"
 	"github.com/euastar/euastar/internal/task"
+	"github.com/euastar/euastar/internal/uam"
 )
 
 // ErrInterrupted is the sentinel wrapped by Run's error when a configured
@@ -47,21 +48,31 @@ const (
 // its per-event cost is a few comparisons).
 type watchdog struct {
 	prevEnergy float64
-	// arrivals holds, per task ID, the last a_i realized arrival times —
-	// a sliding window for checking UAM ⟨a, P⟩ compliance online.
-	arrivals map[int][]float64
+	// windows holds, per task position, the task's last a_i realized
+	// arrival times — a sliding window for checking UAM ⟨a, P⟩
+	// compliance online.
+	windows []uam.Window
 	// missStreak counts consecutive termination-time misses since the
 	// last completion; the safe mode triggers on a sustained streak.
 	missStreak int
 }
 
-func newWatchdog() *watchdog {
-	return &watchdog{arrivals: make(map[int][]float64)}
+// newWatchdog cuts every task's window from one array of length window,
+// the sum of the tasks' bounds a_i.
+func newWatchdog(tasks task.Set, window int) watchdog {
+	buf := make([]float64, window)
+	w := watchdog{windows: make([]uam.Window, len(tasks))}
+	for i, t := range tasks {
+		a := t.Arrival.A
+		w.windows[i] = uam.NewWindow(buf[:a:a])
+		buf = buf[a:]
+	}
+	return w
 }
 
 // checkEvent validates that event times never run backwards relative to
 // simulation time.
-func (w *watchdog) checkEvent(lastTime float64, ev *sim.Event) *InvariantError {
+func (w *watchdog) checkEvent(lastTime float64, ev sim.Event) *InvariantError {
 	if math.IsNaN(ev.Time) || ev.Time < lastTime {
 		return &InvariantError{
 			Invariant: InvEventMonotonic,
@@ -86,13 +97,14 @@ func (w *watchdog) checkEnergy(now, total float64) *InvariantError {
 	return nil
 }
 
-// checkArrival validates the realized arrival against the task's UAM
-// window bound: at most a_i arrivals in any sliding window of length P_i.
-func (w *watchdog) checkArrival(now float64, t *task.Task) *InvariantError {
-	win := w.arrivals[t.ID]
+// checkArrival validates the realized arrival of t, the task at position
+// ti, against its UAM window bound: at most a_i arrivals in any sliding
+// window of length P_i.
+func (w *watchdog) checkArrival(now float64, ti int, t *task.Task) *InvariantError {
+	win := &w.windows[ti]
 	a, p := t.Arrival.A, t.Arrival.P
-	if len(win) == a {
-		if gap := now - win[0]; gap < p*(1-1e-9) {
+	if win.Len() == a {
+		if gap := now - win.Oldest(); gap < p*(1-1e-9) {
 			return &InvariantError{
 				Invariant: InvUAMCompliance,
 				Time:      now,
@@ -100,9 +112,8 @@ func (w *watchdog) checkArrival(now float64, t *task.Task) *InvariantError {
 					t, a+1, gap, p, a, p),
 			}
 		}
-		win = win[1:]
 	}
-	w.arrivals[t.ID] = append(win, now)
+	win.Push(now)
 	return nil
 }
 

@@ -112,3 +112,76 @@ func TestPermutationLaw(t *testing.T) {
 		}
 	}
 }
+
+// scaledRun describes the first job of b that breaks the scaling law
+// against a, or returns "": the same job in the same place with the
+// same state, utility and finish time bit for bit, and exactly twice
+// the executed cycles.
+func scaledRun(a, b *engine.Result) string {
+	if len(a.Jobs) != len(b.Jobs) {
+		return fmt.Sprintf("%d jobs, %d unscaled", len(b.Jobs), len(a.Jobs))
+	}
+	for i, ja := range a.Jobs {
+		jb := b.Jobs[i]
+		if ja.Task.ID != jb.Task.ID || ja.Index != jb.Index || ja.State != jb.State ||
+			math.Float64bits(ja.FinishedAt) != math.Float64bits(jb.FinishedAt) ||
+			math.Float64bits(ja.Utility) != math.Float64bits(jb.Utility) ||
+			math.Float64bits(2*ja.Executed) != math.Float64bits(jb.Executed) {
+			return fmt.Sprintf("job %d is task %d #%d %v utility %v finished %v executed %v, unscaled task %d #%d %v utility %v finished %v executed %v",
+				i, jb.Task.ID, jb.Index, jb.State, jb.Utility, jb.FinishedAt, jb.Executed,
+				ja.Task.ID, ja.Index, ja.State, ja.Utility, ja.FinishedAt, ja.Executed)
+		}
+	}
+	return ""
+}
+
+// TestScalingLaw checks the power-of-two scaling law: doubling every
+// cycle demand and every table frequency, with the energy preset
+// following f_m, leaves every job's state, utility and finish time
+// bit-identical and doubles its executed cycles. Times are cycles over
+// frequencies and the presets price a cycle by f/f_m, so the law holds
+// exactly; powers of two keep it exact in floating point too. It covers
+// every comparison scheme under E1, E2 and E3, seeds 1–6 and loads
+// across underload and overload.
+func TestScalingLaw(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs >1000 simulations; skipped in -short")
+	}
+	ft := cpu.PowerNowK6()
+	doubledFreqs := make(cpu.FrequencyTable, len(ft))
+	for i, f := range ft {
+		doubledFreqs[i] = 2 * f
+	}
+	for _, preset := range []energy.Preset{energy.E1, energy.E2, energy.E3} {
+		cfg := Config{Energy: preset, Horizon: 0.25}.withDefaults()
+		for seed := uint64(1); seed <= 6; seed++ {
+			base, err := synthesize(cfg, seed, workload.Step, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, load := range []float64{0.4, 0.64, 0.91, 1.4} {
+				ts := base.ScaleToLoad(load, ft.Max())
+				doubled := make(task.Set, len(ts))
+				for i, tk := range ts {
+					c := *tk
+					c.Demand = tk.Demand.Scale(2)
+					doubled[i] = &c
+				}
+				for _, sc := range ComparisonSchemes() {
+					cell := fmt.Sprintf("energy=%s seed=%d load=%g scheme=%s", preset, seed, load, sc.Name)
+					want, err := runRaw(cfg, sc, ts, seed, runOptions{})
+					if err != nil {
+						t.Fatalf("%s: %v", cell, err)
+					}
+					got, err := runRaw(cfg, sc, doubled, seed, runOptions{freqs: doubledFreqs})
+					if err != nil {
+						t.Fatalf("%s, doubled: %v", cell, err)
+					}
+					if d := scaledRun(want, got); d != "" {
+						t.Errorf("%s, doubled cycles and frequencies: %s", cell, d)
+					}
+				}
+			}
+		}
+	}
+}

@@ -7,7 +7,7 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/euastar/euastar/internal/engine"
 	"github.com/euastar/euastar/internal/stats"
@@ -81,7 +81,10 @@ type Report struct {
 	PerTask []*TaskStats // ordered by task ID
 }
 
-// Analyze computes a Report from a finished run.
+// Analyze computes a Report from a finished run. Its allocations do not
+// grow with the number of jobs: the per-task stats share one slice, and
+// every task's sojourns are cut from one backing array sized by a first
+// pass that counts each task's completions.
 func Analyze(res *engine.Result) *Report {
 	r := &Report{
 		Scheduler:   res.SchedulerName,
@@ -92,12 +95,35 @@ func Analyze(res *engine.Result) *Report {
 		Switches:    res.Switches,
 		MaxLateness: math.Inf(-1),
 	}
-	perTask := make(map[int]*TaskStats)
+	// pos maps a task ID to its completion count, then to its position
+	// in ID order.
+	pos := make(map[int]int)
 	for _, j := range res.Jobs {
-		ts := perTask[j.Task.ID]
-		if ts == nil {
-			ts = &TaskStats{Task: j.Task, MaxLateness: math.Inf(-1)}
-			perTask[j.Task.ID] = ts
+		n := 0
+		if j.State == task.Completed {
+			n = 1
+		}
+		pos[j.Task.ID] += n
+	}
+	ids := make([]int, 0, len(pos))
+	completions := 0
+	for id, n := range pos {
+		ids = append(ids, id)
+		completions += n
+	}
+	slices.Sort(ids)
+	stats := make([]TaskStats, len(ids))
+	sojourns := make([]float64, completions)
+	for i, id := range ids {
+		n := pos[id]
+		stats[i] = TaskStats{MaxLateness: math.Inf(-1), sojourns: sojourns[:0:n]}
+		sojourns = sojourns[n:]
+		pos[id] = i
+	}
+	for _, j := range res.Jobs {
+		ts := &stats[pos[j.Task.ID]]
+		if ts.Task == nil {
+			ts.Task = j.Task
 		}
 		ts.Released++
 		r.Released++
@@ -135,13 +161,11 @@ func Analyze(res *engine.Result) *Report {
 			ts.Met++
 		}
 	}
-	ids := make([]int, 0, len(perTask))
-	for id := range perTask {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		r.PerTask = append(r.PerTask, perTask[id])
+	if len(stats) > 0 {
+		r.PerTask = make([]*TaskStats, len(stats))
+		for i := range stats {
+			r.PerTask[i] = &stats[i]
+		}
 	}
 	return r
 }

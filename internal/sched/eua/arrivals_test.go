@@ -18,12 +18,12 @@ func TestArrivalRingMatchesSliceHistory(t *testing.T) {
 	for trial := 0; trial < 500; trial++ {
 		tk := &task.Task{ID: 1, Arrival: uam.Spec{A: 1 + src.Intn(6), P: src.Uniform(0.01, 0.1)}}
 		core := &Scheduler{}
-		core.fp.arrivals = []arrivalRing{{times: make([]float64, tk.Arrival.A)}}
+		core.fp.arrivals = []uam.Window{uam.NewWindow(make([]float64, tk.Arrival.A))}
 		ref := &refScheduler{arrivals: map[int][]float64{}}
 		now := 0.0
 		for step := 0; step < 40; step++ {
 			if src.Bernoulli(0.6) {
-				core.fp.arrivals[0].push(now)
+				core.fp.arrivals[0].Push(now)
 				ref.OnRelease(now, &task.Job{Task: tk})
 			}
 			q := now + src.Uniform(0, 0.05)

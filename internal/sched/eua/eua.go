@@ -73,7 +73,7 @@ func WithBudgetAwareness(lookahead float64) Option {
 }
 
 // WithoutPhantomReservation disables the UAM phantom-arrival reservation
-// in decideFreq (see arrivalRing), reverting to the literal Algorithm 2,
+// in decideFreq (see uam.Window), reverting to the literal Algorithm 2,
 // which reserves only rate capacity for tasks without pending jobs. The
 // literal form is measurably more aggressive: at loads around 0.7–0.8 it
 // occasionally defers so much work that an idle task's next burst causes a
@@ -171,7 +171,7 @@ func (s *Scheduler) Init(ctx *sched.Context) error {
 // OnRelease implements engine.EventObserver: record the release so the
 // phantom-arrival reservation knows the earliest legal next release.
 func (s *Scheduler) OnRelease(now float64, j *task.Job) {
-	s.fp.arrivals[s.taskIndex(j.Task)].push(now)
+	s.fp.arrivals[s.taskIndex(j.Task)].Push(now)
 }
 
 // OnComplete implements engine.EventObserver (no-op; releases are all the
@@ -219,53 +219,27 @@ func (s *Scheduler) fleetRate() (rate, maxP float64) {
 	return rate, maxP
 }
 
-// arrivalRing is one task's release history: the last a release times
-// (a = the task's UAM bound), overwritten oldest-first so recording a
-// release never allocates. Under UAM ⟨a, P⟩ the next release cannot
-// occur before (a-th most recent release) + P, which bounds when an idle
-// task can next demand work — the phantom-arrival reservation decideFreq
-// uses to stay safe against the model's adversary.
-type arrivalRing struct {
-	times []float64 // len a
-	head  int       // slot of the oldest recorded release
-	n     int       // recorded releases, at most a
-}
-
-func (r *arrivalRing) push(t float64) {
-	a := len(r.times)
-	if r.n < a {
-		r.times[(r.head+r.n)%a] = t
-		r.n++
-		return
-	}
-	r.times[r.head] = t
-	r.head = (r.head + 1) % a
-}
-
 // nextPossibleArrival returns the earliest instant a new job of t (dense
 // index ti) may legally be released, and how many instances may arrive
 // simultaneously then, given the recorded history and the UAM bound.
 func (s *Scheduler) nextPossibleArrival(now float64, ti int, t *task.Task) (at float64, count int) {
-	r := &s.fp.arrivals[ti]
+	w := &s.fp.arrivals[ti]
 	a := t.Arrival.A
-	if r.n < a {
+	if n := w.Len(); n < a {
 		// Fewer than a recorded releases: the window constraint is not yet
 		// binding; a − n instances could arrive right now.
-		return now, a - r.n
+		return now, a - n
 	}
-	at = r.times[r.head] + t.Arrival.P
+	// Under UAM ⟨a, P⟩ the next release cannot occur before the a-th
+	// most recent release + P, which bounds when an idle task can next
+	// demand work — the phantom-arrival reservation decideFreq uses to
+	// stay safe against the model's adversary.
+	at = w.Oldest() + t.Arrival.P
 	if at < now {
 		at = now
 	}
 	// At time `at`, releases within (at − P, at] count against the bound.
-	// The ring is full here, so every slot holds a release.
-	recent := 0
-	for _, rel := range r.times {
-		if rel > at-t.Arrival.P {
-			recent++
-		}
-	}
-	return at, a - recent
+	return at, a - w.CountAfter(at-t.Arrival.P)
 }
 
 func (s *Scheduler) optimalFrequency(t *task.Task) float64 {

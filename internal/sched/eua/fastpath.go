@@ -55,8 +55,9 @@
 //     exactly as the literal sort.Slice version did, so the summation
 //     order — and the float — is unchanged.
 //   - The UAM release history is a fixed ring of the last a_i release
-//     times per task (arrivalRing) instead of a re-sliced, re-appended
-//     slice: the same values, read oldest first.
+//     times per task (uam.Window, shared with the engine's watchdog)
+//     instead of a re-sliced, re-appended slice: the same values, read
+//     oldest first.
 package eua
 
 import (
@@ -65,6 +66,7 @@ import (
 	"github.com/euastar/euastar/internal/sched"
 	"github.com/euastar/euastar/internal/task"
 	"github.com/euastar/euastar/internal/tuf"
+	"github.com/euastar/euastar/internal/uam"
 )
 
 // fastState holds the core's per-task caches, release history and
@@ -86,7 +88,7 @@ type fastState struct {
 	foFreq    []float64 // f^o_i
 	foCost    []float64 // E(f^o_i)
 	stepUER   []bool    // step TUF + cacheable: UER memoizable per job
-	arrivals  []arrivalRing
+	arrivals  []uam.Window
 
 	// energyConstrained cache, valid when every ctx task is cacheable.
 	allCacheable bool
@@ -157,7 +159,7 @@ func (s *Scheduler) registerFastTask(t *task.Task) int {
 	fp.foCost = append(fp.foCost, s.ctx.Energy.PerCycle(fo))
 	_, isStep := t.TUF.(tuf.Step)
 	fp.stepUER = append(fp.stepUER, isStep && cacheable)
-	fp.arrivals = append(fp.arrivals, arrivalRing{times: make([]float64, t.Arrival.A)})
+	fp.arrivals = append(fp.arrivals, uam.NewWindow(make([]float64, t.Arrival.A)))
 	fp.allocEvent = append(fp.allocEvent, 0)
 	fp.allocStamp = append(fp.allocStamp, 0)
 	fp.earliest = append(fp.earliest, -1)

@@ -1,11 +1,16 @@
 // Package sim provides the discrete-event simulation core: a time-ordered
-// event queue with deterministic tie-breaking and O(log n) cancellation,
-// on which the uniprocessor engine is built.
+// event queue with deterministic tie-breaking, on which the engine is
+// built.
+//
+// Events are values. Pushed events live in one binary heap of structs,
+// and a run's arrivals can be preloaded as one sorted stream that Pop
+// merges with the heap, so neither pushing nor popping allocates once the
+// heap's buffer has grown.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"slices"
 )
 
 // Kind classifies scheduling events. The paper's scheduling events are
@@ -40,20 +45,18 @@ func (k Kind) String() string {
 	}
 }
 
-// Event is a queued simulation event. Events are created by Queue.Push and
-// may be cancelled (lazily removed) while queued.
+// Event is a simulation event. Ref is its typed payload: an index into
+// the caller's own tables, which the queue never interprets.
 type Event struct {
-	Time    float64
-	Kind    Kind
-	Payload any
-
-	seq       uint64 // insertion order, final tie-break
-	index     int    // heap index, -1 once popped
-	cancelled bool
+	Time float64
+	Kind Kind
+	Ref  int
 }
 
-// Cancelled reports whether the event was cancelled before being popped.
-func (e *Event) Cancelled() bool { return e.cancelled }
+// Handle identifies a pushed event so that it can be cancelled. The zero
+// Handle refers to no event. A handle goes stale once its event is popped
+// or cancelled, and is never reused.
+type Handle uint64
 
 // NonMonotonicError is the panic value raised by Queue.Push when an event
 // is scheduled strictly before the queue's watermark (the time of the
@@ -72,12 +75,25 @@ func (e *NonMonotonicError) Error() string {
 		e.Kind, e.Time, e.Watermark)
 }
 
+// item is a heap entry: the event and its insertion number, the final
+// tie-break and the event's handle (seq+1).
+type item struct {
+	Event
+	seq uint64
+}
+
 // Queue is a priority queue of events ordered by (Time, Kind, insertion
 // order). The zero value is ready to use.
+//
+// Cancel searches the heap linearly. The heap holds only pushed events
+// that are still queued (preloaded ones never enter it), which in the
+// engine means one termination per job released within the last window
+// P_i plus one progress event per core.
 type Queue struct {
-	h         eventHeap
+	heap      []item
+	stream    []Event // preloaded events not yet popped
+	streamSeq uint64  // insertion number of stream[0]
 	seq       uint64
-	active    int
 	watermark float64 // max time of any popped event
 }
 
@@ -85,96 +101,139 @@ type Queue struct {
 // first pop). Pushes strictly before the watermark are rejected.
 func (q *Queue) Watermark() float64 { return q.watermark }
 
-// Push enqueues an event and returns it (so the caller can cancel it
-// later). Times must be finite. Pushing an event strictly before the
-// queue's watermark panics with a *NonMonotonicError describing the
-// offending event, since simulation time only moves forward.
-func (q *Queue) Push(t float64, kind Kind, payload any) *Event {
+// Reserve makes room for n more pushed events without reallocating.
+func (q *Queue) Reserve(n int) { q.heap = slices.Grow(q.heap, n) }
+
+// check rejects an event time that is NaN or behind the watermark.
+func (q *Queue) check(t float64, kind Kind) {
 	if t != t { // NaN
 		panic("sim: event time is NaN")
 	}
 	if t < q.watermark {
 		panic(&NonMonotonicError{Kind: kind, Time: t, Watermark: q.watermark})
 	}
-	e := &Event{Time: t, Kind: kind, Payload: payload, seq: q.seq}
+}
+
+// Push enqueues an event and returns its handle (so the caller can cancel
+// it later). Times must be finite. Pushing an event strictly before the
+// queue's watermark panics with a *NonMonotonicError describing the
+// offending event, since simulation time only moves forward.
+func (q *Queue) Push(t float64, kind Kind, ref int) Handle {
+	q.check(t, kind)
+	q.heap = append(q.heap, item{Event{Time: t, Kind: kind, Ref: ref}, q.seq})
 	q.seq++
-	heap.Push(&q.h, e)
-	q.active++
-	return e
+	q.up(len(q.heap) - 1)
+	return Handle(q.seq)
 }
 
-// Cancel marks e as cancelled; it will be skipped by Pop/Peek. Cancelling
-// an already-popped or already-cancelled event is a no-op.
-func (q *Queue) Cancel(e *Event) {
-	if e == nil || e.cancelled || e.index < 0 {
-		return
+// Preload queues a stream of events that are never cancelled. The stream
+// must be sorted by (Time, Kind); its events take the next insertion
+// numbers in stream order, so the queue pops them exactly as if each had
+// been pushed in turn. They never enter the heap: Pop merges the stream
+// with it. The queue reads stream in place, so the caller must not change
+// it afterwards. Preload panics like Push on the first bad time, on an
+// unsorted stream, and while an earlier stream is not yet drained.
+func (q *Queue) Preload(stream []Event) {
+	if len(q.stream) > 0 {
+		panic("sim: preload while an earlier stream is pending")
 	}
-	e.cancelled = true
-	q.active--
-	// Lazily removed on pop; fix the heap eagerly only when cheap (root).
-	if e.index == 0 {
-		q.drop()
+	for i := range stream {
+		e := &stream[i]
+		q.check(e.Time, e.Kind)
+		if i > 0 {
+			if p := &stream[i-1]; e.Time < p.Time || e.Time == p.Time && e.Kind < p.Kind {
+				panic(fmt.Sprintf("sim: preloaded stream not sorted at index %d", i))
+			}
+		}
 	}
+	q.stream = stream
+	q.streamSeq = q.seq
+	q.seq += uint64(len(stream))
 }
 
-// Pop removes and returns the earliest non-cancelled event, advancing the
-// queue's watermark to its time.
-func (q *Queue) Pop() (*Event, bool) {
-	q.skipCancelled()
-	if len(q.h) == 0 {
-		return nil, false
+// Cancel removes the event h refers to and reports whether it was still
+// queued. Cancelling a popped or already-cancelled event, or the zero
+// Handle, is a no-op.
+func (q *Queue) Cancel(h Handle) bool {
+	if h == 0 {
+		return false
 	}
-	e := heap.Pop(&q.h).(*Event)
-	e.index = -1
-	q.active--
+	for i := range q.heap {
+		if q.heap[i].seq == uint64(h)-1 {
+			q.remove(i)
+			return true
+		}
+	}
+	return false
+}
+
+// streamFirst reports whether the earliest queued event is the stream's
+// head rather than the heap's root.
+func (q *Queue) streamFirst() bool {
+	if len(q.stream) == 0 {
+		return false
+	}
+	if len(q.heap) == 0 {
+		return true
+	}
+	s, h := &q.stream[0], &q.heap[0]
+	if s.Time != h.Time {
+		return s.Time < h.Time
+	}
+	if s.Kind != h.Kind {
+		return s.Kind < h.Kind
+	}
+	return q.streamSeq < h.seq
+}
+
+// Peek returns the earliest event without removing it.
+func (q *Queue) Peek() (Event, bool) {
+	switch {
+	case q.streamFirst():
+		return q.stream[0], true
+	case len(q.heap) > 0:
+		return q.heap[0].Event, true
+	}
+	return Event{}, false
+}
+
+// Pop removes and returns the earliest event, advancing the queue's
+// watermark to its time.
+func (q *Queue) Pop() (Event, bool) {
+	var e Event
+	switch {
+	case q.streamFirst():
+		e = q.stream[0]
+		q.stream = q.stream[1:]
+		q.streamSeq++
+	case len(q.heap) > 0:
+		e = q.heap[0].Event
+		q.remove(0)
+	default:
+		return Event{}, false
+	}
 	if e.Time > q.watermark {
 		q.watermark = e.Time
 	}
 	return e, true
 }
 
-// PopAt removes and returns the earliest non-cancelled event if it is
-// scheduled exactly at time t. It is the engine's same-instant batch
-// primitive: one call replaces the Peek-then-Pop pair, halving the
-// cancelled-event skip work on the hot loop.
-func (q *Queue) PopAt(t float64) (*Event, bool) {
-	q.skipCancelled()
-	if len(q.h) == 0 || q.h[0].Time != t {
-		return nil, false
+// PopAt removes and returns the earliest event if it is scheduled exactly
+// at time t. It is the engine's same-instant batch primitive: one call
+// replaces the Peek-then-Pop pair on the hot loop.
+func (q *Queue) PopAt(t float64) (Event, bool) {
+	if e, ok := q.Peek(); !ok || e.Time != t {
+		return Event{}, false
 	}
 	return q.Pop()
 }
 
-// Peek returns the earliest non-cancelled event without removing it.
-func (q *Queue) Peek() (*Event, bool) {
-	q.skipCancelled()
-	if len(q.h) == 0 {
-		return nil, false
-	}
-	return q.h[0], true
-}
+// Len returns the number of queued events.
+func (q *Queue) Len() int { return len(q.heap) + len(q.stream) }
 
-// Len returns the number of live (non-cancelled) events.
-func (q *Queue) Len() int { return q.active }
-
-func (q *Queue) skipCancelled() {
-	for len(q.h) > 0 && q.h[0].cancelled {
-		q.drop()
-	}
-}
-
-func (q *Queue) drop() {
-	e := heap.Pop(&q.h).(*Event)
-	e.index = -1
-}
-
-// eventHeap implements heap.Interface ordered by (Time, Kind, seq).
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	a, b := h[i], h[j]
+// less orders heap entries by (Time, Kind, seq).
+func (q *Queue) less(i, j int) bool {
+	a, b := &q.heap[i], &q.heap[j]
 	if a.Time != b.Time {
 		return a.Time < b.Time
 	}
@@ -184,23 +243,43 @@ func (h eventHeap) Less(i, j int) bool {
 	return a.seq < b.seq
 }
 
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+// remove deletes heap entry i, moving the last entry into its place.
+func (q *Queue) remove(i int) {
+	n := len(q.heap) - 1
+	q.heap[i] = q.heap[n]
+	q.heap = q.heap[:n]
+	if i < n && !q.down(i) {
+		q.up(i)
+	}
 }
 
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
+func (q *Queue) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !q.less(i, p) {
+			return
+		}
+		q.heap[i], q.heap[p] = q.heap[p], q.heap[i]
+		i = p
+	}
 }
 
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+// down sifts entry i toward the leaves and reports whether it moved.
+func (q *Queue) down(i int) bool {
+	start, n := i, len(q.heap)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q.less(r, c) {
+			c = r
+		}
+		if !q.less(c, i) {
+			break
+		}
+		q.heap[i], q.heap[c] = q.heap[c], q.heap[i]
+		i = c
+	}
+	return i > start
 }

@@ -337,7 +337,16 @@ func (j *Job) Holds(r int) bool { return j.Held[r] }
 // NewJob releases the index-th invocation of t at time at, drawing its
 // actual demand from src.
 func NewJob(t *Task, index int, at float64, src *rng.Source) *Job {
-	return &Job{
+	j := new(Job)
+	j.Init(t, index, at, src)
+	return j
+}
+
+// Init is NewJob in place: it overwrites every field of j with the
+// released index-th invocation of t, so the engine can release the jobs
+// of a run into one slab allocated up front.
+func (j *Job) Init(t *Task, index int, at float64, src *rng.Source) {
+	*j = Job{
 		Task:         t,
 		Index:        index,
 		Arrival:      at,

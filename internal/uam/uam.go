@@ -112,7 +112,7 @@ func (b Burst) Generate(horizon float64, _ *rng.Source) []float64 {
 	if b.Offset < 0 || b.Offset >= b.S.P {
 		panic(fmt.Sprintf("uam: burst offset %g outside [0, P)", b.Offset))
 	}
-	var out []float64
+	out := make([]float64, 0, sizeHint(horizon-b.Offset, b.S.P, b.S.A))
 	// Compute burst times by multiplication (not accumulation) so that the
 	// k-th burst lands exactly at offset + k·P without rounding drift.
 	for k := 0; ; k++ {
@@ -148,7 +148,7 @@ func (e Even) Generate(horizon float64, _ *rng.Source) []float64 {
 	if e.Offset < 0 || e.Offset >= step {
 		panic(fmt.Sprintf("uam: even offset %g outside [0, P/A)", e.Offset))
 	}
-	var out []float64
+	out := make([]float64, 0, sizeHint(horizon-e.Offset, step, 1))
 	for k := 0; ; k++ {
 		t := e.Offset + float64(k)*step
 		if t >= horizon {
@@ -176,7 +176,8 @@ func (r RandomBurst) Name() string { return "randburst" }
 // Generate implements Generator.
 func (r RandomBurst) Generate(horizon float64, src *rng.Source) []float64 {
 	mustValid(r.S)
-	var out []float64
+	// At most one burst starts in each window [k·P, (k+1)·P).
+	out := make([]float64, 0, sizeHint(horizon, r.S.P, r.S.A))
 	for k := 0; ; k++ {
 		t := float64(k)*r.S.P + src.Uniform(0, r.S.P)
 		if len(out) >= r.S.A {
@@ -321,6 +322,63 @@ func Density(arrivals []float64, p float64) int {
 		}
 	}
 	return best
+}
+
+// Window is one task's release history under ⟨a, P⟩: the last a release
+// times, overwritten oldest first so that recording a release never
+// allocates. The engine's watchdog checks each release against the
+// oldest recorded one, and EUA* bounds when an idle task can next
+// release from it.
+type Window struct {
+	times []float64 // len a
+	head  int       // slot of the oldest recorded release
+	n     int       // recorded releases, at most a
+}
+
+// NewWindow returns an empty window that records into buf and so keeps
+// the last len(buf) releases; len(buf) is the task's bound a.
+func NewWindow(buf []float64) Window { return Window{times: buf} }
+
+// Push records a release at t, dropping the oldest once the window holds a.
+func (w *Window) Push(t float64) {
+	if w.n < len(w.times) {
+		w.times[w.n] = t // head stays 0 until the window first fills
+		w.n++
+		return
+	}
+	w.times[w.head] = t
+	w.head = (w.head + 1) % len(w.times)
+}
+
+// Len returns the number of recorded releases, at most a.
+func (w *Window) Len() int { return w.n }
+
+// Oldest returns the oldest recorded release; once the window is full it
+// is the a-th most recent one.
+func (w *Window) Oldest() float64 { return w.times[w.head] }
+
+// CountAfter returns how many recorded releases lie strictly after t.
+func (w *Window) CountAfter(t float64) int {
+	c := 0
+	for _, rel := range w.times[:w.n] {
+		if rel > t {
+			c++
+		}
+	}
+	return c
+}
+
+// sizeHint is the capacity for a trace of mult arrivals at each step of
+// [0, span): the count the fixed-phase generators produce, and an upper
+// bound for RandomBurst. It is only a capacity, so rounding at the
+// horizon cannot change a trace; a span that is not a sane count of
+// steps (NaN, infinite, negative) gives 0.
+func sizeHint(span, step float64, mult int) int {
+	n := math.Ceil(span/step) * float64(mult)
+	if !(n > 0 && n < math.MaxInt32) {
+		return 0
+	}
+	return int(n)
 }
 
 func mustValid(s Spec) {
