@@ -186,19 +186,65 @@ func Analyze(ts task.Set, ft cpu.FrequencyTable, scheme string) (Result, error) 
 	}
 	fmax := ft.Max()
 	policy := PolicyFor(scheme)
-	res := Result{
-		Scheme:      scheme,
-		Policy:      policy.String(),
-		MinCritical: math.Inf(1),
+	res, infeasible, infeasibleLo := triage(ts, fmax, policy)
+	res.Scheme, res.Policy = scheme, policy.String()
+	switch {
+	case infeasible != nil:
+		res.Reason = fmt.Sprintf(
+			"task %s is infeasible alone at f_max: guaranteed demand %.3g cycles exceeds D·f_max = %.3g",
+			infeasible, infeasibleLo, infeasible.CriticalTime()*fmax)
+	case res.Verdict == Reject:
+		res.Reason = fmt.Sprintf(
+			"guaranteed demand density %.3f exceeds capacity margin %.2f at f_max: no schedule can satisfy every {ν, ρ}",
+			res.FloorDensity, 1+aggregateSlack)
+	case res.Verdict == Accept && policy == DeadlineOrdered:
+		res.Reason = fmt.Sprintf(
+			"Theorem-1 utilization %.3f <= 1 at f_max: Cantelli-provisioned demand meets every critical time",
+			res.Utilization)
+	case res.Verdict == Accept:
+		res.Reason = fmt.Sprintf(
+			"busy-period bound %.4gs <= shortest critical time %.4gs: any work-conserving order at f_max completes every job in time",
+			res.BusyPeriod, res.MinCritical)
+	case policy == Unknown:
+		res.Reason = fmt.Sprintf(
+			"no sufficient test for scheme %q: necessary conditions hold (density %.3f), only simulation can accept",
+			scheme, res.FloorDensity)
+	case policy == UtilityGreedy && res.BusyPeriod > 0:
+		res.Reason = fmt.Sprintf(
+			"between bounds: busy-period %.4gs exceeds shortest critical time %.4gs but guaranteed density %.3f is below the reject margin",
+			res.BusyPeriod, res.MinCritical, res.FloorDensity)
+	case policy == UtilityGreedy:
+		res.Reason = fmt.Sprintf(
+			"between bounds: no finite busy-period bound (allocated demand rate >= f_max) but guaranteed density %.3f is below the reject margin",
+			res.FloorDensity)
+	default:
+		res.Reason = fmt.Sprintf(
+			"between bounds: Theorem-1 utilization %.3f > 1 but guaranteed density %.3f is below the reject margin",
+			res.Utilization, res.FloorDensity)
 	}
+	return res, nil
+}
 
+// Admits reports whether Analyze accepts ts for a scheme of the given
+// policy on a table topped by fmax. It is the verdict alone, for callers
+// that probe many candidate sets (partitioned bin packing): it neither
+// re-validates ts, which must be valid, nor explains the verdict.
+func Admits(ts task.Set, fmax float64, policy Policy) bool {
+	res, _, _ := triage(ts, fmax, policy)
+	return res.Verdict == Accept
+}
+
+// triage computes the verdict and the bounds behind it, everything of the
+// Result but its scheme, policy and reason. infeasible is the first task
+// infeasible alone at f_max (nil when none) and infeasibleLo its
+// guaranteed demand.
+func triage(ts task.Set, fmax float64, policy Policy) (res Result, infeasible *task.Task, infeasibleLo float64) {
+	res.MinCritical = math.Inf(1)
 	var (
-		util         float64 // Σ C_i/D_i (cycles/s)
-		rate         float64 // Σ C_i/P_i (cycles/s)
-		sigma        float64 // Σ C_i (burst cycles)
-		floorRate    float64 // Σ ρ_i·a_i·yLo_i/P_i (cycles/s)
-		infeasible   *task.Task
-		infeasibleLo float64
+		util      float64 // Σ C_i/D_i (cycles/s)
+		rate      float64 // Σ C_i/P_i (cycles/s)
+		sigma     float64 // Σ C_i (burst cycles)
+		floorRate float64 // Σ ρ_i·a_i·yLo_i/P_i (cycles/s)
 	)
 	for _, t := range ts {
 		c := t.WindowCycles() // a_i·c_i, Cantelli-allocated
@@ -221,65 +267,21 @@ func Analyze(ts task.Set, ft cpu.FrequencyTable, scheme string) (Result, error) 
 		res.BusyPeriod = sigma / (fmax - rate)
 	}
 
+	switch {
 	// Necessary conditions first: a Reject is a Reject for every scheme.
-	if infeasible != nil {
+	case infeasible != nil:
 		res.Verdict = Reject
 		res.InfeasibleTask = infeasible.ID
-		res.Reason = fmt.Sprintf(
-			"task %s is infeasible alone at f_max: guaranteed demand %.3g cycles exceeds D·f_max = %.3g",
-			infeasible, infeasibleLo, infeasible.CriticalTime()*fmax)
-		return res, nil
-	}
-	if res.FloorDensity > 1+aggregateSlack {
+	case res.FloorDensity > 1+aggregateSlack:
 		res.Verdict = Reject
-		res.Reason = fmt.Sprintf(
-			"guaranteed demand density %.3f exceeds capacity margin %.2f at f_max: no schedule can satisfy every {ν, ρ}",
-			res.FloorDensity, 1+aggregateSlack)
-		return res, nil
-	}
-
 	// Sufficient condition, per the scheme's policy.
-	switch policy {
-	case DeadlineOrdered:
-		if res.Utilization <= 1 {
-			res.Verdict = Accept
-			res.Reason = fmt.Sprintf(
-				"Theorem-1 utilization %.3f <= 1 at f_max: Cantelli-provisioned demand meets every critical time",
-				res.Utilization)
-			return res, nil
-		}
-	case UtilityGreedy:
-		if res.BusyPeriod > 0 && res.BusyPeriod <= res.MinCritical {
-			res.Verdict = Accept
-			res.Reason = fmt.Sprintf(
-				"busy-period bound %.4gs <= shortest critical time %.4gs: any work-conserving order at f_max completes every job in time",
-				res.BusyPeriod, res.MinCritical)
-			return res, nil
-		}
-	}
-
-	res.Verdict = MustSimulate
-	switch policy {
-	case Unknown:
-		res.Reason = fmt.Sprintf(
-			"no sufficient test for scheme %q: necessary conditions hold (density %.3f), only simulation can accept",
-			scheme, res.FloorDensity)
-	case UtilityGreedy:
-		if res.BusyPeriod > 0 {
-			res.Reason = fmt.Sprintf(
-				"between bounds: busy-period %.4gs exceeds shortest critical time %.4gs but guaranteed density %.3f is below the reject margin",
-				res.BusyPeriod, res.MinCritical, res.FloorDensity)
-		} else {
-			res.Reason = fmt.Sprintf(
-				"between bounds: no finite busy-period bound (allocated demand rate >= f_max) but guaranteed density %.3f is below the reject margin",
-				res.FloorDensity)
-		}
+	case policy == DeadlineOrdered && res.Utilization <= 1,
+		policy == UtilityGreedy && res.BusyPeriod > 0 && res.BusyPeriod <= res.MinCritical:
+		res.Verdict = Accept
 	default:
-		res.Reason = fmt.Sprintf(
-			"between bounds: Theorem-1 utilization %.3f > 1 but guaranteed density %.3f is below the reject margin",
-			res.Utilization, res.FloorDensity)
+		res.Verdict = MustSimulate
 	}
-	return res, nil
+	return res, infeasible, infeasibleLo
 }
 
 // String renders the verdict line euasim -admit prints.

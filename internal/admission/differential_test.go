@@ -193,3 +193,36 @@ func randomSet(seed uint64, load float64) task.Set {
 	}
 	return ts.ScaleToLoad(load, cpu.PowerNowK6().Max())
 }
+
+// TestAdmitsMatchesAnalyze holds the verdict-only path to Analyze's
+// verdict on random sets from deep underload to past the reject margin,
+// for a scheme of every policy, and checks that it allocates nothing.
+func TestAdmitsMatchesAnalyze(t *testing.T) {
+	ft := cpu.PowerNowK6()
+	accepts := 0
+	for seed := uint64(1); seed <= 40; seed++ {
+		for _, load := range []float64{0.3, 0.8, 1.0, 1.2, 2, 6} {
+			ts := randomSet(seed, load)
+			for _, scheme := range []string{"EUA*", "laEDF-NA", "GUS", "RR"} {
+				res, err := admission.Analyze(ts, ft, scheme)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := admission.Admits(ts, ft.Max(), admission.PolicyFor(scheme))
+				if got != (res.Verdict == admission.Accept) {
+					t.Fatalf("seed %d load %v %s: Admits %v, Analyze %s", seed, load, scheme, got, res.Verdict)
+				}
+				if got {
+					accepts++
+				}
+			}
+		}
+	}
+	if accepts == 0 {
+		t.Fatal("no set was accepted: the comparison checked only rejections")
+	}
+	ts := randomSet(1, 0.8)
+	if n := testing.AllocsPerRun(20, func() { admission.Admits(ts, ft.Max(), admission.DeadlineOrdered) }); n != 0 {
+		t.Fatalf("Admits allocates %v times per call", n)
+	}
+}

@@ -19,13 +19,19 @@
 //
 // As Section 5 specifies for the baselines, job deadlines are critical
 // times and the per-job cycle budgets are "the cycles allocated by EUA*"
-// (the Chebyshev allocations c_i) rather than worst cases.
+// (the Chebyshev allocations c_i) rather than worst cases. Every scheme
+// reads c_i, C_i/D_i and D_i from the sched.TaskTable it builds at Init,
+// the table EUA* reads too; only a profiled task's values are re-derived,
+// once per decision. The reference twins in reference_test.go derive
+// everything from the task model at every decision, and the differential
+// suite holds each scheme to its twin bit for bit.
 package baseline
 
 import (
 	"fmt"
 
 	"github.com/euastar/euastar/internal/sched"
+	"github.com/euastar/euastar/internal/task"
 )
 
 // infeasible is the abort reason of a job that could not finish by its
@@ -33,12 +39,14 @@ import (
 const infeasible = "infeasible at f_m"
 
 // scheme is what every baseline shares: its name, its context and
-// per-scheme instruments, and f_m.
+// per-scheme instruments, f_m, and the per-task table its decisions read
+// c_i, C_i/D_i and D_i from.
 type scheme struct {
 	name string
 	ctx  *sched.Context
 	ins  *sched.Instruments
 	fm   float64
+	tab  sched.TaskTable
 }
 
 // Name implements sched.Scheduler.
@@ -50,5 +58,9 @@ func (s *scheme) init(ctx *sched.Context) error {
 		return fmt.Errorf("%s: %w", s.name, err)
 	}
 	s.ctx, s.ins, s.fm = ctx, ctx.Instruments(s.name), ctx.Freqs.Max()
+	s.tab = sched.NewTaskTable(ctx.Tasks)
 	return nil
 }
+
+// remaining returns j.EstimatedRemaining() with c_i from the table.
+func (s *scheme) remaining(j *task.Job) float64 { return s.tab.Remaining(j, s.tab.Pos(j)) }

@@ -23,8 +23,7 @@ type EDF struct {
 	rule  rule
 	abort bool
 
-	freq  float64     // static: the step chosen at Init
-	index map[int]int // ccEDF and look-ahead: task ID → position in ctx.Tasks
+	freq float64 // static: the step chosen at Init
 
 	// util is the ccEDF ledger: each task's current utilization
 	// contribution in cycles per second.
@@ -76,18 +75,21 @@ func NewCCEDF(abortInfeasible bool) *CCEDF {
 
 // OnRelease implements engine.EventObserver: a release restores the
 // task's full allocated rate. Jobs of tasks outside the context (which
-// the engine never releases) have no ledger slot.
+// the engine never releases) have no ledger slot. A profiled task's rate
+// may have moved since the last decision, so the table is refreshed
+// first.
 func (s *CCEDF) OnRelease(now float64, j *task.Job) {
-	if i, ok := s.index[j.Task.ID]; ok {
-		s.util[i] = j.Task.MinFrequency()
+	if i := s.tab.Pos(j); i >= 0 {
+		s.tab.Refresh()
+		s.util[i] = s.tab.MinFreq(i)
 	}
 }
 
 // OnComplete implements engine.EventObserver: a completion shrinks the
 // task's rate to the cycles the job actually consumed.
 func (s *CCEDF) OnComplete(now float64, j *task.Job) {
-	if i, ok := s.index[j.Task.ID]; ok {
-		s.util[i] = float64(j.Task.Arrival.A) * j.Executed / j.Task.CriticalTime()
+	if i := s.tab.Pos(j); i >= 0 {
+		s.util[i] = float64(j.Task.Arrival.A) * j.Executed / s.tab.Crit(i)
 	}
 }
 
@@ -107,34 +109,23 @@ func (s *EDF) Init(ctx *sched.Context) error {
 	switch s.rule {
 	case static:
 		util := 0.0
-		for _, t := range ctx.Tasks {
-			util += t.MinFrequency()
+		for i := range n {
+			util += s.tab.MinFreq(i)
 		}
 		s.freq = ctx.Freqs.ClampSelect(util)
 	case cycleConserving:
-		s.index = taskIndex(ctx.Tasks)
 		// Before any release a task contributes its static rate
 		// (conservative, as in the original algorithm's initialization
 		// U_i = C_i/T_i).
 		s.util = make([]float64, n)
-		for i, t := range ctx.Tasks {
-			s.util[i] = t.MinFrequency()
+		for i := range n {
+			s.util[i] = s.tab.MinFreq(i)
 		}
 	case lookAhead:
-		s.index = taskIndex(ctx.Tasks)
 		s.earliest = make([]*task.Job, n)
 		s.pending = make([]int, n)
 	}
 	return nil
-}
-
-// taskIndex maps each task's ID to its position in ts.
-func taskIndex(ts task.Set) map[int]int {
-	index := make(map[int]int, len(ts))
-	for i, t := range ts {
-		index[t.ID] = i
-	}
-	return index
 }
 
 // Decide implements sched.Scheduler.
@@ -150,11 +141,12 @@ func (s *EDF) Decide(now float64, ready []*task.Job) sched.Decision {
 // total on distinct jobs, so its minimum, taken in the filtering pass, is
 // the head a sort would produce.
 func (s *EDF) decide(now float64, ready []*task.Job) sched.Decision {
+	s.tab.Refresh()
 	var run *task.Job
 	var aborts []*task.Job
 	live := s.live[:0]
 	for _, j := range ready {
-		if s.abort && !sched.JobFeasible(j, now, s.fm) {
+		if s.abort && !sched.JobFeasibleWith(j, s.remaining(j), now, s.fm) {
 			j.AbortReason = infeasible
 			aborts = append(aborts, j)
 			continue
@@ -201,8 +193,8 @@ func (s *EDF) lookAhead(now float64, live []*task.Job) float64 {
 	clear(s.earliest)
 	clear(s.pending)
 	for _, j := range live {
-		i, ok := s.index[j.Task.ID]
-		if !ok {
+		i := s.tab.Pos(j)
+		if i < 0 {
 			continue
 		}
 		if e := s.earliest[i]; e == nil || sched.Less(j, e) {
@@ -211,16 +203,16 @@ func (s *EDF) lookAhead(now float64, live []*task.Job) float64 {
 		s.pending[i]++
 	}
 	entries := s.entries[:0]
-	for i, t := range s.ctx.Tasks {
-		e := sched.LookAheadEntry{StaticUtil: t.MinFrequency()}
+	for i := range s.ctx.Tasks {
+		e := sched.LookAheadEntry{StaticUtil: s.tab.MinFreq(i)}
 		if j := s.earliest[i]; j != nil {
 			// Classic laEDF considers the outstanding job's remaining
 			// budget; with several pending instances their budgets
 			// accumulate.
 			e.AbsCritical = j.AbsCritical
-			e.Remaining = j.EstimatedRemaining() + float64(s.pending[i]-1)*t.CycleAllocation()
+			e.Remaining = s.tab.Remaining(j, i) + float64(s.pending[i]-1)*s.tab.Alloc(i)
 		} else {
-			e.AbsCritical = now + t.CriticalTime()
+			e.AbsCritical = now + s.tab.Crit(i)
 		}
 		entries = append(entries, e)
 	}

@@ -12,7 +12,7 @@ import (
 // schedule's head. Build one with NewDASA or NewGUS.
 type UA struct {
 	scheme
-	density func(now, fm float64, j *task.Job) float64
+	density func(s *scheme, now float64, j *task.Job) float64
 }
 
 // NewDASA returns Locke's Dependent Activity Scheduling Algorithm in its
@@ -26,9 +26,9 @@ func NewDASA() *UA { return &UA{scheme: scheme{name: "DASA"}, density: jobDensit
 func NewGUS() *UA { return &UA{scheme: scheme{name: "GUS"}, density: chainDensity} }
 
 // jobDensity is U(now + c/f_m) / c over the job's remaining allocation c.
-func jobDensity(now, fm float64, j *task.Job) float64 {
-	c := j.EstimatedRemaining()
-	return j.UtilityAt(now+c/fm) / c
+func jobDensity(s *scheme, now float64, j *task.Job) float64 {
+	c := s.remaining(j)
+	return j.UtilityAt(now+c/s.fm) / c
 }
 
 // chainDensity is the potential utility density of j's blocking chain
@@ -36,13 +36,13 @@ func jobDensity(now, fm float64, j *task.Job) float64 {
 // divided by the cycles that must be executed to get there. The chain
 // executes its holders first and all of it must run before j finishes,
 // so the completion instant is estimated from the aggregate work.
-func chainDensity(now, fm float64, j *task.Job) float64 {
+func chainDensity(s *scheme, now float64, j *task.Job) float64 {
 	links := chain(j)
 	cycles, utility := 0.0, 0.0
 	for _, link := range links {
-		cycles += link.EstimatedRemaining()
+		cycles += s.remaining(link)
 	}
-	done := now + cycles/fm
+	done := now + cycles/s.fm
 	for _, link := range links {
 		utility += link.UtilityAt(done)
 	}
@@ -78,17 +78,18 @@ func (s *UA) Decide(now float64, ready []*task.Job) sched.Decision {
 }
 
 func (s *UA) decide(now float64, ready []*task.Job) sched.Decision {
+	s.tab.Refresh()
 	var live []*task.Job
 	var aborts []*task.Job
 	density := make(map[*task.Job]float64, len(ready))
 	for _, j := range ready {
-		if !sched.JobFeasible(j, now, s.fm) {
+		if !sched.JobFeasibleWith(j, s.remaining(j), now, s.fm) {
 			j.AbortReason = infeasible
 			aborts = append(aborts, j)
 			continue
 		}
 		live = append(live, j)
-		density[j] = s.density(now, s.fm, j)
+		density[j] = s.density(&s.scheme, now, j)
 	}
 	if len(live) == 0 {
 		return sched.Decision{Abort: aborts}
@@ -113,7 +114,7 @@ func (s *UA) decide(now float64, ready []*task.Job) sched.Decision {
 		}
 		iters++
 		tent := sched.InsertByCritical(append([]*task.Job(nil), order...), j)
-		if sched.Feasible(tent, now, s.fm) {
+		if sched.FeasibleWith(tent, now, s.fm, s.remaining) {
 			order = tent
 		}
 	}

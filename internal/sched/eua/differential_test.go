@@ -7,13 +7,14 @@ package eua_test
 // decision and event counts, every job's resolution (state, finish time,
 // accrued utility, executed cycles, abort reason), the full execution
 // trace span by span, and all energy accounting, compared with exact
-// float64 equality. The grid covers all three Table 1 applications, both
-// TUF families, underload through heavy overload, every scheduler option
-// (ablation flags, strict break, budget awareness), online-profiled
-// tasks, fault-injection plans, abort costs, overload safe mode,
-// progress-utility accounting, idle static power, and per-core instances
-// under partition.New on 2 and 4 cores (first- and worst-fit,
-// heterogeneous core tables, a shared battery) — so any divergence
+// float64 equality, and the feasibility-iteration counts each run's own
+// telemetry registry records. The grid covers all three Table 1
+// applications, both TUF families, underload through heavy overload,
+// every scheduler option (ablation flags, strict break, budget
+// awareness), online-profiled tasks, fault-injection plans, abort costs,
+// overload safe mode, progress-utility accounting, idle static power, and
+// per-core instances under partition.New on 2 and 4 cores (first- and
+// worst-fit, heterogeneous core tables, a shared battery) — so any divergence
 // introduced into fastpath.go fails loudly with the first differing
 // field's coordinates.
 
@@ -30,6 +31,7 @@ import (
 	"github.com/euastar/euastar/internal/sched"
 	"github.com/euastar/euastar/internal/sched/eua"
 	"github.com/euastar/euastar/internal/sched/partition"
+	"github.com/euastar/euastar/internal/telemetry"
 	"github.com/euastar/euastar/internal/workload"
 )
 
@@ -157,8 +159,8 @@ func oracleCases() []diffCase {
 	}
 
 	// Online-profiled tasks: allocations move between events, so the core
-	// must recompute them (its per-event cache) instead of trusting the
-	// Init-time snapshot.
+	// must recompute them (the table's per-decision refresh) instead of
+	// trusting the Init-time snapshot.
 	for _, shape := range shapes {
 		for seed := uint64(1); seed <= 3; seed++ {
 			for _, load := range []float64{0.7, 1.2} {
@@ -390,17 +392,34 @@ func TestDifferentialOracle(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			ref, err := engine.Run(c.build(true))
+			refCfg, coreCfg := c.build(true), c.build(false)
+			refCfg.Telemetry, coreCfg.Telemetry = telemetry.NewRegistry(), telemetry.NewRegistry()
+			ref, err := engine.Run(refCfg)
 			if err != nil {
 				t.Fatalf("reference run: %v", err)
 			}
-			got, err := engine.Run(c.build(false))
+			got, err := engine.Run(coreCfg)
 			if err != nil {
 				t.Fatalf("core run: %v", err)
 			}
 			requireIdentical(t, ref, got)
+			if a, b := feasIterations(refCfg.Telemetry), feasIterations(coreCfg.Telemetry); a != b {
+				t.Fatalf("%s: reference %v, core %v", sched.MetricFeasIters, a, b)
+			}
 		})
 	}
+}
+
+// feasIterations sums a run's feasibility-iteration counters over every
+// scheme label (the per-core instances of a partitioned run share one).
+func feasIterations(reg *telemetry.Registry) float64 {
+	total := 0.0
+	for _, m := range reg.Snapshot().Metrics {
+		if m.Name == sched.MetricFeasIters {
+			total += m.Value
+		}
+	}
+	return total
 }
 
 // TestFastPathNameUnchanged pins the scheme name: sweep output rows are

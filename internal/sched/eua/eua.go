@@ -171,7 +171,9 @@ func (s *Scheduler) Init(ctx *sched.Context) error {
 // OnRelease implements engine.EventObserver: record the release so the
 // phantom-arrival reservation knows the earliest legal next release.
 func (s *Scheduler) OnRelease(now float64, j *task.Job) {
-	s.fp.arrivals[s.taskIndex(j.Task)].Push(now)
+	if ti := s.fp.tab.Pos(j); ti >= 0 {
+		s.fp.arrivals[ti].Push(now)
+	}
 }
 
 // OnComplete implements engine.EventObserver (no-op; releases are all the
@@ -211,7 +213,7 @@ func (s *Scheduler) energyConstrained(budgetLeft float64) bool {
 // and the longest window P.
 func (s *Scheduler) fleetRate() (rate, maxP float64) {
 	for ti, t := range s.ctx.Tasks {
-		rate += t.WindowCycles() * s.fp.foCost[ti] / t.Arrival.P
+		rate += float64(t.Arrival.A) * s.fp.tab.Alloc(ti) * s.fp.foCost[ti] / t.Arrival.P
 		if t.Arrival.P > maxP {
 			maxP = t.Arrival.P
 		}

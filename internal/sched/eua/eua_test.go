@@ -127,6 +127,35 @@ func TestDecideAbortsInfeasible(t *testing.T) {
 	}
 }
 
+// TestDecideForeignJobs hands Decide jobs of a task outside the context:
+// they have no row in the task table, so EUA* takes their allocation and
+// f^o from their own task. The foreign job has the earlier critical time
+// and runs, with and without budget rationing; an infeasible foreign job
+// is aborted.
+func TestDecideForeignJobs(t *testing.T) {
+	known := stepTask(1, 0.1, 10, 1e6)
+	foreign := stepTask(2, 0.05, 50, 2e6)
+	for _, opts := range [][]eua.Option{nil, {eua.WithBudgetAwareness(0)}} {
+		s := eua.New(opts...)
+		if err := s.Init(ctx(task.Set{known})); err != nil {
+			t.Fatal(err)
+		}
+		s.OnEnergy(0, 1e30)
+		jf := task.NewJob(foreign, 0, 0, rng.New(1))
+		jk := task.NewJob(known, 0, 0, rng.New(2))
+		s.OnRelease(0, jf)
+		d := s.Decide(0, []*task.Job{jk, jf})
+		if d.Run != jf || len(d.Abort) != 0 || d.Freq <= 0 {
+			t.Fatalf("%s: decision = %+v", s.Name(), d)
+		}
+		late := task.NewJob(foreign, 1, 0, rng.New(3))
+		d = s.Decide(0.049, []*task.Job{jk, late})
+		if len(d.Abort) != 1 || d.Abort[0] != late || d.Run != jk {
+			t.Fatalf("%s: decision with an infeasible foreign job = %+v", s.Name(), d)
+		}
+	}
+}
+
 func TestDecidePrefersHigherUER(t *testing.T) {
 	// Two jobs, same critical time, same demand — different utility
 	// heights. When both fit, the critical-time order decides execution;

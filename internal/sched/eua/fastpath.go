@@ -18,13 +18,16 @@
 //
 //   - Cycle allocations c_i = Cantelli(E, Var, ρ) are pure functions of
 //     the task's effective demand moments. For tasks without an online
-//     Profiler the moments never change, so the allocation is cached at
-//     Init; recomputing it would produce the same float, hence every
-//     expression consuming it is unchanged. Tasks WITH a profiler get the
-//     allocation recomputed once per scheduling event (the moments only
-//     move between events, when the engine observes a completion).
-//   - E(f_m), E(f^o_i), D_i (critical time) and the Theorem 1 bound
-//     C_i/D_i are likewise pure and cached.
+//     Profiler the moments never change, so the allocation is derived
+//     once at Init; recomputing it would produce the same float, hence
+//     every expression consuming it is unchanged. Tasks WITH a profiler
+//     get the allocation recomputed once per scheduling event (the
+//     moments only move between events, when the engine observes a
+//     completion). The allocations, D_i (critical time) and the Theorem 1
+//     bound C_i/D_i live in sched.TaskTable, the per-task table the
+//     baselines read too; a job finds its task's row through a verified
+//     slot in its SchedCache instead of hashing the task ID.
+//   - E(f_m), f^o_i and E(f^o_i) are likewise pure and cached.
 //   - UER(now, j) = U_J(now + c/f_m) / (c · E(f_m)) is memoized per job
 //     for step TUFs: Step.Utility is Height everywhere on [0, Deadline]
 //     and UtilityAt clamps the ≤1e-9-relative boundary overshoot, so
@@ -39,6 +42,17 @@
 //     composition is the unique order (UER desc, ties by sched.Less);
 //     popping an indexed max-heap with exactly that comparator yields
 //     the identical permutation without allocating.
+//   - Underload shortcut (edfHead): by Theorem 2 the greedy yields EDF in
+//     underload. Before the greedy runs, the positive-UER jobs are sorted
+//     by sched.Less and their finish times replayed at f_m with the
+//     greedy's own test. If all pass, every trial the greedy would make
+//     tests a subsequence of this order, whose finish times cannot exceed
+//     the full order's: each term is positive and rounded addition is
+//     monotone. So the greedy would insert every job, its schedule is
+//     this order, and its iteration count is the number of jobs. Budget
+//     rationing depends on UER order, so budget-aware EUA* always runs
+//     the greedy. The screen and the split replay in edfHead only make
+//     a failing replay cheaper; they never change its verdict.
 //   - Greedy insertion: the literal algorithm copies the schedule and
 //     re-walks Feasible(tent) per candidate. Feasible accumulates
 //     t += c_j/f_m left to right, so the accumulated value before any
@@ -62,6 +76,7 @@ package eua
 
 import (
 	"math"
+	"slices"
 
 	"github.com/euastar/euastar/internal/sched"
 	"github.com/euastar/euastar/internal/task"
@@ -76,35 +91,27 @@ type fastState struct {
 	fm         float64 // f_m, the highest table frequency
 	perCycleFM float64 // E(f_m), cached (pure in the model coefficients)
 
-	// Dense per-task caches, indexed by registration order (ctx.Tasks
-	// order, with unknown tasks appended lazily). taskIdx maps task ID →
-	// dense index.
-	taskIdx   map[int]int
-	tasks     []*task.Task
-	cacheable []bool    // Profiler == nil: allocation-derived values fixed
-	alloc     []float64 // c_i (NaN when not cacheable)
-	minFreq   []float64 // C_i/D_i (NaN when not cacheable)
-	critTime  []float64 // D_i (always pure: TUF and ν are immutable)
-	foFreq    []float64 // f^o_i
-	foCost    []float64 // E(f^o_i)
-	stepUER   []bool    // step TUF + cacheable: UER memoizable per job
-	arrivals  []uam.Window
+	// tab is the per-task table every scheduler shares: positions in
+	// ctx.Tasks, c_i, C_i/D_i and D_i.
+	tab sched.TaskTable
 
-	// energyConstrained cache, valid when every ctx task is cacheable.
+	// EUA*'s own per-task rows, by table position.
+	foFreq   []float64 // f^o_i
+	foCost   []float64 // E(f^o_i)
+	stepUER  []bool    // step TUF, no profiler: UER memoizable per job
+	arrivals []uam.Window
+
+	// energyConstrained cache, valid when no ctx task has a profiler.
 	allCacheable bool
 	ecRate       float64
 	ecMaxP       float64
 
-	// Per-event lazily recomputed allocations for profiler tasks.
-	stamp      uint64
-	allocEvent []float64
-	allocStamp []uint64
-
 	// Scratch buffers reused across events (never escape into Decisions).
 	live     []*task.Job
-	liveTi   []int32
+	liveTi   []int32   // table position per live job, -1 outside the table
 	rem      []float64 // EstimatedRemaining per live job
 	uer      []float64 // UER per live job
+	edf      []edfSlot // positive-UER live jobs in critical-time order
 	heap     []int32   // indexed max-heap over live
 	order    []*task.Job
 	orderRem []float64
@@ -116,19 +123,37 @@ type fastState struct {
 
 // initFast populates the caches. Called at the end of Init.
 func (s *Scheduler) initFast() {
-	s.fp = fastState{}
-	fp := &s.fp
-	fp.fm = s.ctx.Freqs.Max()
-	fp.perCycleFM = s.ctx.Energy.PerCycle(fp.fm)
-	fp.taskIdx = make(map[int]int, len(s.ctx.Tasks))
-	for _, t := range s.ctx.Tasks {
-		s.registerFastTask(t)
+	ts := s.ctx.Tasks
+	n := len(ts)
+	fm := s.ctx.Freqs.Max()
+	s.fp = fastState{
+		fm:           fm,
+		perCycleFM:   s.ctx.Energy.PerCycle(fm),
+		tab:          sched.NewTaskTable(ts),
+		foFreq:       make([]float64, n),
+		foCost:       make([]float64, n),
+		stepUER:      make([]bool, n),
+		arrivals:     make([]uam.Window, n),
+		allCacheable: true,
+		earliest:     make([]int32, n),
+		pending:      make([]int32, n),
 	}
-	fp.allCacheable = true
-	for _, c := range fp.cacheable {
-		if !c {
+	fp := &s.fp
+	window := 0
+	for _, t := range ts {
+		window += t.Arrival.A
+	}
+	history := make([]float64, window)
+	for ti, t := range ts {
+		f := s.optimalFrequency(t)
+		fp.foFreq[ti], fp.foCost[ti] = f, s.ctx.Energy.PerCycle(f)
+		_, isStep := t.TUF.(tuf.Step)
+		fp.stepUER[ti] = isStep && t.Profiler == nil
+		a := t.Arrival.A
+		fp.arrivals[ti] = uam.NewWindow(history[:a:a])
+		history = history[a:]
+		if t.Profiler != nil {
 			fp.allCacheable = false
-			break
 		}
 	}
 	if fp.allCacheable && s.budgetAware {
@@ -136,68 +161,15 @@ func (s *Scheduler) initFast() {
 	}
 }
 
-// registerFastTask appends one task's cache row. Tasks outside ctx.Tasks
-// (possible only if a caller hands Decide foreign jobs) are registered
-// lazily so the core degrades instead of panicking.
-func (s *Scheduler) registerFastTask(t *task.Task) int {
-	fp := &s.fp
-	ti := len(fp.tasks)
-	fp.taskIdx[t.ID] = ti
-	fp.tasks = append(fp.tasks, t)
-	cacheable := t.Profiler == nil
-	fp.cacheable = append(fp.cacheable, cacheable)
-	alloc, mf := math.NaN(), math.NaN()
-	if cacheable {
-		alloc = t.CycleAllocation()
-		mf = t.MinFrequency()
+// fo returns f^o_i and E(f^o_i) of the task at table position ti. A
+// task outside ctx.Tasks (ti < 0, possible only if a caller hands Decide
+// foreign jobs) gets them derived on the spot.
+func (s *Scheduler) fo(ti int, t *task.Task) (freq, perCycle float64) {
+	if ti >= 0 {
+		return s.fp.foFreq[ti], s.fp.foCost[ti]
 	}
-	fp.alloc = append(fp.alloc, alloc)
-	fp.minFreq = append(fp.minFreq, mf)
-	fp.critTime = append(fp.critTime, t.CriticalTime())
-	fo := s.optimalFrequency(t)
-	fp.foFreq = append(fp.foFreq, fo)
-	fp.foCost = append(fp.foCost, s.ctx.Energy.PerCycle(fo))
-	_, isStep := t.TUF.(tuf.Step)
-	fp.stepUER = append(fp.stepUER, isStep && cacheable)
-	fp.arrivals = append(fp.arrivals, uam.NewWindow(make([]float64, t.Arrival.A)))
-	fp.allocEvent = append(fp.allocEvent, 0)
-	fp.allocStamp = append(fp.allocStamp, 0)
-	fp.earliest = append(fp.earliest, -1)
-	fp.pending = append(fp.pending, 0)
-	return ti
-}
-
-// taskIndex returns the dense index for a job's task, registering unknown
-// tasks on first sight.
-func (s *Scheduler) taskIndex(t *task.Task) int {
-	if ti, ok := s.fp.taskIdx[t.ID]; ok {
-		return ti
-	}
-	return s.registerFastTask(t)
-}
-
-// allocOf returns c_i: the Init-time cache for profiler-free tasks, a
-// once-per-event recomputation otherwise (profiled moments only change
-// between scheduling events, so one evaluation per event is exact).
-func (fp *fastState) allocOf(ti int, t *task.Task) float64 {
-	if fp.cacheable[ti] {
-		return fp.alloc[ti]
-	}
-	if fp.allocStamp[ti] != fp.stamp {
-		fp.allocEvent[ti] = t.CycleAllocation()
-		fp.allocStamp[ti] = fp.stamp
-	}
-	return fp.allocEvent[ti]
-}
-
-// minFreqOf returns the Theorem 1 bound C_i/D_i, via the cache or via the
-// same expression MinFrequency evaluates (WindowCycles then the divide).
-func (fp *fastState) minFreqOf(ti int, t *task.Task) float64 {
-	if fp.cacheable[ti] {
-		return fp.minFreq[ti]
-	}
-	wc := float64(t.Arrival.A) * fp.allocOf(ti, t)
-	return wc / fp.critTime[ti]
+	freq = s.optimalFrequency(t)
+	return freq, s.ctx.Energy.PerCycle(freq)
 }
 
 // fastUER evaluates UER(now, j) with rem = j.EstimatedRemaining() already
@@ -205,12 +177,13 @@ func (fp *fastState) minFreqOf(ti int, t *task.Task) float64 {
 // why the ratio is now-invariant for every feasible step job).
 func (s *Scheduler) fastUER(now float64, j *task.Job, ti int, rem float64) float64 {
 	fp := &s.fp
-	if fp.stepUER[ti] {
-		if c := &j.SchedCache; c.Valid && c.ExecStamp == j.Executed {
+	if ti >= 0 && fp.stepUER[ti] {
+		c := &j.SchedCache
+		if c.Valid && c.ExecStamp == j.Executed {
 			return c.UER
 		}
 		u := j.UtilityAt(now+rem/fp.fm) / (rem * fp.perCycleFM)
-		j.SchedCache = task.SchedCache{UER: u, ExecStamp: j.Executed, Valid: true}
+		c.UER, c.ExecStamp, c.Valid = u, j.Executed, true
 		return u
 	}
 	return j.UtilityAt(now+rem/fp.fm) / (rem * fp.perCycleFM)
@@ -275,7 +248,8 @@ func (s *Scheduler) heapPop() int32 {
 // argument of each replacement.
 func (s *Scheduler) decideFast(now float64, ready []*task.Job) sched.Decision {
 	fp := &s.fp
-	fp.stamp++
+	tab := &fp.tab
+	tab.Refresh()
 	fm := fp.fm
 
 	// Lines 9–11: abort infeasible jobs; gather the rest with their
@@ -286,8 +260,8 @@ func (s *Scheduler) decideFast(now float64, ready []*task.Job) sched.Decision {
 	rem, uer := fp.rem[:0], fp.uer[:0]
 	var aborts []*task.Job
 	for _, j := range ready {
-		ti := s.taskIndex(j.Task)
-		r := j.EstimatedRemainingWith(fp.allocOf(ti, j.Task))
+		ti := tab.Pos(j)
+		r := tab.Remaining(j, ti)
 		if now+r/fm > j.Termination+1e-12*j.Termination {
 			j.AbortReason = "infeasible at f_m"
 			aborts = append(aborts, j)
@@ -331,8 +305,16 @@ func (s *Scheduler) decideFast(now float64, ready []*task.Job) sched.Decision {
 // greedyHeadFast runs Algorithm 1 lines 12–18 over fp.live and returns the
 // head of the resulting feasible schedule (nil if it is empty): jobs are
 // drawn from the UER max-heap and inserted at their critical-time position
-// when the schedule stays feasible at f_m.
+// when the schedule stays feasible at f_m. Without budget rationing it
+// first tries edfHead, which settles the decisions where the greedy would
+// insert every positive-UER job.
 func (s *Scheduler) greedyHeadFast(now, fm float64) *task.Job {
+	if !s.budgetAware {
+		if head, n, ok := s.edfHead(now, fm); ok {
+			s.ins.FeasibilityIterations(n)
+			return head
+		}
+	}
 	fp := &s.fp
 	live, rem, uer := fp.live, fp.rem, fp.uer
 	s.heapInit(len(live))
@@ -354,7 +336,8 @@ func (s *Scheduler) greedyHeadFast(now, fm float64) *task.Job {
 		j := live[idx]
 		cost := 0.0
 		if s.budgetAware {
-			cost = rem[idx] * fp.foCost[fp.liveTi[idx]]
+			_, perCycle := s.fo(int(fp.liveTi[idx]), j.Task)
+			cost = rem[idx] * perCycle
 			if committed+cost > budgetLeft {
 				// The battery cannot pay for this job on top of the
 				// higher-UER work already committed: ration it out (it
@@ -430,6 +413,89 @@ func (s *Scheduler) greedyHeadFast(now, fm float64) *task.Job {
 	return order[0]
 }
 
+// edfHead is the underload shortcut of greedyHeadFast (Theorem 2: in
+// underload the greedy yields EDF). It sorts the positive-UER live jobs
+// into critical-time order and replays their finish times at f_m with the
+// greedy's own test. If every job passes, the greedy would insert every
+// one of them, so its schedule is this order: edfHead returns the head
+// and the greedy's iteration count, one per positive-UER job, with ok
+// set. Otherwise ok is false and the greedy must decide.
+//
+// Every schedule the greedy tests is a subsequence of this order. Its
+// finish times accumulate the same rem/f_m terms, and the order adds
+// further positive terms between them; rounded addition is monotone, so
+// no finish time in a subsequence exceeds the same job's finish time
+// here. Hence each of the greedy's trials passes whenever this replay
+// does, with or without the strict break.
+func (s *Scheduler) edfHead(now, fm float64) (head *task.Job, n int, ok bool) {
+	fp := &s.fp
+	live, rem := fp.live, fp.rem
+	edf := fp.edf[:0]
+	// work and latest screen out overloads before the sort: when the
+	// summed work overruns the latest threshold, the replay cannot pass
+	// (up to rounding, which can only send a passing replay on to the
+	// greedy).
+	work, latest := now, 0.0
+	first, last := math.Inf(1), math.Inf(-1)
+	for i, u := range fp.uer {
+		if u > 0 {
+			j := live[i]
+			thr := j.Termination + 1e-12*j.Termination
+			edf = append(edf, edfSlot{crit: j.AbsCritical, thr: thr, i: int32(i)})
+			work += rem[i] / fm
+			latest = max(latest, thr)
+			first, last = min(first, j.AbsCritical), max(last, j.AbsCritical)
+		} else if math.IsNaN(u) {
+			return nil, 0, false // no UER order to reason about
+		}
+	}
+	fp.edf = edf
+	if len(edf) == 0 {
+		return nil, 0, true
+	}
+	if work > latest {
+		return nil, 0, false
+	}
+	// The replay sorts and checks the jobs critical within the first
+	// eighth of the span before it sorts the rest: they are exactly the
+	// head of the order, and an overload usually shows among them.
+	cut := first + (last-first)/8
+	k := 0
+	for i := range edf {
+		if edf[i].crit <= cut {
+			edf[i], edf[k] = edf[k], edf[i]
+			k++
+		}
+	}
+	// sched.Less is a total order on distinct jobs, so "not before" is
+	// "after".
+	byCritical := func(a, b edfSlot) int {
+		if a.crit < b.crit || a.crit == b.crit && sched.Less(live[a.i], live[b.i]) {
+			return -1
+		}
+		return 1
+	}
+	t := now
+	for _, part := range [2][]edfSlot{edf[:k], edf[k:]} {
+		slices.SortFunc(part, byCritical)
+		for _, e := range part {
+			t += rem[e.i] / fm
+			if t > e.thr {
+				return nil, 0, false
+			}
+		}
+	}
+	return live[edf[0].i], len(edf), true
+}
+
+// edfSlot is one job of edfHead's replay: its live index, its absolute
+// critical time (the first key of sched.Less, inline for the sort) and
+// its feasibility threshold X + 1e-12·X.
+type edfSlot struct {
+	crit, thr float64
+	i         int32
+}
+
 // decideFreqFast is Algorithm 2, the stochastic DVS technique, over the
 // core's dense per-task view: earliest pending job and pending count per
 // task come from two reusable arrays instead of a per-event map, entries
@@ -442,48 +508,53 @@ func (s *Scheduler) decideFreqFast(now float64, jexe *task.Job) float64 {
 	// Dense per-task view: minimum by the critical-time total order is
 	// iteration-order independent, so this matches the reference's
 	// per-task map.
-	for ti := range fp.tasks {
+	for ti := range fp.earliest {
 		fp.earliest[ti] = -1
 		fp.pending[ti] = 0
 	}
 	for li, j := range live {
 		ti := liveTi[li]
+		if ti < 0 {
+			continue
+		}
 		if e := fp.earliest[ti]; e < 0 || sched.Less(j, live[e]) {
 			fp.earliest[ti] = int32(li)
 		}
 		fp.pending[ti]++
 	}
 
+	tab := &fp.tab
 	entries := fp.entries[:0]
 	for ti, t := range s.ctx.Tasks {
+		crit, alloc := tab.Crit(ti), tab.Alloc(ti)
 		if fp.pending[ti] == 0 {
 			entry := sched.LookAheadEntry{
-				AbsCritical: now + fp.critTime[ti],
-				StaticUtil:  fp.minFreqOf(ti, t),
+				AbsCritical: now + crit,
+				StaticUtil:  tab.MinFreq(ti),
 			}
 			if !s.noPhantom {
 				at, count := s.nextPossibleArrival(now, ti, t)
-				entry.AbsCritical = at + fp.critTime[ti]
-				entry.Remaining = float64(count) * fp.allocOf(ti, t)
+				entry.AbsCritical = at + crit
+				entry.Remaining = float64(count) * alloc
 			}
 			entries = append(entries, entry)
 			continue
 		}
 		e := fp.earliest[ti]
-		remaining := rem[e] + float64(t.Arrival.A-1)*fp.allocOf(ti, t)
+		remaining := rem[e] + float64(t.Arrival.A-1)*alloc
 		if s.noWindowed {
 			remaining = rem[e]
 		}
 		entries = append(entries, sched.LookAheadEntry{
 			AbsCritical: live[e].AbsCritical,
 			Remaining:   remaining,
-			StaticUtil:  fp.minFreqOf(ti, t),
+			StaticUtil:  tab.MinFreq(ti),
 		})
 		if !s.noPhantom {
 			if at, count := s.nextPossibleArrival(now, ti, t); count > 0 {
 				entries = append(entries, sched.LookAheadEntry{
-					AbsCritical: at + fp.critTime[ti],
-					Remaining:   float64(count) * fp.allocOf(ti, t),
+					AbsCritical: at + crit,
+					Remaining:   float64(count) * alloc,
 					StaticUtil:  0,
 				})
 			}
@@ -498,7 +569,7 @@ func (s *Scheduler) decideFreqFast(now float64, jexe *task.Job) float64 {
 	}
 	fexe := s.ctx.Freqs.ClampSelect(req)
 	if !s.noFoClamp {
-		if fo := fp.foFreq[fp.taskIdx[jexe.Task.ID]]; fo > fexe {
+		if fo, _ := s.fo(tab.Pos(jexe), jexe.Task); fo > fexe {
 			fexe = fo
 		}
 	}

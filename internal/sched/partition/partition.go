@@ -194,15 +194,23 @@ func (p *Partitioned) partition(ts task.Set, tables []cpu.FrequencyTable) []task
 		}
 		return order[i].ID < order[j].ID
 	})
-	probeName := p.probe.Name()
+	// Every probe asks for admission.Analyze's verdict on a set of
+	// validated tasks, so it takes the verdict-only path and one reused
+	// candidate buffer; a core whose table Analyze would refuse admits
+	// nothing.
+	policy := admission.PolicyFor(p.probe.Name())
+	valid := make([]bool, p.m)
+	for k, ft := range tables {
+		valid[k] = ft.Validate() == nil
+	}
 	coreTasks := make([]task.Set, p.m)
 	util := make([]float64, p.m) // Σ C_i/D_i / f_max per core
 	p.assign = make(map[int]int, len(order))
+	cand := make(task.Set, 0, len(order))
 	for _, t := range order {
 		fits := func(k int) bool {
-			cand := append(append(task.Set(nil), coreTasks[k]...), t)
-			res, err := admission.Analyze(cand, tables[k], probeName)
-			return err == nil && res.Verdict == admission.Accept
+			cand = append(append(cand[:0], coreTasks[k]...), t)
+			return valid[k] && admission.Admits(cand, tables[k].Max(), policy)
 		}
 		best := -1
 		switch p.policy {

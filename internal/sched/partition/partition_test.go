@@ -2,9 +2,11 @@ package partition_test
 
 import (
 	"math"
+	"sort"
 	"strings"
 	"testing"
 
+	"github.com/euastar/euastar/internal/admission"
 	"github.com/euastar/euastar/internal/cpu"
 	"github.com/euastar/euastar/internal/energy"
 	"github.com/euastar/euastar/internal/engine"
@@ -383,5 +385,105 @@ func TestHeterogeneousPartition(t *testing.T) {
 	if littleRate > little.Max()*1.01 && bigRate < ft.Max() {
 		t.Fatalf("little core overpacked (%g Hz demand on a %g Hz core) while the big core had room",
 			littleRate, little.Max())
+	}
+}
+
+// analyzePacking is the packing Init performs, written with one
+// admission.Analyze call per (task, core) probe: decreasing C_i/D_i with
+// ties by ID, first fit or worst fit on an Accept verdict, and the
+// least-utilized core when none accepts.
+func analyzePacking(ts task.Set, tables []cpu.FrequencyTable, scheme string, policy partition.Policy) map[int]int {
+	order := append(task.Set(nil), ts...)
+	sort.Slice(order, func(i, j int) bool {
+		fi, fj := order[i].MinFrequency(), order[j].MinFrequency()
+		if fi != fj {
+			return fi > fj
+		}
+		return order[i].ID < order[j].ID
+	})
+	m := len(tables)
+	cores := make([]task.Set, m)
+	util := make([]float64, m)
+	assign := map[int]int{}
+	for _, t := range order {
+		fits := func(k int) bool {
+			res, err := admission.Analyze(append(append(task.Set(nil), cores[k]...), t), tables[k], scheme)
+			return err == nil && res.Verdict == admission.Accept
+		}
+		best := -1
+		for k := 0; k < m; k++ {
+			if !fits(k) {
+				continue
+			}
+			if policy == partition.FirstFit {
+				best = k
+				break
+			}
+			if best < 0 || util[k] < util[best] {
+				best = k
+			}
+		}
+		if best < 0 {
+			best = 0
+			for k := 1; k < m; k++ {
+				if util[k] < util[best] {
+					best = k
+				}
+			}
+		}
+		cores[best] = append(cores[best], t)
+		util[best] += t.MinFrequency() / tables[best].Max()
+		assign[t.ID] = best
+	}
+	return assign
+}
+
+// TestAssignmentMatchesAnalyzePacking holds Init's verdict-only probes to
+// packing by full Analyze calls, on homogeneous and big.LITTLE tables,
+// for a deadline-ordered and a utility-greedy scheme.
+func TestAssignmentMatchesAnalyzePacking(t *testing.T) {
+	wide := workload.A2()
+	wide.Tasks = 16
+	schemes := []func() sched.Scheduler{euaFactory, func() sched.Scheduler { return baseline.NewGUS() }}
+	fallbacks := 0
+	for _, m := range []int{2, 4} {
+		for _, policy := range []partition.Policy{partition.FirstFit, partition.WorstFit} {
+			for _, perCore := range []float64{0.3, 0.7, 0.95, 1.1, 1.6} {
+				for seed := uint64(1); seed <= 3; seed++ {
+					for _, hetero := range []bool{false, true} {
+						for _, mk := range schemes {
+							ft := cpu.PowerNowK6()
+							ts := wide.MustSynthesize(rng.New(seed*0x9e3779b9), workload.Options{Shape: workload.Step}).
+								ScaleToLoad(float64(m)*perCore, ft.Max())
+							ctx := testCtx(ts)
+							if hetero {
+								ctx.CoreFreqs = make([]cpu.FrequencyTable, m)
+								ctx.CoreFreqs[m-1] = cpu.Uniform(200e6, 500e6, 4)
+							}
+							p := partition.New(m, policy, mk)
+							if err := p.Init(ctx); err != nil {
+								t.Fatal(err)
+							}
+							want := analyzePacking(ts, ctx.CoreTables(m), mk().Name(), policy)
+							for id, k := range want {
+								if got, ok := p.Assignment()[id]; !ok || got != k {
+									t.Fatalf("m=%d %s load %v/core seed %d hetero=%v %s: task %d on core %d, Analyze packing puts it on %d",
+										m, policy, perCore, seed, hetero, mk().Name(), id, got, k)
+								}
+							}
+							if len(p.Assignment()) != len(want) {
+								t.Fatalf("%d tasks assigned, want %d", len(p.Assignment()), len(want))
+							}
+							if perCore > 1 {
+								fallbacks++
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if fallbacks == 0 {
+		t.Fatal("the grid never overloads a core")
 	}
 }

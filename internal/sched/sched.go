@@ -197,9 +197,15 @@ func jobLess(a, b *task.Job) bool {
 // completion time at the highest frequency fmax must not exceed its
 // termination time.
 func Feasible(order []*task.Job, now, fmax float64) bool {
+	return FeasibleWith(order, now, fmax, (*task.Job).EstimatedRemaining)
+}
+
+// FeasibleWith is Feasible with each job's remaining-cycle estimate
+// supplied by rem (from a TaskTable, say).
+func FeasibleWith(order []*task.Job, now, fmax float64, rem func(*task.Job) float64) bool {
 	t := now
 	for _, j := range order {
-		t += j.EstimatedRemaining() / fmax
+		t += rem(j) / fmax
 		if t > j.Termination+1e-12*j.Termination {
 			return false
 		}
@@ -211,7 +217,13 @@ func Feasible(order []*task.Job, now, fmax float64) bool {
 // termination time if executed immediately and alone at fmax — the
 // per-job test of Algorithm 1 line 10.
 func JobFeasible(j *task.Job, now, fmax float64) bool {
-	return now+j.EstimatedRemaining()/fmax <= j.Termination+1e-12*j.Termination
+	return JobFeasibleWith(j, j.EstimatedRemaining(), now, fmax)
+}
+
+// JobFeasibleWith is JobFeasible with the job's remaining-cycle estimate
+// rem supplied by the caller (from a TaskTable, say).
+func JobFeasibleWith(j *task.Job, rem, now, fmax float64) bool {
+	return now+rem/fmax <= j.Termination+1e-12*j.Termination
 }
 
 // InsertByCritical inserts j into the critical-time-ordered schedule order

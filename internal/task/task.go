@@ -202,15 +202,26 @@ func (t *Task) String() string {
 // Set is an ordered collection of tasks forming one application.
 type Set []*Task
 
-// Validate checks every task and that IDs are unique.
+// Validate checks every task and that IDs are unique. IDs that strictly
+// increase cannot repeat, so the map of seen IDs is built only from the
+// first task whose ID does not exceed its predecessor's.
 func (s Set) Validate() error {
 	if len(s) == 0 {
 		return fmt.Errorf("task: empty task set")
 	}
-	seen := make(map[int]bool, len(s))
-	for _, t := range s {
+	var seen map[int]bool
+	for i, t := range s {
 		if err := t.Validate(); err != nil {
 			return err
+		}
+		if seen == nil {
+			if i == 0 || t.ID > s[i-1].ID {
+				continue
+			}
+			seen = make(map[int]bool, len(s))
+			for _, p := range s[:i] {
+				seen[p.ID] = true
+			}
 		}
 		if seen[t.ID] {
 			return fmt.Errorf("task: duplicate task ID %d", t.ID)
@@ -313,8 +324,9 @@ type Job struct {
 
 	// SchedCache is the scheduler-private bookkeeping slot the Job
 	// documentation reserves: the engine never reads or writes it, and a
-	// fresh job carries the zero value. EUA*'s fast path memoizes the
-	// job's UER here across scheduling events.
+	// fresh job carries the zero value. Schedulers remember the job's
+	// task-table position here, and EUA*'s fast path memoizes the job's
+	// UER across scheduling events.
 	SchedCache SchedCache
 }
 
@@ -329,6 +341,9 @@ type SchedCache struct {
 	UER       float64
 	ExecStamp float64
 	Valid     bool
+	// TaskPos is the position of the job's task in the scheduler's
+	// sched.TaskTable, a hint the table verifies on every read.
+	TaskPos int32
 }
 
 // Holds reports whether the job currently holds resource r.

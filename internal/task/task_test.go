@@ -1,7 +1,9 @@
 package task
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -175,6 +177,46 @@ func TestSetValidate(t *testing.T) {
 	dup := validTask()
 	if err := (Set{a, dup}).Validate(); err == nil {
 		t.Fatal("duplicate IDs accepted")
+	}
+}
+
+// TestSetValidateDuplicates covers both duplicate checks: the ordered
+// scan of a set whose IDs increase up to the duplicate, and the map it
+// falls back to once they stop increasing.
+func TestSetValidateDuplicates(t *testing.T) {
+	withIDs := func(ids ...int) Set {
+		s := make(Set, len(ids))
+		for i, id := range ids {
+			s[i] = validTask()
+			s[i].ID = id
+		}
+		return s
+	}
+	for _, c := range []struct {
+		name string
+		set  Set
+		want string
+	}{
+		{"sorted", withIDs(1, 2, 5, 9), ""},
+		{"unsorted", withIDs(9, 1, 5, 2), ""},
+		{"sorted-adjacent-duplicate", withIDs(1, 2, 2, 3), "task: duplicate task ID 2"},
+		{"unsorted-distant-duplicate", withIDs(3, 1, 2, 7, 3), "task: duplicate task ID 3"},
+	} {
+		err := c.set.Validate()
+		if got := fmt.Sprint(err); c.want == "" && err != nil || c.want != "" && got != c.want {
+			t.Errorf("%s: Validate() = %v, want %q", c.name, err, c.want)
+		}
+	}
+	// A task error still wins over a later duplicate, as in a plain scan.
+	bad := withIDs(1, 1, 3)
+	bad[2].Req.Rho = 1
+	bad[1].Req.Nu = 2
+	if err := bad.Validate(); err == nil || strings.Contains(err.Error(), "duplicate") {
+		t.Errorf("Validate() = %v, want the second task's requirement error", err)
+	}
+	sorted := withIDs(1, 2, 3, 4, 5, 6, 7, 8)
+	if n := testing.AllocsPerRun(10, func() { _ = sorted.Validate() }); n != 0 {
+		t.Errorf("validating an ID-sorted set allocates %v times, want 0", n)
 	}
 }
 
