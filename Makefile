@@ -65,15 +65,18 @@ bench:
 
 # bench-sched measures the scheduler hot path — ns/event, allocs/event and
 # events/sec across the task-count x load matrix for EUA* on one core
-# (eua) and partitioned on 1, 2 and 4 cores (eua-part) — and refreshes
-# the committed BENCH_sched.json baseline. Run on a quiet machine; the
-# harness keeps the minimum of 5 repetitions per cell.
+# (eua), partitioned on 1, 2 and 4 cores (eua-part), and laEDF on one
+# core (laedf) — and refreshes the committed BENCH_sched.json baseline.
+# Every repetition's ns/event is scaled by a calibration kernel timed
+# beside it; the repetitions interleave across cells on one P, and each
+# cell keeps the median of 15.
 bench-sched:
 	$(GO) run ./cmd/euabench -out BENCH_sched.json
 
 # bench-check re-measures the matrix and fails if any cell is >15% slower
-# (ns/event) than the committed baseline, or allocates more than 0.01
-# allocs/event above it (allocation counts do not drift with the host).
+# (calibrated ns/event) than the committed baseline, or allocates more
+# than 0.01 allocs/event above it (allocation counts do not drift with
+# the host).
 # Wired into CI as a separate non-blocking job: shared-runner noise
 # should inform, not gate merges.
 bench-check:

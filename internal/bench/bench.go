@@ -1,17 +1,23 @@
 // Package bench measures the scheduler hot path: wall-clock nanoseconds
 // and heap allocations per simulation event, across a matrix of task
 // count × arrival intensity × core count, for EUA* on one core and
-// partitioned over several. Results serialize to BENCH_sched.json;
-// Compare gates regressions against a committed baseline (see `make
-// bench-check`).
+// partitioned over several, and for laEDF on one core. Results serialize
+// to BENCH_sched.json; Compare gates regressions against a committed
+// baseline (see `make bench-check`).
 //
 // Methodology: each cell runs the full discrete-event engine on a
 // synthesized workload (per-cell seed, so every scheme sees the same
-// realization), repeats Reps times, and keeps the *minimum* ns/event —
-// the minimum is the least noisy location statistic for a deterministic
-// computation under scheduler/GC interference. Allocations are counted
-// via runtime.MemStats.Mallocs deltas, which include everything the run
-// allocated regardless of collection.
+// realization) and repeats Reps times. Every repetition's ns/event is
+// scaled by a calibration kernel timed beside it (see calib.go), so a
+// host that changes speed between repetitions moves the kernel and the
+// cell alike, and Sweep interleaves the repetitions across cells, so a
+// speed change hits every cell. A cell keeps the median of its
+// calibrated repetitions: over six sweeps of unchanged code on a 2-vCPU
+// VM, the medians of 15 repetitions stayed within 10.5% of each other in
+// every cell, while the minima spread by up to 40%, since one repetition
+// timed beside a slow kernel run reads fast. Allocations are counted via
+// runtime.MemStats.Mallocs deltas, which include everything the run
+// allocated regardless of collection; a cell keeps their minimum.
 package bench
 
 import (
@@ -27,6 +33,7 @@ import (
 	"github.com/euastar/euastar/internal/engine"
 	"github.com/euastar/euastar/internal/rng"
 	"github.com/euastar/euastar/internal/sched"
+	"github.com/euastar/euastar/internal/sched/baseline"
 	"github.com/euastar/euastar/internal/sched/eua"
 	"github.com/euastar/euastar/internal/sched/partition"
 	"github.com/euastar/euastar/internal/telemetry"
@@ -35,8 +42,9 @@ import (
 
 // Scheme names for the configurations under measurement.
 const (
-	SchemeEUA  = "eua"      // EUA* on one core
-	SchemePart = "eua-part" // partitioned EUA* on Cell.Cores DVS cores
+	SchemeEUA   = "eua"      // EUA* on one core
+	SchemePart  = "eua-part" // partitioned EUA* on Cell.Cores DVS cores
+	SchemeLAEDF = "laedf"    // look-ahead EDF with abortion on one core
 )
 
 // Cell is one point of the benchmark matrix.
@@ -64,7 +72,9 @@ func (c Cell) Key() string {
 	return k
 }
 
-// Measurement is one benchmarked cell.
+// Measurement is one benchmarked cell. NsPerEvent and EventsPerSec are
+// calibrated: scaled to a host on which the calibration kernel takes
+// calibNominalNs.
 type Measurement struct {
 	Cell
 	NsPerEvent     float64 `json:"ns_per_event"`
@@ -73,6 +83,11 @@ type Measurement struct {
 	Events         int     `json:"events"`
 	Reps           int     `json:"reps"`
 }
+
+// reportVersion is the BENCH_sched.json schema. Version 2 holds
+// calibrated times; version 1 held raw ones, which cannot be compared
+// with them.
+const reportVersion = 2
 
 // Report is the BENCH_sched.json document.
 type Report struct {
@@ -85,9 +100,8 @@ type Report struct {
 
 // Options tunes a benchmark sweep.
 type Options struct {
-	// Reps per cell; the minimum ns/event across reps is kept (default 5 —
-	// small cells finish in microseconds, where the minimum needs several
-	// draws to stabilize).
+	// Reps per cell; the median calibrated ns/event across reps is kept
+	// (default 15).
 	Reps int
 	// Horizon in seconds per run (default 0.4).
 	Horizon float64
@@ -102,13 +116,14 @@ type Options struct {
 	// Partition selects the placement policy for the SchemePart rows:
 	// "ff" (default) or "wf".
 	Partition string
-	// Progress, when non-nil, receives one line per completed cell.
+	// Progress, when non-nil, receives one line per cell once all its
+	// repetitions are done.
 	Progress io.Writer
 }
 
 func (o Options) withDefaults() Options {
 	if o.Reps <= 0 {
-		o.Reps = 5
+		o.Reps = 15
 	}
 	if o.Horizon <= 0 {
 		o.Horizon = 0.4
@@ -154,6 +169,8 @@ func cellConfig(c Cell) (engine.Config, error) {
 	ts = ts.ScaleToLoad(c.Load, ft.Max())
 	var s sched.Scheduler
 	switch c.Scheme {
+	case SchemeLAEDF:
+		s = baseline.NewLAEDF(true)
 	case SchemePart:
 		m := c.Cores
 		if m < 1 {
@@ -183,60 +200,77 @@ func cellConfig(c Cell) (engine.Config, error) {
 }
 
 // Run benchmarks one cell: one warm-up run, then reps timed runs keeping
-// the minimum ns/event and allocs/event.
+// the median calibrated ns/event and the minimum allocs/event.
 func Run(c Cell, reps int) (Measurement, error) { return measure(c, reps, nil) }
 
 // measure is Run with an optional telemetry registry attached to every
 // engine run — the instrumented side of the overhead comparison.
 func measure(c Cell, reps int, reg *telemetry.Registry) (Measurement, error) {
-	if c.Scheme != SchemeEUA && c.Scheme != SchemePart {
-		return Measurement{}, fmt.Errorf("bench: unknown scheme %q", c.Scheme)
-	}
 	if reps <= 0 {
 		reps = 1
 	}
-	run := func() (elapsed time.Duration, allocs uint64, events int, err error) {
-		cfg, err := cellConfig(c)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		cfg.Telemetry = reg
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		res, err := engine.Run(cfg)
-		elapsed = time.Since(start)
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		return elapsed, after.Mallocs - before.Mallocs, res.Events, nil
-	}
-	if _, _, _, err := run(); err != nil { // warm-up
+	cal := newCalibrator()
+	if _, err := sample(c, reg, cal); err != nil { // warm-up
 		return Measurement{}, err
 	}
-	m := Measurement{Cell: c, Reps: reps}
-	for r := 0; r < reps; r++ {
-		elapsed, allocs, events, err := run()
+	samples := make([]Measurement, reps)
+	for r := range samples {
+		s, err := sample(c, reg, cal)
 		if err != nil {
 			return Measurement{}, err
 		}
-		if events == 0 {
-			return Measurement{}, fmt.Errorf("bench: cell %s processed zero events", c.Key())
-		}
-		ns := float64(elapsed.Nanoseconds()) / float64(events)
-		if r == 0 || ns < m.NsPerEvent {
-			m.NsPerEvent = ns
-			m.EventsPerSec = float64(events) / elapsed.Seconds()
-		}
-		al := float64(allocs) / float64(events)
-		if r == 0 || al < m.AllocsPerEvent {
-			m.AllocsPerEvent = al
-		}
-		m.Events = events
+		samples[r] = s
 	}
-	return m, nil
+	return summarize(samples), nil
+}
+
+// sample runs a cell once and returns its measurement, the ns/event
+// scaled by the calibration kernel timed just before and just after.
+func sample(c Cell, reg *telemetry.Registry, cal *calibrator) (Measurement, error) {
+	if c.Scheme != SchemeEUA && c.Scheme != SchemePart && c.Scheme != SchemeLAEDF {
+		return Measurement{}, fmt.Errorf("bench: unknown scheme %q", c.Scheme)
+	}
+	cfg, err := cellConfig(c)
+	if err != nil {
+		return Measurement{}, err
+	}
+	cfg.Telemetry = reg
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	k0 := cal.time()
+	start := time.Now()
+	res, err := engine.Run(cfg)
+	elapsed := time.Since(start)
+	k1 := cal.time()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		return Measurement{}, err
+	}
+	if res.Events == 0 {
+		return Measurement{}, fmt.Errorf("bench: cell %s processed zero events", c.Key())
+	}
+	ns := float64(elapsed.Nanoseconds()) * calibNominalNs / min(k0, k1)
+	return Measurement{
+		Cell:           c,
+		NsPerEvent:     ns / float64(res.Events),
+		AllocsPerEvent: float64(after.Mallocs-before.Mallocs) / float64(res.Events),
+		EventsPerSec:   float64(res.Events) / (ns * 1e-9),
+		Events:         res.Events,
+	}, nil
+}
+
+// summarize folds one cell's repetitions into its measurement: the
+// repetition of median ns/event (the upper one of an even count) and
+// the minimum allocs/event. It reorders samples.
+func summarize(samples []Measurement) Measurement {
+	sort.Slice(samples, func(i, j int) bool { return samples[i].NsPerEvent < samples[j].NsPerEvent })
+	m := samples[len(samples)/2]
+	for _, s := range samples {
+		m.AllocsPerEvent = min(m.AllocsPerEvent, s.AllocsPerEvent)
+	}
+	m.Reps = len(samples)
+	return m
 }
 
 // Overhead is one cell's enabled-vs-no-op telemetry cost. The no-op side
@@ -256,7 +290,7 @@ func (o Overhead) String() string {
 }
 
 // MeasureOverhead benchmarks one cell twice — no-op sink, then a live
-// registry — under the same minimum-of-reps methodology as Run.
+// registry — under the same median-of-reps methodology as Run.
 func MeasureOverhead(c Cell, reps int) (Overhead, error) {
 	base, err := measure(c, reps, nil)
 	if err != nil {
@@ -276,28 +310,44 @@ func MeasureOverhead(c Cell, reps int) (Overhead, error) {
 // Sweep runs the full matrix and returns the report, cells ordered by
 // (tasks, load, scheme, cores) for stable diffs. The partitioned rows
 // (SchemePart, one per Options.Cores entry) measure the multiprocessor
-// engine's per-event cost next to the uniprocessor scheme.
+// engine's per-event cost next to the uniprocessor schemes. Every cell is
+// warmed up once; then each repetition runs every cell once, so that the
+// repetitions of one cell are spread over the whole sweep.
 func Sweep(opts Options) (Report, error) {
 	o := opts.withDefaults()
-	rep := Report{Version: 1, Go: runtime.Version()}
+	rep := Report{Version: reportVersion, Go: runtime.Version()}
+	var cells []Cell
 	for _, n := range o.Tasks {
 		for _, load := range o.Loads {
-			cells := []Cell{{Tasks: n, Load: load, Scheme: SchemeEUA, Seed: o.Seed, Horizon: o.Horizon}}
+			cells = append(cells,
+				Cell{Tasks: n, Load: load, Scheme: SchemeEUA, Seed: o.Seed, Horizon: o.Horizon},
+				Cell{Tasks: n, Load: load, Scheme: SchemeLAEDF, Seed: o.Seed, Horizon: o.Horizon})
 			for _, cores := range o.Cores {
 				cells = append(cells, Cell{Tasks: n, Load: load, Scheme: SchemePart,
 					Seed: o.Seed, Horizon: o.Horizon, Cores: cores, Partition: o.Partition})
 			}
-			for _, c := range cells {
-				m, err := Run(c, o.Reps)
-				if err != nil {
-					return Report{}, fmt.Errorf("bench: cell %s: %w", c.Key(), err)
-				}
-				rep.Cells = append(rep.Cells, m)
-				if o.Progress != nil {
-					fmt.Fprintf(o.Progress, "bench: %-22s %9.0f ns/event  %6.1f allocs/event  %9.0f events/s\n",
-						c.Key(), m.NsPerEvent, m.AllocsPerEvent, m.EventsPerSec)
-				}
+		}
+	}
+	cal := newCalibrator()
+	samples := make([][]Measurement, len(cells))
+	for r := -1; r < o.Reps; r++ {
+		for i, c := range cells {
+			s, err := sample(c, nil, cal)
+			if err != nil {
+				return Report{}, fmt.Errorf("bench: cell %s: %w", c.Key(), err)
 			}
+			if r >= 0 { // r = -1 is the warm-up
+				samples[i] = append(samples[i], s)
+			}
+		}
+	}
+	for _, ss := range samples {
+		rep.Cells = append(rep.Cells, summarize(ss))
+	}
+	if o.Progress != nil {
+		for _, m := range rep.Cells {
+			fmt.Fprintf(o.Progress, "bench: %-24s %9.0f ns/event  %6.3f allocs/event  %9.0f events/s\n",
+				m.Key(), m.NsPerEvent, m.AllocsPerEvent, m.EventsPerSec)
 		}
 	}
 	return rep, nil
@@ -316,8 +366,8 @@ func ReadJSON(r io.Reader) (Report, error) {
 	if err := json.NewDecoder(r).Decode(&rep); err != nil {
 		return Report{}, fmt.Errorf("bench: bad report: %w", err)
 	}
-	if rep.Version != 1 {
-		return Report{}, fmt.Errorf("bench: unsupported report version %d", rep.Version)
+	if rep.Version != reportVersion {
+		return Report{}, fmt.Errorf("bench: unsupported report version %d (want %d; refresh it with `make bench-sched`)", rep.Version, reportVersion)
 	}
 	return rep, nil
 }
@@ -334,65 +384,40 @@ const (
 // event on the smallest cells.
 const AllocSlack = 0.01
 
-// Regression is one cell whose current ns/event exceeds the
-// drift-normalized baseline by more than the tolerance, or whose
-// allocs/event exceeds the baseline's by more than AllocSlack.
+// Regression is one cell whose calibrated ns/event exceeds the
+// baseline's by more than the tolerance, or whose allocs/event exceeds
+// the baseline's by more than AllocSlack.
 type Regression struct {
 	Key      string
 	Metric   string  // MetricNs or MetricAllocs
 	Baseline float64 // baseline value, as committed
 	Current  float64 // current value
-	Drift    float64 // suite drift factor the ns/event comparison normalized out
 }
 
 func (r Regression) String() string {
 	if r.Metric == MetricAllocs {
 		return fmt.Sprintf("%s: %.3f -> %.3f allocs/event (%+.3f)", r.Key, r.Baseline, r.Current, r.Current-r.Baseline)
 	}
-	return fmt.Sprintf("%s: %.0f -> %.0f ns/event (%+.1f%% after x%.2f drift normalization)",
-		r.Key, r.Baseline, r.Current, 100*(r.Current/(r.Baseline*r.Drift)-1), r.Drift)
+	return fmt.Sprintf("%s: %.0f -> %.0f ns/event (%+.1f%%)", r.Key, r.Baseline, r.Current, 100*(r.Current/r.Baseline-1))
 }
 
 // Compare matches current cells against the baseline by key and returns
-// every cell slower than baseline*drift*(1+tolerance), every cell whose
-// allocs/event exceeds the baseline's by more than AllocSlack, and the
-// drift factor itself.
+// every cell slower than baseline*(1+tolerance) and every cell whose
+// allocs/event exceeds the baseline's by more than AllocSlack.
 //
-// Drift is the lower quartile of the per-cell current/baseline ns-event
-// ratios. Benchmark hosts (CI runners, shared containers) routinely run
-// 10-20% faster or slower than the machine that produced the baseline —
-// uniformly, across every cell. Normalizing by a low quantile cancels
-// that machine-speed shift while staying sensitive to real regressions,
-// which inflate only the cells whose code path changed (up to ~75% of
-// the suite before they start dragging the quartile). A genuinely
-// uniform slowdown is not flagged, but it is not silent either: the
-// caller gets the drift factor to report, and `make bench-sched` reviews
-// refresh the absolute numbers.
-//
-// Allocations need no drift normalization: a cell allocates the same
+// Both reports hold calibrated ns/event, so a host that runs faster or
+// slower than the one that produced the baseline needs no further
+// normalization. Allocations need none either: a cell allocates the same
 // count on any host, so a fixed slack holds a win such as an
 // allocation-free event loop exactly where the baseline put it.
 //
 // Cells present in only one report are ignored: the gate protects
 // against slowdowns, not matrix drift (changing the matrix shows up in
 // review as a baseline refresh).
-func Compare(current, baseline Report, tolerance float64) ([]Regression, float64) {
+func Compare(current, baseline Report, tolerance float64) []Regression {
 	base := make(map[string]Measurement, len(baseline.Cells))
 	for _, m := range baseline.Cells {
 		base[m.Key()] = m
-	}
-	var ratios []float64
-	for _, m := range current.Cells {
-		if b, ok := base[m.Key()]; ok && b.NsPerEvent > 0 {
-			ratios = append(ratios, m.NsPerEvent/b.NsPerEvent)
-		}
-	}
-	drift := 1.0
-	if len(ratios) > 0 {
-		sort.Float64s(ratios)
-		if d := ratios[(len(ratios)-1)/4]; d > 0 {
-			drift = d
-		}
 	}
 	var regs []Regression
 	for _, m := range current.Cells {
@@ -400,13 +425,13 @@ func Compare(current, baseline Report, tolerance float64) ([]Regression, float64
 		if !ok {
 			continue
 		}
-		if b.NsPerEvent > 0 && m.NsPerEvent > b.NsPerEvent*drift*(1+tolerance) {
-			regs = append(regs, Regression{Key: m.Key(), Metric: MetricNs, Baseline: b.NsPerEvent, Current: m.NsPerEvent, Drift: drift})
+		if b.NsPerEvent > 0 && m.NsPerEvent > b.NsPerEvent*(1+tolerance) {
+			regs = append(regs, Regression{Key: m.Key(), Metric: MetricNs, Baseline: b.NsPerEvent, Current: m.NsPerEvent})
 		}
 		if m.AllocsPerEvent > b.AllocsPerEvent+AllocSlack {
-			regs = append(regs, Regression{Key: m.Key(), Metric: MetricAllocs, Baseline: b.AllocsPerEvent, Current: m.AllocsPerEvent, Drift: 1})
+			regs = append(regs, Regression{Key: m.Key(), Metric: MetricAllocs, Baseline: b.AllocsPerEvent, Current: m.AllocsPerEvent})
 		}
 	}
 	sort.SliceStable(regs, func(i, j int) bool { return regs[i].Key < regs[j].Key })
-	return regs, drift
+	return regs
 }

@@ -12,6 +12,7 @@ func TestRunSmoke(t *testing.T) {
 		{Tasks: 4, Load: 0.8, Scheme: SchemeEUA, Seed: 1, Horizon: 0.05},
 		{Tasks: 4, Load: 0.8, Scheme: SchemePart, Seed: 1, Horizon: 0.05, Cores: 2},
 		{Tasks: 4, Load: 0.8, Scheme: SchemePart, Seed: 1, Horizon: 0.05, Cores: 2, Partition: "wf"},
+		{Tasks: 4, Load: 0.8, Scheme: SchemeLAEDF, Seed: 1, Horizon: 0.05},
 	}
 	for _, c := range cells {
 		m, err := Run(c, 1)
@@ -57,22 +58,19 @@ func TestCompare(t *testing.T) {
 			NsPerEvent: ns,
 		}
 	}
-	baseline := Report{Version: 1, Cells: []Measurement{
+	baseline := Report{Version: reportVersion, Cells: []Measurement{
 		cell(8, 0.5, SchemeEUA, 1000),
 		cell(8, 1.0, SchemeEUA, 1000),
 		cell(8, 1.6, SchemeEUA, 1000),
 		cell(24, 1.0, SchemeEUA, 1000),
 	}}
-	current := Report{Version: 1, Cells: []Measurement{
+	current := Report{Version: reportVersion, Cells: []Measurement{
 		cell(8, 0.5, SchemeEUA, 1000),
 		cell(8, 1.0, SchemeEUA, 1100),  // +10%: inside 15% tolerance
 		cell(24, 1.0, SchemeEUA, 1300), // +30%: regression
 		cell(64, 1.0, SchemeEUA, 9999), // not in baseline: ignored
 	}}
-	regs, drift := Compare(current, baseline, 0.15)
-	if drift != 1 {
-		t.Fatalf("drift %v, want 1 (lower quartile of {1, 1.1, 1.3})", drift)
-	}
+	regs := Compare(current, baseline, 0.15)
 	if len(regs) != 1 {
 		t.Fatalf("got %d regressions %v, want 1", len(regs), regs)
 	}
@@ -82,47 +80,32 @@ func TestCompare(t *testing.T) {
 	if s := regs[0].String(); !strings.Contains(s, "+30.0%") {
 		t.Fatalf("regression rendering %q lacks the percentage", s)
 	}
-	if regs, _ := Compare(current, baseline, 0.35); len(regs) != 0 {
+	if regs := Compare(current, baseline, 0.35); len(regs) != 0 {
 		t.Fatalf("tolerance 35%% should pass, got %v", regs)
 	}
 }
 
-// TestCompareNormalizesDrift pins the machine-drift defense: a uniform
-// 30% slowdown across every cell is drift (slower host), not a
-// regression — but one cell rising far beyond the rest still trips the
-// gate after normalization.
-func TestCompareNormalizesDrift(t *testing.T) {
-	cell := func(tasks int, load float64, ns float64) Measurement {
-		return Measurement{
-			Cell:       Cell{Tasks: tasks, Load: load, Scheme: SchemeEUA, Seed: 1, Horizon: 0.4},
-			NsPerEvent: ns,
-		}
+// TestCalibrationKernel pins what the calibrated times rest on: the
+// kernel allocates nothing, so a cell's allocation count is the
+// program's own, and a repetition is scaled by the kernel time beside
+// it — a host twice as slow doubles both, which cancels.
+func TestCalibrationKernel(t *testing.T) {
+	c := newCalibrator()
+	if n := testing.AllocsPerRun(5, func() { c.time() }); n != 0 {
+		t.Fatalf("the calibration kernel allocates %v times per timing", n)
 	}
-	baseline := Report{Version: 1, Cells: []Measurement{
-		cell(8, 0.5, 1000), cell(8, 1.0, 1000), cell(8, 1.6, 1000), cell(24, 1.0, 1000),
-	}}
-	uniform := Report{Version: 1, Cells: []Measurement{
-		cell(8, 0.5, 1300), cell(8, 1.0, 1300), cell(8, 1.6, 1300), cell(24, 1.0, 1300),
-	}}
-	regs, drift := Compare(uniform, baseline, 0.15)
-	if len(regs) != 0 {
-		t.Fatalf("uniform slowdown flagged as regression: %v", regs)
+	if k := c.time(); k <= 0 {
+		t.Fatalf("kernel time %v", k)
 	}
-	if drift != 1.3 {
-		t.Fatalf("drift %v, want 1.3", drift)
-	}
-	spiked := Report{Version: 1, Cells: []Measurement{
-		cell(8, 0.5, 1300), cell(8, 1.0, 1300), cell(8, 1.6, 1300), cell(24, 1.0, 2600),
-	}}
-	regs, _ = Compare(spiked, baseline, 0.15)
-	if len(regs) != 1 || regs[0].Current != 2600 {
-		t.Fatalf("spike not isolated after drift normalization: %v", regs)
+	a, b := newCalibrator(), newCalibrator()
+	if a.m[a.keys[0]] != b.m[b.keys[0]] || a.base[17] != b.base[17] || len(a.m) != calibKeys {
+		t.Fatal("the kernel's inputs are not fixed")
 	}
 }
 
 // TestReportRoundTrip checks WriteJSON/ReadJSON and the version guard.
 func TestReportRoundTrip(t *testing.T) {
-	rep := Report{Version: 1, Go: "go-test", Cells: []Measurement{{
+	rep := Report{Version: reportVersion, Go: "go-test", Cells: []Measurement{{
 		Cell:       Cell{Tasks: 8, Load: 0.5, Scheme: SchemeEUA, Seed: 1, Horizon: 0.4},
 		NsPerEvent: 123, AllocsPerEvent: 4.5, EventsPerSec: 1e6, Events: 1000, Reps: 3,
 	}}}
@@ -137,14 +120,14 @@ func TestReportRoundTrip(t *testing.T) {
 	if len(got.Cells) != 1 || got.Cells[0] != rep.Cells[0] || got.Go != rep.Go {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}
-	if _, err := ReadJSON(strings.NewReader(`{"version":2}`)); err == nil {
-		t.Fatal("want version guard error")
+	if _, err := ReadJSON(strings.NewReader(`{"version":1}`)); err == nil {
+		t.Fatal("want version guard error: a version 1 report holds uncalibrated times")
 	}
 }
 
 // TestCompareFlagsAllocations pins the allocation gate: a cell whose
 // allocs/event exceeds its baseline by more than AllocSlack is flagged
-// however fast it ran, with no drift normalization; one within the slack
+// however fast it ran; one within the slack
 // or below its baseline passes.
 func TestCompareFlagsAllocations(t *testing.T) {
 	cell := func(tasks int, ns, allocs float64) Measurement {
@@ -153,15 +136,15 @@ func TestCompareFlagsAllocations(t *testing.T) {
 			NsPerEvent: ns, AllocsPerEvent: allocs,
 		}
 	}
-	baseline := Report{Version: 1, Cells: []Measurement{
+	baseline := Report{Version: reportVersion, Cells: []Measurement{
 		cell(8, 1000, 0.2), cell(24, 1000, 0.2), cell(64, 1000, 0.2),
 	}}
-	current := Report{Version: 1, Cells: []Measurement{
+	current := Report{Version: reportVersion, Cells: []Measurement{
 		cell(8, 500, 0.2+AllocSlack/2), // within the slack
 		cell(24, 500, 2.1),             // one allocation per event came back
 		cell(64, 500, 0.1),             // fewer allocations: fine
 	}}
-	regs, _ := Compare(current, baseline, 0.15)
+	regs := Compare(current, baseline, 0.15)
 	if len(regs) != 1 || regs[0].Metric != MetricAllocs || regs[0].Key != current.Cells[1].Key() {
 		t.Fatalf("got %v, want one allocs/event regression on %s", regs, current.Cells[1].Key())
 	}

@@ -1,6 +1,7 @@
 package baseline_test
 
 import (
+	"math"
 	"testing"
 
 	"github.com/euastar/euastar/internal/cpu"
@@ -9,6 +10,9 @@ import (
 	"github.com/euastar/euastar/internal/sched"
 	"github.com/euastar/euastar/internal/sched/baseline"
 	"github.com/euastar/euastar/internal/task"
+	"github.com/euastar/euastar/internal/telemetry"
+	"github.com/euastar/euastar/internal/tuf"
+	"github.com/euastar/euastar/internal/uam"
 )
 
 // TestDensityRanking: during an overload both UA schedulers run the
@@ -112,5 +116,52 @@ func TestGUSEndToEndWithResources(t *testing.T) {
 	rep := metrics.Analyze(simulate(t, task.Set{a, b}, baseline.NewGUS(), 1.0, 5))
 	if rep.Released == 0 || rep.Completed+rep.Aborted != rep.Released {
 		t.Fatalf("report %+v", rep)
+	}
+}
+
+// nanTUF is a caller's TUF whose utility is NaN wherever it is defined.
+type nanTUF struct{ tuf.Step }
+
+func (nanTUF) Utility(float64) float64 { return math.NaN() }
+
+// TestUANaNDensity pins what DASA and GUS do with a NaN density, which a
+// caller's TUF can produce. Their stable sort by density runs over the
+// critical-time order and leaves a NaN where that order put it, and no
+// density moves past it; the greedy counts it as a positive candidate.
+// Here N (NaN, earliest critical time), B (high density) and A (low)
+// are released together, and N and B do not fit together: in every
+// ready order the greedy tries N, B and A, keeps N and A, and runs N.
+func TestUANaNDensity(t *testing.T) {
+	fm := cpu.PowerNowK6().Max()
+	n := &task.Task{
+		ID: 1, Arrival: uam.Spec{A: 1, P: 0.125},
+		TUF:    nanTUF{tuf.NewStep(5, 0.125)},
+		Demand: task.Demand{Mean: 0.1 * fm},
+		Req:    task.Requirement{Nu: 1, Rho: 0.9},
+	}
+	b, a := stepTask(2, 0.25, 100, 0.16*fm), stepTask(3, 0.5, 1, 0.05*fm)
+	ts := task.Set{n, b, a}
+	orders := [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
+	for _, mk := range []func() *baseline.UA{baseline.NewDASA, baseline.NewGUS} {
+		for _, order := range orders {
+			s := mk()
+			c := ctx(ts)
+			c.Telemetry = telemetry.NewRegistry()
+			if err := s.Init(c); err != nil {
+				t.Fatal(err)
+			}
+			ready := make([]*task.Job, len(order))
+			for i, k := range order {
+				ready[i] = job(ts[k], uint64(k)+1)
+			}
+			d := s.Decide(0, ready)
+			if d.Run == nil || d.Run.Task != n {
+				t.Fatalf("%s, order %v: runs %v, want the NaN job", s.Name(), order, d.Run)
+			}
+			iters := c.Telemetry.Counter(sched.MetricFeasIters, "", telemetry.L("scheme", s.Name())).Value()
+			if iters != 3 {
+				t.Fatalf("%s, order %v: %d feasibility iterations, want 3", s.Name(), order, iters)
+			}
+		}
 	}
 }

@@ -11,10 +11,11 @@
 // schedule, and every event rebuilds a pointer-keyed per-task map and two
 // sorts. The core replaces all of that with dense per-task caches
 // computed once at Init, per-job UER memoization with lazy invalidation,
-// an indexed max-heap in place of the sorts, and an in-place greedy
-// insertion that reuses the feasibility prefix sums — while performing
-// floating-point operations on the same operands in the same order, which
-// is what makes the results bit-identical rather than merely close:
+// two job orders kept across decisions in place of the sorts, and an
+// in-place greedy insertion that reuses the feasibility prefix sums —
+// while performing floating-point operations on the same operands in the
+// same order, which is what makes the results bit-identical rather than
+// merely close:
 //
 //   - Cycle allocations c_i = Cantelli(E, Var, ρ) are pure functions of
 //     the task's effective demand moments. For tasks without an online
@@ -39,20 +40,38 @@
 //   - The literal algorithm sorts live jobs by critical time (a total
 //     order: AbsCritical, Arrival, Task.ID, Index) and then stable-sorts
 //     by UER descending. Because the underlying order is total, the
-//     composition is the unique order (UER desc, ties by sched.Less);
-//     popping an indexed max-heap with exactly that comparator yields
-//     the identical permutation without allocating.
+//     composition is the unique order (UER desc, ties by sched.Less)
+//     whenever no UER is NaN. The core keeps both orders across
+//     decisions (keepCritical, keepUER). A job's sched.Less keys never
+//     change, so the critical-time order of the jobs still live is the
+//     previous decision's order with the departed jobs dropped; arrivals
+//     are sorted and merged in. The UER order likewise keeps every job
+//     whose UER equals the one it was ranked by, and re-places the rest:
+//     for memoized step-TUF jobs at most the running job, for non-step
+//     TUFs and profiled tasks every job whose UER moved. Any correct
+//     ordering under a strict total order is the same permutation, so
+//     the greedy visits the jobs exactly as the literal sorts would.
+//     A job finds its entry in this decision's live list through the
+//     LivePos hint in its SchedCache, which is written for every live job
+//     before any is read and verified on every read (live[hint] is the
+//     job), so a hint another instance overwrote costs nothing. Ranks are
+//     positions in the critical-time order, so comparing ranks is
+//     comparing with sched.Less.
+//   - A NaN UER has no place in the UER order: the literal stable sort
+//     leaves it where the critical-time order put it and stops lesser
+//     UERs in front of it, which depends on the other jobs. The core and
+//     the reference both rank it after every positive UER, and the greedy
+//     never inserts it, as it never inserts a job of UER ≤ 0.
 //   - Underload shortcut (edfHead): by Theorem 2 the greedy yields EDF in
-//     underload. Before the greedy runs, the positive-UER jobs are sorted
-//     by sched.Less and their finish times replayed at f_m with the
-//     greedy's own test. If all pass, every trial the greedy would make
-//     tests a subsequence of this order, whose finish times cannot exceed
-//     the full order's: each term is positive and rounded addition is
-//     monotone. So the greedy would insert every job, its schedule is
-//     this order, and its iteration count is the number of jobs. Budget
-//     rationing depends on UER order, so budget-aware EUA* always runs
-//     the greedy. The screen and the split replay in edfHead only make
-//     a failing replay cheaper; they never change its verdict.
+//     underload. Before the greedy runs, the finish times of the
+//     positive-UER jobs are replayed at f_m in the kept critical-time
+//     order with the greedy's own test. If all pass, every trial the
+//     greedy would make tests a subsequence of this order, whose finish
+//     times cannot exceed the full order's: each term is positive and
+//     rounded addition is monotone. So the greedy would insert every job,
+//     its schedule is this order, and its iteration count is the number
+//     of jobs. Budget rationing depends on UER order, so budget-aware
+//     EUA* always runs the greedy.
 //   - Greedy insertion: the literal algorithm copies the schedule and
 //     re-walks Feasible(tent) per candidate. Feasible accumulates
 //     t += c_j/f_m left to right, so the accumulated value before any
@@ -60,18 +79,24 @@
 //     not change. The core therefore caches fin[k] (the accumulated
 //     time after slot k), starts each trial at fin[i−1], and replays
 //     only the candidate and the suffix: the same additions on the same
-//     floats as Feasible(tent). Prefix checks are implied by the
-//     invariant that the current schedule passed its own checks with
-//     unchanged fin values.
+//     floats as Feasible(tent). rem/f_m and X + 1e-12·X are computed once
+//     per job per decision, the same expressions on the same operands.
+//     Prefix checks are implied by the invariant that the current
+//     schedule passed its own checks with unchanged fin values.
 //   - decideFreq builds its look-ahead entries in ctx.Tasks order and
 //     calls sched.LookAheadFrequency on one reusable buffer; the
 //     deferral loop's sort permutes entries with equal critical times
 //     exactly as the literal sort.Slice version did, so the summation
-//     order — and the float — is unchanged.
+//     order — and the float — is unchanged. A task's earliest pending job
+//     is its first job in the kept critical-time order.
 //   - The UAM release history is a fixed ring of the last a_i release
 //     times per task (uam.Window, shared with the engine's watchdog)
 //     instead of a re-sliced, re-appended slice: the same values, read
 //     oldest first.
+//
+// Under partitioning, one engine run holds several instances of this
+// core, one per core, and their jobs share the SchedCache slot. Each job
+// is decided by its own core's instance only.
 package eua
 
 import (
@@ -84,9 +109,9 @@ import (
 	"github.com/euastar/euastar/internal/uam"
 )
 
-// fastState holds the core's per-task caches, release history and
-// reusable scratch buffers. It lives inside Scheduler and is populated by
-// initFast.
+// fastState holds the core's per-task caches, release history, the two
+// job orders kept across decisions and reusable scratch buffers. It lives
+// inside Scheduler and is populated by initFast.
 type fastState struct {
 	fm         float64 // f_m, the highest table frequency
 	perCycleFM float64 // E(f_m), cached (pure in the model coefficients)
@@ -106,19 +131,46 @@ type fastState struct {
 	ecRate       float64
 	ecMaxP       float64
 
-	// Scratch buffers reused across events (never escape into Decisions).
-	live     []*task.Job
-	liveTi   []int32   // table position per live job, -1 outside the table
-	rem      []float64 // EstimatedRemaining per live job
-	uer      []float64 // UER per live job
-	edf      []edfSlot // positive-UER live jobs in critical-time order
-	heap     []int32   // indexed max-heap over live
-	order    []*task.Job
-	orderRem []float64
-	fin      []float64 // fin[k]: accumulated time after executing order[..k]
-	earliest []int32   // per task: live index of earliest pending job, -1 none
-	pending  []int32   // per task: pending job count
+	// The orders kept across decisions: the live jobs of the last
+	// decision in sched.Less order, and the positive-UER live jobs of the
+	// last greedy in (UER desc, sched.Less) order with the UERs they were
+	// ranked by.
+	critJobs []*task.Job
+	uerJobs  []*task.Job
+	uerKeys  []float64
+
+	// Scratch buffers reused across events (never escape into Decisions),
+	// sized at Init from Σ a_i, the UAM bound on live jobs under abortion.
+	live     []liveJob
+	crit     []int32 // live indices in critical-time order
+	byUER    []int32 // positive-UER live indices in UER order
+	add      []int32 // live indices to merge into crit or byUER
+	tent     []slot  // the greedy's tentative schedule
+	earliest []int32 // per task: live index of earliest pending job, -1 none
+	pending  []int32 // per task: pending job count
 	entries  []sched.LookAheadEntry
+}
+
+// liveJob is one job of a decision's live list with the values every
+// reader of the kept orders needs.
+type liveJob struct {
+	j    *task.Job
+	rem  float64 // EstimatedRemaining
+	uer  float64
+	dur  float64 // rem/f_m
+	thr  float64 // feasibility threshold X + 1e-12·X
+	ti   int32   // table position, -1 outside the table
+	rank int32   // position in the critical-time order, -1 until placed
+	// inUER marks a job the kept UER order still holds at its place.
+	inUER bool
+}
+
+// slot is one job of the greedy's tentative schedule: its rem/f_m and
+// threshold, fin (the accumulated time after it), its critical-time rank
+// and its live index.
+type slot struct {
+	dur, thr, fin float64
+	rank, i       int32
 }
 
 // initFast populates the caches. Called at the end of Init.
@@ -126,6 +178,10 @@ func (s *Scheduler) initFast() {
 	ts := s.ctx.Tasks
 	n := len(ts)
 	fm := s.ctx.Freqs.Max()
+	window := 0
+	for _, t := range ts {
+		window += t.Arrival.A
+	}
 	s.fp = fastState{
 		fm:           fm,
 		perCycleFM:   s.ctx.Energy.PerCycle(fm),
@@ -135,14 +191,19 @@ func (s *Scheduler) initFast() {
 		stepUER:      make([]bool, n),
 		arrivals:     make([]uam.Window, n),
 		allCacheable: true,
+		critJobs:     make([]*task.Job, 0, window),
+		uerJobs:      make([]*task.Job, 0, window),
+		uerKeys:      make([]float64, 0, window),
+		live:         make([]liveJob, 0, window),
+		crit:         make([]int32, 0, window),
+		byUER:        make([]int32, 0, window),
+		add:          make([]int32, 0, window),
+		tent:         make([]slot, 0, window),
 		earliest:     make([]int32, n),
 		pending:      make([]int32, n),
+		entries:      make([]sched.LookAheadEntry, 0, 2*n),
 	}
 	fp := &s.fp
-	window := 0
-	for _, t := range ts {
-		window += t.Arrival.A
-	}
 	history := make([]float64, window)
 	for ti, t := range ts {
 		f := s.optimalFrequency(t)
@@ -189,58 +250,14 @@ func (s *Scheduler) fastUER(now float64, j *task.Job, ti int, rem float64) float
 	return j.UtilityAt(now+rem/fp.fm) / (rem * fp.perCycleFM)
 }
 
-// heapLess orders live indices by UER descending, breaking exact ties by
-// the critical-time total order — the composition of the literal
-// algorithm's critical-time sort and stable UER sort.
-func (s *Scheduler) heapLess(a, b int32) bool {
-	ua, ub := s.fp.uer[a], s.fp.uer[b]
-	if ua != ub {
-		return ua > ub
+// liveIndex returns j's index in this decision's live list, or -1 when j
+// is not live. It reads the LivePos hint, which decideFast writes for
+// every live job before any order is repaired, and verifies it.
+func (fp *fastState) liveIndex(j *task.Job) int32 {
+	if p := j.SchedCache.LivePos; uint(p) < uint(len(fp.live)) && fp.live[p].j == j {
+		return p
 	}
-	return sched.Less(s.fp.live[a], s.fp.live[b])
-}
-
-func (s *Scheduler) heapDown(i int) {
-	h := s.fp.heap
-	n := len(h)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		best := l
-		if r := l + 1; r < n && s.heapLess(h[r], h[l]) {
-			best = r
-		}
-		if !s.heapLess(h[best], h[i]) {
-			return
-		}
-		h[i], h[best] = h[best], h[i]
-		i = best
-	}
-}
-
-// heapInit builds the max-heap over all live indices.
-func (s *Scheduler) heapInit(n int) {
-	h := s.fp.heap[:0]
-	for i := 0; i < n; i++ {
-		h = append(h, int32(i))
-	}
-	s.fp.heap = h
-	for i := n/2 - 1; i >= 0; i-- {
-		s.heapDown(i)
-	}
-}
-
-// heapPop removes and returns the highest-priority live index.
-func (s *Scheduler) heapPop() int32 {
-	h := s.fp.heap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	s.fp.heap = h[:last]
-	s.heapDown(0)
-	return top
+	return -1
 }
 
 // decideFast is Decide's body (Algorithm 1). It mirrors the literal
@@ -256,23 +273,25 @@ func (s *Scheduler) decideFast(now float64, ready []*task.Job) sched.Decision {
 	// remaining-cycle estimates and UERs. Aborts are rare and escape into
 	// the Decision, so they are allocated fresh; everything else reuses
 	// scratch.
-	live, liveTi := fp.live[:0], fp.liveTi[:0]
-	rem, uer := fp.rem[:0], fp.uer[:0]
+	live := fp.live[:0]
 	var aborts []*task.Job
 	for _, j := range ready {
 		ti := tab.Pos(j)
 		r := tab.Remaining(j, ti)
-		if now+r/fm > j.Termination+1e-12*j.Termination {
+		d, thr := r/fm, j.Termination+1e-12*j.Termination
+		if now+d > thr {
 			j.AbortReason = "infeasible at f_m"
 			aborts = append(aborts, j)
 			continue
 		}
-		live = append(live, j)
-		liveTi = append(liveTi, int32(ti))
-		rem = append(rem, r)
-		uer = append(uer, s.fastUER(now, j, ti, r))
+		j.SchedCache.LivePos = int32(len(live))
+		live = append(live, liveJob{
+			j: j, rem: r, uer: s.fastUER(now, j, ti, r), dur: d, thr: thr,
+			ti: int32(ti), rank: -1,
+		})
 	}
-	fp.live, fp.liveTi, fp.rem, fp.uer = live, liveTi, rem, uer
+	fp.live = live
+	s.keepCritical()
 	if len(live) == 0 {
 		return sched.Decision{Abort: aborts}
 	}
@@ -281,14 +300,9 @@ func (s *Scheduler) decideFast(now float64, ready []*task.Job) sched.Decision {
 	if s.noUER {
 		// Ablation: plain EDF order — the head is the critical-time
 		// minimum, no feasibility filtering.
-		jexe = live[0]
-		for _, j := range live[1:] {
-			if sched.Less(j, jexe) {
-				jexe = j
-			}
-		}
+		jexe = live[fp.crit[0]].j
 	} else {
-		jexe = s.greedyHeadFast(now, fm)
+		jexe = s.greedyHeadFast(now)
 		if jexe == nil {
 			return sched.Decision{Abort: aborts}
 		}
@@ -302,24 +316,122 @@ func (s *Scheduler) decideFast(now float64, ready []*task.Job) sched.Decision {
 	return sched.Decision{Run: jexe, Freq: fexe, Abort: aborts}
 }
 
+// keepCritical repairs the kept critical-time order for this decision:
+// it drops the jobs that left the live list, merges the arrivals in,
+// and ranks every live job by its position.
+func (s *Scheduler) keepCritical() {
+	fp := &s.fp
+	live := fp.live
+	crit := fp.crit[:0]
+	for _, j := range fp.critJobs {
+		if p := fp.liveIndex(j); p >= 0 {
+			live[p].rank = 0
+			crit = append(crit, p)
+		}
+	}
+	if len(crit) < len(live) {
+		add := fp.add[:0]
+		for i := range live {
+			if live[i].rank < 0 {
+				add = append(add, int32(i))
+			}
+		}
+		crit = mergeSorted(crit, add, func(a, b int32) bool { return sched.Less(live[a].j, live[b].j) })
+		fp.add = add
+	}
+	critJobs := fp.critJobs[:0]
+	for r, i := range crit {
+		live[i].rank = int32(r)
+		critJobs = append(critJobs, live[i].j)
+	}
+	fp.crit, fp.critJobs = crit, critJobs
+}
+
+// keepUER repairs the kept UER order for this decision: it keeps the
+// jobs still live whose UER is the one they were ranked by, and merges
+// in every other positive-UER live job.
+func (s *Scheduler) keepUER() {
+	fp := &s.fp
+	live := fp.live
+	byUER := fp.byUER[:0]
+	for k, j := range fp.uerJobs {
+		if p := fp.liveIndex(j); p >= 0 && live[p].uer == fp.uerKeys[k] {
+			live[p].inUER = true
+			byUER = append(byUER, p)
+		}
+	}
+	add := fp.add[:0]
+	for i := range live {
+		if live[i].uer > 0 && !live[i].inUER {
+			add = append(add, int32(i))
+		}
+	}
+	if len(add) > 0 {
+		byUER = mergeSorted(byUER, add, func(a, b int32) bool {
+			ua, ub := live[a].uer, live[b].uer
+			return ua > ub || ua == ub && live[a].rank < live[b].rank
+		})
+	}
+	uerJobs, uerKeys := fp.uerJobs[:0], fp.uerKeys[:0]
+	for _, i := range byUER {
+		uerJobs = append(uerJobs, live[i].j)
+		uerKeys = append(uerKeys, live[i].uer)
+	}
+	fp.byUER, fp.add, fp.uerJobs, fp.uerKeys = byUER, add, uerJobs, uerKeys
+}
+
+// mergeSorted sorts add by before, a strict total order, and merges it
+// into dst, already sorted by before. Each element of add finds its
+// place by binary search, and every element of dst moves at most once.
+func mergeSorted(dst, add []int32, before func(a, b int32) bool) []int32 {
+	slices.SortFunc(add, func(a, b int32) int {
+		if before(a, b) {
+			return -1
+		}
+		return 1
+	})
+	hi := len(dst)
+	dst = append(dst, add...)
+	w := len(dst)
+	for k := len(add) - 1; k >= 0; k-- {
+		a := add[k]
+		// lo: the first position of dst[:hi] whose element follows a.
+		lo, h := 0, hi
+		for lo < h {
+			mid := int(uint(lo+h) >> 1)
+			if before(a, dst[mid]) {
+				h = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		w -= hi - lo
+		copy(dst[w:], dst[lo:hi])
+		hi = lo
+		w--
+		dst[w] = a
+	}
+	return dst
+}
+
 // greedyHeadFast runs Algorithm 1 lines 12–18 over fp.live and returns the
 // head of the resulting feasible schedule (nil if it is empty): jobs are
-// drawn from the UER max-heap and inserted at their critical-time position
-// when the schedule stays feasible at f_m. Without budget rationing it
-// first tries edfHead, which settles the decisions where the greedy would
-// insert every positive-UER job.
-func (s *Scheduler) greedyHeadFast(now, fm float64) *task.Job {
+// drawn in the kept UER order and inserted at their critical-time
+// position when the schedule stays feasible at f_m. Without budget
+// rationing it first tries edfHead, which settles the decisions where the
+// greedy would insert every positive-UER job.
+func (s *Scheduler) greedyHeadFast(now float64) *task.Job {
 	if !s.budgetAware {
-		if head, n, ok := s.edfHead(now, fm); ok {
+		if head, n, ok := s.edfHead(now); ok {
 			s.ins.FeasibilityIterations(n)
 			return head
 		}
 	}
+	s.keepUER()
 	fp := &s.fp
-	live, rem, uer := fp.live, fp.rem, fp.uer
-	s.heapInit(len(live))
+	live := fp.live
 
-	order, orderRem, fin := fp.order[:0], fp.orderRem[:0], fp.fin[:0]
+	tent := fp.tent[:0]
 	committed := 0.0
 	budgetLeft := math.Inf(1)
 	constrained := false
@@ -328,16 +440,12 @@ func (s *Scheduler) greedyHeadFast(now, fm float64) *task.Job {
 		constrained = s.energyConstrained(budgetLeft)
 	}
 	iters := 0
-	for len(fp.heap) > 0 {
-		idx := s.heapPop()
-		if uer[idx] <= 0 {
-			break // heap order: no later job has positive UER
-		}
-		j := live[idx]
+	for _, idx := range fp.byUER {
+		c := &live[idx]
 		cost := 0.0
 		if s.budgetAware {
-			_, perCycle := s.fo(int(fp.liveTi[idx]), j.Task)
-			cost = rem[idx] * perCycle
+			_, perCycle := s.fo(int(c.ti), c.j.Task)
+			cost = c.rem * perCycle
 			if committed+cost > budgetLeft {
 				// The battery cannot pay for this job on top of the
 				// higher-UER work already committed: ration it out (it
@@ -349,18 +457,18 @@ func (s *Scheduler) greedyHeadFast(now, fm float64) *task.Job {
 			// energy-weighted average utility-per-energy dilutes it —
 			// those joules are worth more on the better tasks' future
 			// jobs.
-			if constrained && uer[idx] < s.fleetUER {
+			if constrained && c.uer < s.fleetUER {
 				continue
 			}
 		}
 		iters++
-		// Insertion position: first slot whose job follows j in the
+		// Insertion position: first slot whose job follows c in the
 		// critical-time total order (sort.Search semantics of
-		// InsertByCritical).
-		lo, hi := 0, len(order)
+		// InsertByCritical), by rank.
+		lo, hi := 0, len(tent)
 		for lo < hi {
 			mid := int(uint(lo+hi) >> 1)
-			if sched.Less(j, order[mid]) {
+			if c.rank < tent[mid].rank {
 				hi = mid
 			} else {
 				lo = mid + 1
@@ -371,51 +479,40 @@ func (s *Scheduler) greedyHeadFast(now, fm float64) *task.Job {
 		// prefix sum, visiting only the candidate and the suffix.
 		t := now
 		if i > 0 {
-			t = fin[i-1]
+			t = tent[i-1].fin
 		}
-		t += rem[idx] / fm
-		ok := !(t > j.Termination+1e-12*j.Termination)
-		if ok {
-			for k := i; k < len(order); k++ {
-				t += orderRem[k] / fm
-				if t > order[k].Termination+1e-12*order[k].Termination {
-					ok = false
-					break
-				}
-			}
+		t += c.dur
+		ok := !(t > c.thr)
+		for k := i; ok && k < len(tent); k++ {
+			t += tent[k].dur
+			ok = !(t > tent[k].thr)
 		}
 		if ok {
-			order = append(order, nil)
-			copy(order[i+1:], order[i:])
-			order[i] = j
-			orderRem = append(orderRem, 0)
-			copy(orderRem[i+1:], orderRem[i:])
-			orderRem[i] = rem[idx]
-			fin = append(fin, 0)
+			tent = slices.Insert(tent, i, slot{dur: c.dur, thr: c.thr, rank: c.rank, i: idx})
 			t = now
 			if i > 0 {
-				t = fin[i-1]
+				t = tent[i-1].fin
 			}
-			for k := i; k < len(order); k++ {
-				t += orderRem[k] / fm
-				fin[k] = t
+			for k := i; k < len(tent); k++ {
+				t += tent[k].dur
+				tent[k].fin = t
 			}
 			committed += cost
 		} else if s.strictBreak {
 			break
 		}
 	}
-	fp.order, fp.orderRem, fp.fin = order, orderRem, fin
+	fp.tent = tent
 	s.ins.FeasibilityIterations(iters)
-	if len(order) == 0 {
+	if len(tent) == 0 {
 		return nil
 	}
-	return order[0]
+	return live[tent[0].i].j
 }
 
 // edfHead is the underload shortcut of greedyHeadFast (Theorem 2: in
-// underload the greedy yields EDF). It sorts the positive-UER live jobs
-// into critical-time order and replays their finish times at f_m with the
+// underload the greedy yields EDF). It replays the finish times of the
+// positive-UER live jobs at f_m in the kept critical-time order with the
 // greedy's own test. If every job passes, the greedy would insert every
 // one of them, so its schedule is this order: edfHead returns the head
 // and the greedy's iteration count, one per positive-UER job, with ok
@@ -427,73 +524,24 @@ func (s *Scheduler) greedyHeadFast(now, fm float64) *task.Job {
 // no finish time in a subsequence exceeds the same job's finish time
 // here. Hence each of the greedy's trials passes whenever this replay
 // does, with or without the strict break.
-func (s *Scheduler) edfHead(now, fm float64) (head *task.Job, n int, ok bool) {
-	fp := &s.fp
-	live, rem := fp.live, fp.rem
-	edf := fp.edf[:0]
-	// work and latest screen out overloads before the sort: when the
-	// summed work overruns the latest threshold, the replay cannot pass
-	// (up to rounding, which can only send a passing replay on to the
-	// greedy).
-	work, latest := now, 0.0
-	first, last := math.Inf(1), math.Inf(-1)
-	for i, u := range fp.uer {
-		if u > 0 {
-			j := live[i]
-			thr := j.Termination + 1e-12*j.Termination
-			edf = append(edf, edfSlot{crit: j.AbsCritical, thr: thr, i: int32(i)})
-			work += rem[i] / fm
-			latest = max(latest, thr)
-			first, last = min(first, j.AbsCritical), max(last, j.AbsCritical)
-		} else if math.IsNaN(u) {
-			return nil, 0, false // no UER order to reason about
-		}
-	}
-	fp.edf = edf
-	if len(edf) == 0 {
-		return nil, 0, true
-	}
-	if work > latest {
-		return nil, 0, false
-	}
-	// The replay sorts and checks the jobs critical within the first
-	// eighth of the span before it sorts the rest: they are exactly the
-	// head of the order, and an overload usually shows among them.
-	cut := first + (last-first)/8
-	k := 0
-	for i := range edf {
-		if edf[i].crit <= cut {
-			edf[i], edf[k] = edf[k], edf[i]
-			k++
-		}
-	}
-	// sched.Less is a total order on distinct jobs, so "not before" is
-	// "after".
-	byCritical := func(a, b edfSlot) int {
-		if a.crit < b.crit || a.crit == b.crit && sched.Less(live[a.i], live[b.i]) {
-			return -1
-		}
-		return 1
-	}
+func (s *Scheduler) edfHead(now float64) (head *task.Job, n int, ok bool) {
+	live := s.fp.live
 	t := now
-	for _, part := range [2][]edfSlot{edf[:k], edf[k:]} {
-		slices.SortFunc(part, byCritical)
-		for _, e := range part {
-			t += rem[e.i] / fm
-			if t > e.thr {
-				return nil, 0, false
-			}
+	for _, i := range s.fp.crit {
+		c := &live[i]
+		if !(c.uer > 0) {
+			continue
 		}
+		t += c.dur
+		if t > c.thr {
+			return nil, 0, false
+		}
+		if n == 0 {
+			head = c.j
+		}
+		n++
 	}
-	return live[edf[0].i], len(edf), true
-}
-
-// edfSlot is one job of edfHead's replay: its live index, its absolute
-// critical time (the first key of sched.Less, inline for the sort) and
-// its feasibility threshold X + 1e-12·X.
-type edfSlot struct {
-	crit, thr float64
-	i         int32
+	return head, n, true
 }
 
 // decideFreqFast is Algorithm 2, the stochastic DVS technique, over the
@@ -503,22 +551,22 @@ type edfSlot struct {
 // sched.LookAheadFrequency.
 func (s *Scheduler) decideFreqFast(now float64, jexe *task.Job) float64 {
 	fp := &s.fp
-	live, liveTi, rem := fp.live, fp.liveTi, fp.rem
+	live := fp.live
 
-	// Dense per-task view: minimum by the critical-time total order is
-	// iteration-order independent, so this matches the reference's
-	// per-task map.
+	// Dense per-task view: a task's earliest pending job is its first in
+	// the critical-time order, which matches the reference's per-task
+	// minimum by sched.Less.
 	for ti := range fp.earliest {
 		fp.earliest[ti] = -1
 		fp.pending[ti] = 0
 	}
-	for li, j := range live {
-		ti := liveTi[li]
+	for _, li := range fp.crit {
+		ti := live[li].ti
 		if ti < 0 {
 			continue
 		}
-		if e := fp.earliest[ti]; e < 0 || sched.Less(j, live[e]) {
-			fp.earliest[ti] = int32(li)
+		if fp.earliest[ti] < 0 {
+			fp.earliest[ti] = li
 		}
 		fp.pending[ti]++
 	}
@@ -540,13 +588,13 @@ func (s *Scheduler) decideFreqFast(now float64, jexe *task.Job) float64 {
 			entries = append(entries, entry)
 			continue
 		}
-		e := fp.earliest[ti]
-		remaining := rem[e] + float64(t.Arrival.A-1)*alloc
+		e := &live[fp.earliest[ti]]
+		remaining := e.rem + float64(t.Arrival.A-1)*alloc
 		if s.noWindowed {
-			remaining = rem[e]
+			remaining = e.rem
 		}
 		entries = append(entries, sched.LookAheadEntry{
-			AbsCritical: live[e].AbsCritical,
+			AbsCritical: e.j.AbsCritical,
 			Remaining:   remaining,
 			StaticUtil:  tab.MinFreq(ti),
 		})

@@ -7,7 +7,7 @@ package eua
 // model, jobs are ranked by two sorts, every insertion trial copies the
 // tentative schedule, the release history is a re-sliced per-task slice,
 // and the deferral loop sorts with sort.Slice — so the oracle checks the
-// core's caches, heap, ring buffer and comparator-based sort, not just
+// core's caches, kept orders, ring buffer and look-ahead sort, not just
 // its arithmetic.
 
 import (
@@ -85,6 +85,11 @@ func (r *refScheduler) decideRef(now float64, ready []*task.Job) sched.Decision 
 	uer := make([]float64, len(live))
 	for i, j := range live {
 		uer[i] = r.UER(now, j)
+		if math.IsNaN(uer[i]) {
+			// A NaN UER ranks after every other and is never inserted
+			// (see the file comment of fastpath.go).
+			uer[i] = math.Inf(-1)
+		}
 	}
 	stableSortByUERDesc(live, uer)
 

@@ -114,7 +114,7 @@ func shortcutCases() []shortcutCase {
 
 	// Equal critical times broken by arrival (C arrives later with a
 	// shorter window), then task ID (A and B), then index (A's burst of
-	// two). Every job has the same UER, so the heap's tie-break is the
+	// two). Every job has the same UER, so the UER order's tie-break is the
 	// same order; A's first job heads it.
 	mkTies := func(mean float64) task.Set {
 		return task.Set{
@@ -227,7 +227,7 @@ func TestShortcutDecideMatchesReference(t *testing.T) {
 				if gi != wi {
 					t.Fatalf("feasibility iterations: core %d, reference %d", gi, wi)
 				}
-				if _, _, ok := core.edfHead(c.now, core.fp.fm); ok != c.shortcut {
+				if _, _, ok := core.edfHead(c.now); ok != c.shortcut {
 					t.Fatalf("shortcut settles the decision: %v, want %v", ok, c.shortcut)
 				}
 			})

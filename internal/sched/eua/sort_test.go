@@ -11,7 +11,7 @@ import (
 // order by UER non-increasing, exact UER ties keep their incoming
 // (critical-time) order, and the positional uer slice is permuted in
 // lockstep with the jobs — uer[i] must still belong to jobs[i] afterwards.
-// The fast path's heap comparator reproduces exactly this order, so a
+// The core's kept UER order reproduces exactly this order, so a
 // behaviour change here is a bit-identity break, not a refactor.
 func TestStableSortByUERDescTieBreak(t *testing.T) {
 	mk := func(id int) *task.Job {

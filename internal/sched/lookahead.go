@@ -38,13 +38,17 @@ func LookAheadFrequency(now, fmax float64, entries []LookAheadEntry) float64 {
 	if len(entries) == 0 {
 		return 0
 	}
-	// Reverse EDF order: latest absolute critical time first.
-	// slices.SortFunc runs the pdqsort sort.Slice runs for the same less
-	// relation, so equal critical times land in the same order (and the
-	// sums below in the same float) without sort.Slice's reflective
-	// swapper and escaping closure.
+	// Reverse EDF order: latest absolute critical time first. When no
+	// two critical times are equal the order is unique, and a short
+	// insertion sort finds it. Otherwise slices.SortFunc runs the pdqsort
+	// sort.Slice runs for the same less relation on the untouched input,
+	// so equal critical times land in the same order (and the sums below
+	// in the same float) without sort.Slice's reflective swapper and
+	// escaping closure.
 	order := entries
-	slices.SortFunc(order, byCriticalDesc)
+	if !sortDistinct(order) {
+		slices.SortFunc(order, byCriticalDesc)
+	}
 	dn := order[len(order)-1].AbsCritical
 
 	util := 0.0
@@ -94,4 +98,37 @@ func byCriticalDesc(a, b LookAheadEntry) int {
 		return 1
 	}
 	return 0
+}
+
+// insertionMax bounds the entry count sortDistinct sorts: up to it, an
+// insertion sort with the comparison inline beats pdqsort's calls through
+// its comparator on the entry counts laEDF and EUA* build (one or two
+// per task).
+const insertionMax = 48
+
+// sortDistinct sorts entries latest critical time first, in place, when
+// there are at most insertionMax of them and every critical time is
+// strictly ordered against every other, and reports whether it did. On
+// an equal or NaN critical time, or above insertionMax, it leaves
+// entries untouched for the tie-preserving sort. It sorts a copy on its
+// own stack, so it needs no buffer beyond the caller's entries.
+func sortDistinct(entries []LookAheadEntry) bool {
+	if len(entries) > insertionMax {
+		return false
+	}
+	var buf [insertionMax]LookAheadEntry
+	s := buf[:len(entries)]
+	for i, e := range entries {
+		k := i
+		for k > 0 && s[k-1].AbsCritical < e.AbsCritical {
+			s[k] = s[k-1]
+			k--
+		}
+		if k > 0 && !(s[k-1].AbsCritical > e.AbsCritical) {
+			return false
+		}
+		s[k] = e
+	}
+	copy(entries, s)
+	return true
 }

@@ -49,23 +49,37 @@ func lookAheadSortSlice(now, fmax float64, entries []LookAheadEntry) float64 {
 }
 
 // TestLookAheadSortMatchesSortSlice is the property behind swapping
-// sort.Slice for slices.SortFunc: on entry sets where most critical times
-// tie — where the sort's treatment of equal keys decides the order in
-// which Remaining and StaticUtil are summed — both sorts produce the same
-// permutation and the deferral loop the bit-identical float. Sizes run
-// past pdqsort's 12-element insertion-sort cutoff so partitioning,
-// equal-pivot partitioning and pattern breaking all execute.
+// sort.Slice for slices.SortFunc and, below insertionMax entries, for an
+// insertion sort that hands any tie back to it: on entry sets where most
+// critical times tie — where the sort's treatment of equal keys decides
+// the order in which Remaining and StaticUtil are summed — on sets whose
+// critical times are all distinct, and on distinct sets with one tie,
+// both sorts produce the same permutation and the deferral loop the
+// bit-identical float. Sizes run past pdqsort's 12-element
+// insertion-sort cutoff so partitioning, equal-pivot partitioning and
+// pattern breaking all execute, and on both sides of insertionMax.
 func TestLookAheadSortMatchesSortSlice(t *testing.T) {
 	src := rng.New(0x5eed)
-	for trial := 0; trial < 3000; trial++ {
+	for trial := 0; trial < 6000; trial++ {
 		n := src.Intn(200)
 		keys := make([]float64, 1+src.Intn(6)) // few distinct critical times
+		switch trial % 3 {
+		case 1: // every critical time distinct
+			n = src.Intn(2*insertionMax + 2)
+			keys = make([]float64, n)
+		case 2: // distinct but for one tie
+			n = 2 + src.Intn(2*insertionMax)
+			keys = make([]float64, n-1)
+		}
 		for i := range keys {
 			keys[i] = src.Uniform(0.01, 0.3)
 		}
 		entries := make([]LookAheadEntry, n)
 		for i := range entries {
 			d := keys[src.Intn(len(keys))]
+			if trial%3 != 0 {
+				d = keys[i%len(keys)]
+			}
 			rem := src.Uniform(0, 5e7)
 			entries[i] = LookAheadEntry{AbsCritical: d, Remaining: rem, StaticUtil: src.Uniform(0, 2e8)}
 			if src.Bernoulli(0.2) {

@@ -102,11 +102,12 @@ type Partitioned struct {
 	// sub-scheduler when m = 1.
 	probe sched.Scheduler
 
-	subs   []sched.Scheduler // per-core instances; nil for task-less cores
-	assign map[int]int       // task ID → core
-	bufs   [][]*task.Job     // reusable per-core ready buffers
-	cores  []sched.CoreDecision
-	aborts []*task.Job // reusable DecideMulti abort list
+	subs      []sched.Scheduler // per-core instances; nil for task-less cores
+	coreTasks []task.Set        // per-core task sets (nil with m = 1)
+	assign    map[int]int       // task ID → core
+	bufs      [][]*task.Job     // reusable per-core ready buffers
+	cores     []sched.CoreDecision
+	aborts    []*task.Job // reusable DecideMulti abort list
 }
 
 // New builds a partitioned wrapper running m instances of the scheme the
@@ -148,21 +149,21 @@ func (p *Partitioned) Init(ctx *sched.Context) error {
 	p.bufs = make([][]*task.Job, p.m)
 	p.cores = make([]sched.CoreDecision, p.m)
 	if p.m == 1 {
-		p.subs[0], p.assign = p.probe, nil
+		p.subs[0], p.coreTasks, p.assign = p.probe, nil, nil
 		return p.probe.Init(ctx)
 	}
 	if err := ctx.Validate(); err != nil {
 		return err
 	}
 	tables := ctx.CoreTables(p.m)
-	coreTasks := p.partition(ctx.Tasks, tables)
-	for k := range coreTasks {
-		if len(coreTasks[k]) == 0 {
+	p.coreTasks = p.partition(ctx.Tasks, tables)
+	for k, ts := range p.coreTasks {
+		if len(ts) == 0 {
 			continue // task-less core: stays idle, needs no scheduler
 		}
 		sub := p.factory()
 		sctx := &sched.Context{
-			Tasks:     coreTasks[k],
+			Tasks:     ts,
 			Freqs:     tables[k],
 			Energy:    ctx.Energy,
 			Telemetry: ctx.Telemetry,
@@ -264,7 +265,7 @@ func (p *Partitioned) DecideMulti(now float64, ready []*task.Job) sched.MultiDec
 		p.bufs[k] = p.bufs[k][:0]
 	}
 	for _, j := range ready {
-		k := p.assign[j.Task.ID]
+		k := p.coreOf(j)
 		p.bufs[k] = append(p.bufs[k], j)
 	}
 	// Both returned slices are reused by the next call, which the
@@ -308,8 +309,23 @@ func (p *Partitioned) OnEnergy(spent, budget float64) {
 	}
 }
 
-// subOf returns the wrapped instance owning j's task (core 0 with m = 1,
-// whose assignment is nil).
+// subOf returns the wrapped instance owning j's task.
 func (p *Partitioned) subOf(j *task.Job) sched.Scheduler {
-	return p.subs[p.assign[j.Task.ID]]
+	return p.subs[p.coreOf(j)]
+}
+
+// coreOf returns the core of j's task (core 0 with m = 1, whose
+// assignment is nil). The core's instance keeps the task's position in
+// its own task set in the job's SchedCache.TaskPos, and each task belongs
+// to exactly one core, so a core whose set holds j's task at that
+// position is the one; a job no instance has placed yet falls back to the
+// assignment map.
+func (p *Partitioned) coreOf(j *task.Job) int {
+	pos := uint(j.SchedCache.TaskPos)
+	for k, ts := range p.coreTasks {
+		if pos < uint(len(ts)) && ts[pos] == j.Task {
+			return k
+		}
+	}
+	return p.assign[j.Task.ID]
 }

@@ -487,3 +487,119 @@ func TestAssignmentMatchesAnalyzePacking(t *testing.T) {
 		t.Fatal("the grid never overloads a core")
 	}
 }
+
+// routeRecorder wraps a scheme's per-core instance and notes every job
+// it is asked to decide whose task is not one of its context's tasks.
+type routeRecorder struct {
+	sched.Scheduler
+	tasks     map[*task.Task]bool
+	jobs      int
+	misrouted int
+}
+
+func (r *routeRecorder) Init(ctx *sched.Context) error {
+	r.tasks = make(map[*task.Task]bool, len(ctx.Tasks))
+	for _, t := range ctx.Tasks {
+		r.tasks[t] = true
+	}
+	return r.Scheduler.Init(ctx)
+}
+
+func (r *routeRecorder) Decide(now float64, ready []*task.Job) sched.Decision {
+	for _, j := range ready {
+		r.note(j)
+	}
+	return r.Scheduler.Decide(now, ready)
+}
+
+func (r *routeRecorder) note(j *task.Job) {
+	r.jobs++
+	if !r.tasks[j.Task] {
+		r.misrouted++
+	}
+}
+
+// observingRecorder is a routeRecorder whose scheme observes releases
+// and completions; it checks their routing too.
+type observingRecorder struct{ *routeRecorder }
+
+func (o observingRecorder) OnRelease(now float64, j *task.Job) {
+	o.note(j)
+	o.Scheduler.(engine.EventObserver).OnRelease(now, j)
+}
+
+func (o observingRecorder) OnComplete(now float64, j *task.Job) {
+	o.note(j)
+	o.Scheduler.(engine.EventObserver).OnComplete(now, j)
+}
+
+// TestRoutingFollowsAssignment: every job reaches the instance of the
+// core Assignment names for its task — fresh jobs on their first
+// decision, and every job over whole runs — for EUA*, which observes
+// releases, and laEDF, which does not, on 1, 2 and 4 cores.
+func TestRoutingFollowsAssignment(t *testing.T) {
+	schemes := []struct {
+		name string
+		wrap func(*routeRecorder) sched.Scheduler
+		make func() sched.Scheduler
+	}{
+		{"EUA*", func(r *routeRecorder) sched.Scheduler { return observingRecorder{r} }, euaFactory},
+		{"laEDF", func(r *routeRecorder) sched.Scheduler { return r }, func() sched.Scheduler { return baseline.NewLAEDF(true) }},
+	}
+	ts := testSet(2.4, 5)
+	for _, sc := range schemes {
+		for _, m := range []int{1, 2, 4} {
+			var recs []*routeRecorder
+			factory := func() sched.Scheduler {
+				r := &routeRecorder{Scheduler: sc.make()}
+				recs = append(recs, r)
+				return sc.wrap(r)
+			}
+			// Fresh jobs, one per task, in one decision.
+			p := partition.New(m, partition.FirstFit, factory)
+			if err := p.Init(testCtx(ts)); err != nil {
+				t.Fatal(err)
+			}
+			jobs := make([]*task.Job, len(ts))
+			for i, tk := range ts {
+				jobs[i] = task.NewJob(tk, 0, 0, rng.New(uint64(i)+1))
+			}
+			p.DecideMulti(0, jobs)
+			cores := map[int]bool{}
+			for _, r := range recs {
+				if r.tasks == nil {
+					continue // the probe, which only names the scheme with m > 1
+				}
+				k := -1
+				for tk := range r.tasks {
+					c := p.Assignment()[tk.ID]
+					if k >= 0 && c != k {
+						t.Fatalf("%s m=%d: one instance holds tasks of cores %d and %d", sc.name, m, k, c)
+					}
+					k = c
+				}
+				cores[k] = true
+				if r.misrouted != 0 || r.jobs != len(r.tasks) {
+					t.Fatalf("%s m=%d: core %d decided %d fresh jobs, %d of them misrouted; it has %d tasks",
+						sc.name, m, k, r.jobs, r.misrouted, len(r.tasks))
+				}
+			}
+			if m > 1 && len(cores) < 2 {
+				t.Fatalf("%s m=%d: the set packed onto %d core(s)", sc.name, m, len(cores))
+			}
+			// Whole runs.
+			recs = nil
+			res := runPartitioned(t, partition.New(m, partition.FirstFit, factory), m, ts, 0.3)
+			total := 0
+			for _, r := range recs {
+				if r.misrouted != 0 {
+					t.Fatalf("%s m=%d: %d of %d jobs misrouted over a run", sc.name, m, r.misrouted, r.jobs)
+				}
+				total += r.jobs
+			}
+			if len(res.Jobs) == 0 || total < len(res.Jobs) {
+				t.Fatalf("%s m=%d: %d routed jobs for %d released", sc.name, m, total, len(res.Jobs))
+			}
+		}
+	}
+}

@@ -326,13 +326,17 @@ type Job struct {
 	// documentation reserves: the engine never reads or writes it, and a
 	// fresh job carries the zero value. Schedulers remember the job's
 	// task-table position here, and EUA*'s fast path memoizes the job's
-	// UER across scheduling events.
+	// UER across scheduling events and finds the job in its live list.
 	SchedCache SchedCache
 }
 
-// SchedCache is per-job memoization state owned by the active scheduler.
-// Exactly one scheduler instance runs per simulation, so no coordination
-// is needed; the zero value means "nothing cached".
+// SchedCache is per-job memoization state owned by the scheduler that
+// decides the job; the zero value means "nothing cached". One engine run
+// may hold several scheduler instances — a partitioned run holds one per
+// core — but each job is decided by one instance only, which alone
+// memoizes its UER. TaskPos and LivePos are hints that the instance
+// verifies on every read, so one another instance overwrote costs time,
+// never correctness.
 type SchedCache struct {
 	// UER is the cached Utility and Energy Ratio, valid only while Valid
 	// is set and the job's Executed cycles still equal ExecStamp (any
@@ -344,6 +348,10 @@ type SchedCache struct {
 	// TaskPos is the position of the job's task in the scheduler's
 	// sched.TaskTable, a hint the table verifies on every read.
 	TaskPos int32
+	// LivePos is the job's index in the live list of the EUA* decision
+	// that last saw it, a hint the decision writes before it reads any
+	// and verifies on every read.
+	LivePos int32
 }
 
 // Holds reports whether the job currently holds resource r.
