@@ -12,10 +12,12 @@
 // host that changes speed between repetitions moves the kernel and the
 // cell alike, and Sweep interleaves the repetitions across cells, so a
 // speed change hits every cell. A cell keeps the median of its
-// calibrated repetitions: over six sweeps of unchanged code on a 2-vCPU
-// VM, the medians of 15 repetitions stayed within 10.5% of each other in
-// every cell, while the minima spread by up to 40%, since one repetition
-// timed beside a slow kernel run reads fast. Allocations are counted via
+// calibrated repetitions. Over six sweeps of unchanged code on a 2-vCPU
+// VM whose speed moved by a third, a cell's median of 15 repetitions
+// spread by 7.5% in the median cell and 21% at most; the same
+// repetitions left unscaled spread by 28% and 57%. The minima spread by
+// up to 40% in an earlier set, since one repetition timed beside a slow
+// kernel run reads fast. Allocations are counted via
 // runtime.MemStats.Mallocs deltas, which include everything the run
 // allocated regardless of collection; a cell keeps their minimum.
 package bench

@@ -25,6 +25,52 @@ func TestRunSmoke(t *testing.T) {
 	}
 }
 
+// TestSweep runs a small matrix with two repetitions: every (tasks, load)
+// pair yields an eua cell, a laedf cell and one eua-part cell per core
+// count, in that order, and each keeps exactly its timed repetitions, so
+// the warm-up pass is not counted.
+func TestSweep(t *testing.T) {
+	rep, err := Sweep(Options{Reps: 2, Horizon: 0.02, Tasks: []int{4}, Loads: []float64{0.8, 1.6}, Cores: []int{1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Version != reportVersion {
+		t.Fatalf("report version %d, want %d", rep.Version, reportVersion)
+	}
+	want := []string{
+		"4/0.8/eua/1/0.02", "4/0.8/laedf/1/0.02", "4/0.8/eua-part/1/0.02", "4/0.8/eua-part/1/0.02/c2",
+		"4/1.6/eua/1/0.02", "4/1.6/laedf/1/0.02", "4/1.6/eua-part/1/0.02", "4/1.6/eua-part/1/0.02/c2",
+	}
+	if len(rep.Cells) != len(want) {
+		t.Fatalf("%d cells, want %d", len(rep.Cells), len(want))
+	}
+	for i, m := range rep.Cells {
+		if m.Key() != want[i] {
+			t.Fatalf("cell %d is %s, want %s", i, m.Key(), want[i])
+		}
+		if m.Reps != 2 || m.Events <= 0 || m.NsPerEvent <= 0 {
+			t.Fatalf("%s: %+v, want 2 repetitions with events", m.Key(), m)
+		}
+	}
+}
+
+// TestSummarize pins how a cell folds its repetitions: it keeps the
+// repetition of median ns/event, the upper one of an even count, with
+// that repetition's events/s, and the minimum allocs/event of all.
+func TestSummarize(t *testing.T) {
+	rep := func(ns, allocs float64) Measurement {
+		return Measurement{NsPerEvent: ns, AllocsPerEvent: allocs, EventsPerSec: 1e9 / ns, Events: 100}
+	}
+	m := summarize([]Measurement{rep(30, 0.5), rep(10, 0.4), rep(20, 0.2)})
+	if m.NsPerEvent != 20 || m.EventsPerSec != 1e9/20 || m.AllocsPerEvent != 0.2 || m.Reps != 3 {
+		t.Fatalf("odd count: %+v, want the 20 ns repetition with allocs 0.2 and 3 reps", m)
+	}
+	m = summarize([]Measurement{rep(40, 0.3), rep(10, 0.3), rep(30, 0.1), rep(20, 0.3)})
+	if m.NsPerEvent != 30 || m.AllocsPerEvent != 0.1 || m.Reps != 4 {
+		t.Fatalf("even count: %+v, want the 30 ns repetition with allocs 0.1 and 4 reps", m)
+	}
+}
+
 // TestCellKey pins the baseline-matching contract: uniprocessor keys are
 // byte-identical to the pre-multicore format, and the core count joins
 // the key only when it is a real multiprocessor cell.

@@ -151,8 +151,16 @@ func (r *refScheduler) decideRef(now float64, ready []*task.Job) sched.Decision 
 // plannedCost estimates the energy a job's remaining work will consume at
 // its UER-optimal frequency (the cheapest sensible execution plan).
 func (r *refScheduler) plannedCost(j *task.Job) float64 {
-	f := r.fo[j.Task.ID]
-	return j.EstimatedRemaining() * r.ctx.Energy.PerCycle(f)
+	return j.EstimatedRemaining() * r.ctx.Energy.PerCycle(r.taskFo(j.Task))
+}
+
+// taskFo returns f^o of a context task from the map Init fills, and
+// derives it afresh for a task outside the context (a foreign job's).
+func (r *refScheduler) taskFo(t *task.Task) float64 {
+	if f, ok := r.fo[t.ID]; ok {
+		return f
+	}
+	return r.optimalFrequency(t)
 }
 
 // energyConstrained sums the fleet's planned energy rate afresh on every
@@ -251,7 +259,7 @@ func (r *refScheduler) decideFreq(now float64, live []*task.Job, jexe *task.Job)
 		// Line 11: never run the selected job below its UER-optimal
 		// frequency — "we cannot decrease f_exe, but may increase it to
 		// maximize the system-level energy efficiency".
-		if fo := r.fo[jexe.Task.ID]; fo > fexe {
+		if fo := r.taskFo(jexe.Task); fo > fexe {
 			fexe = fo
 		}
 	}

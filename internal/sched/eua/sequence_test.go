@@ -43,7 +43,10 @@ func seqTasks(scale float64) task.Set {
 func seqRun(t *testing.T, seed uint64, cores []*Scheduler, ref *refScheduler) (st seqStats) {
 	t.Helper()
 	ts := seqTasks([]float64{1.0 / 16, 1.0 / 4, 1}[seed%3])
-	foreign := shortcutTask(9, 1, 0.25, tuf.NewStep(25, 0.25), 1, 0.03125*shortcutFm)
+	// The foreign task's job cannot finish by its critical time below
+	// f_m, so its f^o is f_m: every decision that runs it checks the f^o
+	// clamp, and budget rationing prices it at E(f_m).
+	foreign := shortcutTask(9, 1, 0.25, tuf.NewStep(25, 0.046875), 1, 0.03125*shortcutFm)
 	coreCtx, refCtx := shortcutCtx(ts), shortcutCtx(ts)
 	for _, c := range cores {
 		if err := c.Init(coreCtx); err != nil {
@@ -112,9 +115,7 @@ func seqRun(t *testing.T, seed uint64, cores []*Scheduler, ref *refScheduler) (s
 		case r == 4:
 			release(ts[0], true)
 			release(ts[1], true)
-		case r == 5 && !budget && src.Bernoulli(0.3):
-			// The reference prices a job for rationing by its task's
-			// f^o, which it derives for context tasks only.
+		case r == 5 && src.Bernoulli(0.3):
 			release(foreign, false)
 		}
 		// Occasionally a job leaves without the scheduler's doing.
