@@ -104,8 +104,11 @@ telemetry-smoke:
 
 # cover runs the tests with coverage and enforces the floors: the
 # scheduler core internal/sched/eua (the production core under its unit
-# and reference-oracle suites), the admission analyzer internal/admission
-# (unit + differential + golden threshold suites), the optimality oracles
+# and reference-oracle suites), the shared scheduling layer
+# internal/sched (the Sequencer against the literal loop, the task table
+# and the look-ahead, under the package's own tests), the admission
+# analyzer internal/admission (unit + differential + golden threshold
+# suites), the optimality oracles
 # internal/oracle (unit + soundness + cross-oracle suites), the
 # multi-tenant admission controller internal/tenancy, the
 # fault-injectable filesystem internal/storage, the multiprocessor
@@ -118,6 +121,8 @@ cover:
 	$(GO) tool cover -func=coverage.out | tail -1
 	$(GO) test -coverprofile=coverage-eua.out ./internal/sched/eua/
 	@$(GO) tool cover -func=coverage-eua.out | awk '/^total:/ { pct = $$3 + 0; printf "internal/sched/eua coverage: %s (floor 80%%)\n", $$3; if (pct < 80) { print "FAIL: internal/sched/eua below the 80% coverage floor"; exit 1 } }'
+	$(GO) test -coverprofile=coverage-sched.out ./internal/sched/
+	@$(GO) tool cover -func=coverage-sched.out | awk '/^total:/ { pct = $$3 + 0; printf "internal/sched coverage: %s (floor 80%%)\n", $$3; if (pct < 80) { print "FAIL: internal/sched below the 80% coverage floor"; exit 1 } }'
 	$(GO) test -coverprofile=coverage-admission.out ./internal/admission/
 	@$(GO) tool cover -func=coverage-admission.out | awk '/^total:/ { pct = $$3 + 0; printf "internal/admission coverage: %s (floor 80%%)\n", $$3; if (pct < 80) { print "FAIL: internal/admission below the 80% coverage floor"; exit 1 } }'
 	$(GO) test -coverprofile=coverage-oracle.out ./internal/oracle/

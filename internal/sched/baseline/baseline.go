@@ -13,9 +13,10 @@
 //   - UA, best-effort utility-accrual scheduling at f_m, whose variant
 //     part is its density: the job alone (Locke's DASA, the canonical UA
 //     scheduler EUA*'s sequencing descends from) or its whole blocking
-//     chain (GUS, Li & Ravindran's dependency-aware generalization).
-//     Against EUA* they isolate what the energy term in the UER and
-//     frequency scaling add.
+//     chain (GUS, Li & Ravindran's dependency-aware generalization). It
+//     runs EUA*'s schedule construction, sched.Sequencer, with the
+//     density as the key, so against EUA* they isolate what the energy
+//     term in the UER and frequency scaling add.
 //
 // As Section 5 specifies for the baselines, job deadlines are critical
 // times and the per-job cycle budgets are "the cycles allocated by EUA*"

@@ -147,7 +147,7 @@ func (s *EDF) decide(now float64, ready []*task.Job) sched.Decision {
 	live := s.live[:0]
 	for _, j := range ready {
 		if s.abort && !sched.JobFeasibleWith(j, s.remaining(j), now, s.fm) {
-			j.AbortReason = infeasible
+			j.AbortReason = sched.AbortInfeasible
 			aborts = append(aborts, j)
 			continue
 		}

@@ -10,6 +10,7 @@ package baseline
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/euastar/euastar/internal/sched"
 	"github.com/euastar/euastar/internal/task"
@@ -107,7 +108,7 @@ func (s *refEDF) decide(now float64, ready []*task.Job) sched.Decision {
 	live := s.live[:0]
 	for _, j := range ready {
 		if s.abort && !sched.JobFeasible(j, now, s.fm) {
-			j.AbortReason = infeasible
+			j.AbortReason = sched.AbortInfeasible
 			aborts = append(aborts, j)
 			continue
 		}
@@ -212,12 +213,17 @@ func (s *refUA) decide(now float64, ready []*task.Job) sched.Decision {
 	density := make(map[*task.Job]float64, len(ready))
 	for _, j := range ready {
 		if !sched.JobFeasible(j, now, s.fm) {
-			j.AbortReason = infeasible
+			j.AbortReason = sched.AbortInfeasible
 			aborts = append(aborts, j)
 			continue
 		}
 		live = append(live, j)
 		density[j] = s.density(now, s.fm, j)
+		if math.IsNaN(density[j]) {
+			// A NaN density ranks after every other and is never
+			// inserted (see sched.Sequencer).
+			density[j] = math.Inf(-1)
+		}
 	}
 	if len(live) == 0 {
 		return sched.Decision{Abort: aborts}

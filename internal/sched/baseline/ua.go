@@ -9,10 +9,12 @@ import (
 // jobs infeasible at f_m, ranks the rest by potential utility density
 // (utility per cycle, no energy term), greedily inserts them in
 // critical-time order while the schedule stays feasible, and runs the
-// schedule's head. Build one with NewDASA or NewGUS.
+// schedule's head. The construction is EUA*'s, sched.Sequencer, keyed by
+// density instead of UER. Build one with NewDASA or NewGUS.
 type UA struct {
 	scheme
 	density func(s *scheme, now float64, j *task.Job) float64
+	seq     sched.Sequencer
 }
 
 // NewDASA returns Locke's Dependent Activity Scheduling Algorithm in its
@@ -67,7 +69,13 @@ func chain(j *task.Job) []*task.Job {
 }
 
 // Init implements sched.Scheduler.
-func (s *UA) Init(ctx *sched.Context) error { return s.init(ctx) }
+func (s *UA) Init(ctx *sched.Context) error {
+	if err := s.init(ctx); err != nil {
+		return err
+	}
+	s.seq = sched.NewSequencer(s.fm, ctx.Tasks)
+	return nil
+}
 
 // Decide implements sched.Scheduler.
 func (s *UA) Decide(now float64, ready []*task.Job) sched.Decision {
@@ -79,48 +87,15 @@ func (s *UA) Decide(now float64, ready []*task.Job) sched.Decision {
 
 func (s *UA) decide(now float64, ready []*task.Job) sched.Decision {
 	s.tab.Refresh()
-	var live []*task.Job
-	var aborts []*task.Job
-	density := make(map[*task.Job]float64, len(ready))
-	for _, j := range ready {
-		if !sched.JobFeasibleWith(j, s.remaining(j), now, s.fm) {
-			j.AbortReason = infeasible
-			aborts = append(aborts, j)
-			continue
-		}
-		live = append(live, j)
-		density[j] = s.density(&s.scheme, now, j)
+	aborts := s.seq.Gather(now, ready, &s.tab)
+	live := s.seq.Live()
+	for i := range live {
+		live[i].Key = s.density(&s.scheme, now, live[i].Job)
 	}
-	if len(live) == 0 {
-		return sched.Decision{Abort: aborts}
-	}
-	sched.ByCriticalTime(live)
-	// Stable sort by density, non-increasing (insertion sort keeps the
-	// critical-time tie-break).
-	for i := 1; i < len(live); i++ {
-		j := live[i]
-		k := i - 1
-		for k >= 0 && density[live[k]] < density[j] {
-			live[k+1] = live[k]
-			k--
-		}
-		live[k+1] = j
-	}
-	var order []*task.Job
-	iters := 0
-	for _, j := range live {
-		if density[j] <= 0 {
-			break
-		}
-		iters++
-		tent := sched.InsertByCritical(append([]*task.Job(nil), order...), j)
-		if sched.FeasibleWith(tent, now, s.fm, s.remaining) {
-			order = tent
-		}
-	}
+	head, iters := s.seq.Head(now, false, nil)
 	s.ins.FeasibilityIterations(iters)
-	if len(order) == 0 {
+	if head == nil {
 		return sched.Decision{Abort: aborts}
 	}
-	return sched.Decision{Run: order[0], Freq: s.fm, Abort: aborts}
+	return sched.Decision{Run: head, Freq: s.fm, Abort: aborts}
 }

@@ -68,7 +68,7 @@ func (r *refScheduler) decideRef(now float64, ready []*task.Job) sched.Decision 
 	var aborts []*task.Job
 	for _, j := range ready {
 		if !sched.JobFeasible(j, now, fm) {
-			j.AbortReason = "infeasible at f_m"
+			j.AbortReason = sched.AbortInfeasible
 			aborts = append(aborts, j)
 			continue
 		}

@@ -85,6 +85,7 @@ func (g *Global) DecideMulti(now float64, ready []*task.Job) sched.MultiDecision
 	g.ranked = g.ranked[:0]
 	for _, j := range ready {
 		if !sched.JobFeasible(j, now, g.fmax) {
+			j.AbortReason = sched.AbortInfeasible
 			aborts = append(aborts, j)
 			continue
 		}

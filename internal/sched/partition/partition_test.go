@@ -341,6 +341,25 @@ func TestGlobalRun(t *testing.T) {
 	}
 }
 
+// TestGlobalAbortReason: G-UER's decision-time aborts say why, with the
+// reason partitioned EUA* gives for the same condition, instead of the
+// engine's "scheduler abort" for a job aborted without one.
+func TestGlobalAbortReason(t *testing.T) {
+	ts := table1Set(workload.Step, 3.2, 1)
+	for _, s := range []sched.Scheduler{partition.NewGlobal(2), partition.New(2, partition.FirstFit, euaFactory)} {
+		res := runPartitioned(t, s, 2, ts, 0.5)
+		reasons := map[string]int{}
+		for _, j := range res.Jobs {
+			if j.State == task.Aborted {
+				reasons[j.AbortReason]++
+			}
+		}
+		if reasons[sched.AbortInfeasible] == 0 || reasons["scheduler abort"] != 0 {
+			t.Errorf("%s: abort reasons %v, want %q and no %q", res.SchedulerName, reasons, sched.AbortInfeasible, "scheduler abort")
+		}
+	}
+}
+
 // TestGlobalUniprocessor runs the m = 1 degenerate case: top-1
 // dispatch through the engine's one decision path.
 func TestGlobalUniprocessor(t *testing.T) {

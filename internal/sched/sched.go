@@ -1,7 +1,7 @@
 // Package sched defines the scheduler abstraction shared by EUA* and all
-// baselines, together with the schedule-construction helpers the paper's
-// Algorithm 1 builds on: EDF (critical-time) ordering, the feasibility
-// predicate at the maximum frequency, and ordered insertion.
+// baselines, together with the paper's Algorithm 1 schedule construction
+// (the Sequencer, which EUA*, DASA and GUS share) and the literal
+// predicates it replaces: EDF ordering, feasibility at f_m and insertion.
 package sched
 
 import (
@@ -145,8 +145,9 @@ func (ins *Instruments) End(start time.Time, ready int, freq float64) {
 	}
 }
 
-// FeasibilityIterations adds n iterations of a feasibility/insertion loop
-// (Algorithm 1's per-job greedy insertion, DASA's tentative schedules).
+// FeasibilityIterations adds n iterations of a feasibility/insertion loop:
+// the candidates Sequencer.Head tries in Algorithm 1's greedy insertion,
+// for EUA*, DASA and GUS alike.
 func (ins *Instruments) FeasibilityIterations(n int) {
 	if ins == nil || n <= 0 {
 		return
@@ -165,21 +166,24 @@ func UER(now float64, j *task.Job, f float64, m energy.Model) float64 {
 	return j.UtilityAt(now+c/f) / (c * m.PerCycle(f))
 }
 
+// AbortInfeasible is the abort reason of a job a scheduler aborts because
+// it could not finish by its termination time even alone at f_m.
+const AbortInfeasible = "infeasible at f_m"
+
 // ByCriticalTime sorts jobs by absolute critical time (EDF order on
 // critical times), breaking ties by arrival then task ID then index so
-// that the order is total and deterministic.
+// that the order is total and deterministic: the literal sort the
+// Sequencer's kept order replaces.
 func ByCriticalTime(jobs []*task.Job) {
-	sort.SliceStable(jobs, func(i, j int) bool { return jobLess(jobs[i], jobs[j]) })
+	sort.SliceStable(jobs, func(i, j int) bool { return Less(jobs[i], jobs[j]) })
 }
 
 // Less reports whether a precedes b in the deterministic critical-time
 // total order (AbsCritical, then Arrival, then Task.ID, then Index) that
-// ByCriticalTime and InsertByCritical are built on. It is exported so
-// alternative schedule constructions (e.g. EUA*'s fast path) can
-// reproduce exactly the same ordering decisions.
-func Less(a, b *task.Job) bool { return jobLess(a, b) }
-
-func jobLess(a, b *task.Job) bool {
+// ByCriticalTime and InsertByCritical are built on, and the order the
+// Sequencer keeps. It is exported so that every scheduler breaks
+// critical-time ties the same way.
+func Less(a, b *task.Job) bool {
 	if a.AbsCritical != b.AbsCritical {
 		return a.AbsCritical < b.AbsCritical
 	}
@@ -195,17 +199,11 @@ func jobLess(a, b *task.Job) bool {
 // Feasible implements the paper's feasible(σ) predicate: with the jobs
 // executed in the given order starting at time now, each job's predicted
 // completion time at the highest frequency fmax must not exceed its
-// termination time.
+// termination time: the literal predicate Sequencer.Head replays.
 func Feasible(order []*task.Job, now, fmax float64) bool {
-	return FeasibleWith(order, now, fmax, (*task.Job).EstimatedRemaining)
-}
-
-// FeasibleWith is Feasible with each job's remaining-cycle estimate
-// supplied by rem (from a TaskTable, say).
-func FeasibleWith(order []*task.Job, now, fmax float64, rem func(*task.Job) float64) bool {
 	t := now
 	for _, j := range order {
-		t += rem(j) / fmax
+		t += j.EstimatedRemaining() / fmax
 		if t > j.Termination+1e-12*j.Termination {
 			return false
 		}
@@ -229,9 +227,10 @@ func JobFeasibleWith(j *task.Job, rem, now, fmax float64) bool {
 // InsertByCritical inserts j into the critical-time-ordered schedule order
 // "at the position indicated by" its critical time, after any entries with
 // the same key (Algorithm 1's insert(T, σ, I)), returning the extended
-// slice. order must already be critical-time ordered.
+// slice. order must already be critical-time ordered. Sequencer.Head
+// inserts by critical-time rank instead.
 func InsertByCritical(order []*task.Job, j *task.Job) []*task.Job {
-	i := sort.Search(len(order), func(i int) bool { return jobLess(j, order[i]) })
+	i := sort.Search(len(order), func(i int) bool { return Less(j, order[i]) })
 	order = append(order, nil)
 	copy(order[i+1:], order[i:])
 	order[i] = j

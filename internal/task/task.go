@@ -325,8 +325,9 @@ type Job struct {
 	// SchedCache is the scheduler-private bookkeeping slot the Job
 	// documentation reserves: the engine never reads or writes it, and a
 	// fresh job carries the zero value. Schedulers remember the job's
-	// task-table position here, and EUA*'s fast path memoizes the job's
-	// UER across scheduling events and finds the job in its live list.
+	// task-table position here, EUA*'s fast path memoizes the job's UER
+	// across scheduling events, and sched.Sequencer finds the job in its
+	// live list.
 	SchedCache SchedCache
 }
 
@@ -348,9 +349,9 @@ type SchedCache struct {
 	// TaskPos is the position of the job's task in the scheduler's
 	// sched.TaskTable, a hint the table verifies on every read.
 	TaskPos int32
-	// LivePos is the job's index in the live list of the EUA* decision
-	// that last saw it, a hint the decision writes before it reads any
-	// and verifies on every read.
+	// LivePos is the job's index in the live list of the sched.Sequencer
+	// decision (EUA*'s, DASA's or GUS's) that last saw it, a hint the
+	// decision writes before it reads any and verifies on every read.
 	LivePos int32
 }
 
