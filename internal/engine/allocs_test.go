@@ -9,6 +9,7 @@ import (
 	"github.com/euastar/euastar/internal/sched"
 	"github.com/euastar/euastar/internal/sched/baseline"
 	"github.com/euastar/euastar/internal/sched/eua"
+	"github.com/euastar/euastar/internal/sched/partition"
 	"github.com/euastar/euastar/internal/task"
 	"github.com/euastar/euastar/internal/workload"
 )
@@ -24,25 +25,31 @@ import (
 // scheduler) costs at least one allocation per extra event and fails
 // either bound several times over. At load 0.6 no job is aborted; at
 // 1.6 each decision's abort list escapes into its Decision, which the
-// looser bound allows.
+// looser bound allows. G-UER dispatches two cores at loads 1.2 and 3.2
+// (per system, so 0.6 and 1.6 per core).
 func TestEventLoopAllocations(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		sched  func() sched.Scheduler
+		cores  int
 		load   float64
 		budget float64 // joules, 0 for none
 		bound  float64 // allocations per extra event
 	}{
-		{"EUA*/L0.6", func() sched.Scheduler { return eua.New() }, 0.6, 0, 0.05},
-		{"DASA/L0.6", func() sched.Scheduler { return baseline.NewDASA() }, 0.6, 0, 0.05},
-		{"EUA*/L1.6", func() sched.Scheduler { return eua.New() }, 1.6, 0, 0.25},
+		{"EUA*/L0.6", func() sched.Scheduler { return eua.New() }, 1, 0.6, 0, 0.05},
+		{"DASA/L0.6", func() sched.Scheduler { return baseline.NewDASA() }, 1, 0.6, 0, 0.05},
+		{"GUS/L0.6", func() sched.Scheduler { return baseline.NewGUS() }, 1, 0.6, 0, 0.05},
+		{"EUA*/L1.6", func() sched.Scheduler { return eua.New() }, 1, 1.6, 0, 0.25},
 		// Rationing engages at about 0.76 s of the long run and the
 		// battery runs dry at 0.8 s; the short run never binds.
-		{"EUA*-budget/L1.6", func() sched.Scheduler { return eua.New(eua.WithBudgetAwareness(0)) }, 1.6, 8e26, 0.25},
-		{"DASA/L1.6", func() sched.Scheduler { return baseline.NewDASA() }, 1.6, 0, 0.25},
+		{"EUA*-budget/L1.6", func() sched.Scheduler { return eua.New(eua.WithBudgetAwareness(0)) }, 1, 1.6, 8e26, 0.25},
+		{"DASA/L1.6", func() sched.Scheduler { return baseline.NewDASA() }, 1, 1.6, 0, 0.25},
+		{"GUS/L1.6", func() sched.Scheduler { return baseline.NewGUS() }, 1, 1.6, 0, 0.25},
+		{"G-UER/2/L1.2", func() sched.Scheduler { return partition.NewGlobal(2) }, 2, 1.2, 0, 0.25},
+		{"G-UER/2/L3.2", func() sched.Scheduler { return partition.NewGlobal(2) }, 2, 3.2, 0, 0.5},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			perEvent := allocsPerExtraEvent(t, c.sched, c.load, c.budget)
+			perEvent := allocsPerExtraEvent(t, c.sched, c.cores, c.load, c.budget)
 			if perEvent > c.bound {
 				t.Fatalf("%.3f allocations per extra event, want at most %v", perEvent, c.bound)
 			}
@@ -50,9 +57,10 @@ func TestEventLoopAllocations(t *testing.T) {
 	}
 }
 
-// allocsPerExtraEvent runs the scheduler at horizons 0.25 and 1 and
-// returns the allocations per event the longer run adds.
-func allocsPerExtraEvent(t *testing.T, mk func() sched.Scheduler, load, budget float64) float64 {
+// allocsPerExtraEvent runs the scheduler on the given number of cores at
+// horizons 0.25 and 1 and returns the allocations per event the longer
+// run adds.
+func allocsPerExtraEvent(t *testing.T, mk func() sched.Scheduler, cores int, load, budget float64) float64 {
 	t.Helper()
 	ft := cpu.PowerNowK6()
 	model := energy.MustPreset(energy.E1, ft.Max())
@@ -68,7 +76,7 @@ func allocsPerExtraEvent(t *testing.T, mk func() sched.Scheduler, load, budget f
 	ts = ts.ScaleToLoad(load, ft.Max())
 	measure := func(horizon float64) (allocs float64, events int) {
 		run := func() {
-			res, err := Run(Config{Tasks: ts, Scheduler: mk(), Freqs: ft, Energy: model,
+			res, err := Run(Config{Tasks: ts, Scheduler: mk(), Cores: cores, Freqs: ft, Energy: model,
 				Horizon: horizon, Seed: 1, AbortAtTermination: true, EnergyBudget: budget})
 			if err != nil {
 				t.Fatal(err)

@@ -311,8 +311,17 @@ func (p *peeler) peel(best ydsComp, speeds []float64) int {
 	p.rels = p.rels[:m]
 	// Collapsing keeps the releases in order except one at exactly t2,
 	// which t2 − length can round below t1; the sweep's start pointer
-	// and the component ranges rely on the order.
-	slices.SortFunc(p.rels, byRelease)
+	// and the component ranges rely on the order, so one insertion pass
+	// restores it. Nothing reads the order among equal releases: the
+	// sweep skips repeats and gapMargin reads only the first.
+	for i := 1; i < m; i++ {
+		r, j := p.rels[i], i
+		for j > 0 && p.rels[j-1].t > r.t {
+			p.rels[j] = p.rels[j-1]
+			j--
+		}
+		p.rels[j] = r
+	}
 	return stable
 }
 

@@ -183,7 +183,7 @@ func refJobDensity(now, fm float64, j *task.Job) float64 {
 }
 
 func refChainDensity(now, fm float64, j *task.Job) float64 {
-	links := chain(j)
+	links := refChain(j)
 	cycles, utility := 0.0, 0.0
 	for _, link := range links {
 		cycles += link.EstimatedRemaining()
@@ -196,6 +196,20 @@ func refChainDensity(now, fm float64, j *task.Job) float64 {
 		return 0
 	}
 	return utility / cycles
+}
+
+// refChain is the blocking-chain walk with a visited set: the job
+// itself first, then the holders it transitively waits on, stopping on
+// cycles.
+func refChain(j *task.Job) []*task.Job {
+	var out []*task.Job
+	seen := map[*task.Job]bool{}
+	for j != nil && !seen[j] {
+		seen[j] = true
+		out = append(out, j)
+		j = j.BlockedBy
+	}
+	return out
 }
 
 func (s *refUA) Init(ctx *sched.Context) error { return s.init(ctx) }

@@ -1,6 +1,8 @@
 package baseline
 
 import (
+	"slices"
+
 	"github.com/euastar/euastar/internal/sched"
 	"github.com/euastar/euastar/internal/task"
 )
@@ -13,8 +15,9 @@ import (
 // density instead of UER. Build one with NewDASA or NewGUS.
 type UA struct {
 	scheme
-	density func(s *scheme, now float64, j *task.Job) float64
+	density func(s *UA, now float64, j *task.Job) float64
 	seq     sched.Sequencer
+	links   []*task.Job // GUS's blocking-chain buffer, reused across jobs
 }
 
 // NewDASA returns Locke's Dependent Activity Scheduling Algorithm in its
@@ -28,7 +31,7 @@ func NewDASA() *UA { return &UA{scheme: scheme{name: "DASA"}, density: jobDensit
 func NewGUS() *UA { return &UA{scheme: scheme{name: "GUS"}, density: chainDensity} }
 
 // jobDensity is U(now + c/f_m) / c over the job's remaining allocation c.
-func jobDensity(s *scheme, now float64, j *task.Job) float64 {
+func jobDensity(s *UA, now float64, j *task.Job) float64 {
 	c := s.remaining(j)
 	return j.UtilityAt(now+c/s.fm) / c
 }
@@ -38,8 +41,8 @@ func jobDensity(s *scheme, now float64, j *task.Job) float64 {
 // divided by the cycles that must be executed to get there. The chain
 // executes its holders first and all of it must run before j finishes,
 // so the completion instant is estimated from the aggregate work.
-func chainDensity(s *scheme, now float64, j *task.Job) float64 {
-	links := chain(j)
+func chainDensity(s *UA, now float64, j *task.Job) float64 {
+	links := s.chain(j)
 	cycles, utility := 0.0, 0.0
 	for _, link := range links {
 		cycles += s.remaining(link)
@@ -56,16 +59,18 @@ func chainDensity(s *scheme, now float64, j *task.Job) float64 {
 
 // chain returns the job's blocking chain: the job itself first, then the
 // holders it transitively waits on through the engine-maintained
-// BlockedBy pointers, stopping on cycles.
-func chain(j *task.Job) []*task.Job {
-	var out []*task.Job
-	seen := map[*task.Job]bool{}
-	for j != nil && !seen[j] {
-		seen[j] = true
-		out = append(out, j)
+// BlockedBy pointers, stopping on cycles. It walks into the scheduler's
+// buffer, valid until the next call, and finds a cycle by scanning it:
+// chains are short, and without resource sections every chain is the
+// job alone.
+func (s *UA) chain(j *task.Job) []*task.Job {
+	links := s.links[:0]
+	for j != nil && !slices.Contains(links, j) {
+		links = append(links, j)
 		j = j.BlockedBy
 	}
-	return out
+	s.links = links
+	return links
 }
 
 // Init implements sched.Scheduler.
@@ -90,7 +95,7 @@ func (s *UA) decide(now float64, ready []*task.Job) sched.Decision {
 	aborts := s.seq.Gather(now, ready, &s.tab)
 	live := s.seq.Live()
 	for i := range live {
-		live[i].Key = s.density(&s.scheme, now, live[i].Job)
+		live[i].Key = s.density(s, now, live[i].Job)
 	}
 	head, iters := s.seq.Head(now, false, nil)
 	s.ins.FeasibilityIterations(iters)

@@ -20,6 +20,8 @@ package eua_test
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/euastar/euastar/internal/cpu"
@@ -271,12 +273,44 @@ func oracleCases() []diffCase {
 
 // partitionConfig is baseConfig on m cores: the same step-TUF set,
 // scheduled by partition.New with one reference or production instance
-// per core.
+// per core. The production instances are filed in partitionCores.
 func partitionConfig(app workload.App, m int, policy partition.Policy, load float64, seed uint64, ref bool, opts ...eua.Option) engine.Config {
 	cfg := baseConfig(app, workload.Step, load, seed, energy.E1, ref)
 	cfg.Cores = m
-	cfg.Scheduler = partition.New(m, policy, func() sched.Scheduler { return newEUA(ref, opts...) })
+	if ref {
+		cfg.Scheduler = partition.New(m, policy, func() sched.Scheduler { return eua.NewReference(opts...) })
+		return cfg
+	}
+	instances := new([]*eua.Scheduler)
+	cfg.Scheduler = partition.New(m, policy, func() sched.Scheduler {
+		c := eua.New(opts...)
+		*instances = append(*instances, c)
+		return c
+	})
+	partitionCores.Store(cfg.Scheduler, instances)
 	return cfg
+}
+
+// partitionCores maps each partitioned scheduler partitionConfig built
+// to its production instances, so that a run's shortcuts can be read
+// back per core.
+var partitionCores sync.Map
+
+// shortcuts returns how many decisions of the production scheduler s
+// the f_m certificate settled and how many of its greedy runs stopped
+// early, summed over its per-core instances.
+func shortcuts(s sched.Scheduler) (certified, exits int) {
+	var instances []*eua.Scheduler
+	if c, ok := s.(*eua.Scheduler); ok {
+		instances = []*eua.Scheduler{c}
+	} else if v, ok := partitionCores.LoadAndDelete(s); ok {
+		instances = *v.(*[]*eua.Scheduler)
+	}
+	for _, c := range instances {
+		n, e := c.Shortcuts()
+		certified, exits = certified+n, exits+e
+	}
+	return certified, exits
 }
 
 // baseConfig assembles one run: a freshly synthesized, load-scaled task
@@ -388,6 +422,19 @@ func TestDifferentialOracle(t *testing.T) {
 	if len(cases) < 226 {
 		t.Fatalf("oracle grid shrank to %d cases; the suite requires at least 226", len(cases))
 	}
+	// The grid must reach both shortcuts of the core: decisions the f_m
+	// certificate settles and greedy runs that stop once their head is
+	// fixed. The count is checked once every case has run.
+	var ran, certified, exits atomic.Int64
+	t.Cleanup(func() {
+		if ran.Load() < int64(len(cases)) {
+			return
+		}
+		t.Logf("the core's shortcuts: %d certified decisions, %d early exits", certified.Load(), exits.Load())
+		if certified.Load() == 0 || exits.Load() == 0 {
+			t.Error("a shortcut of the core went untested")
+		}
+	})
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
@@ -406,6 +453,10 @@ func TestDifferentialOracle(t *testing.T) {
 			if a, b := feasIterations(refCfg.Telemetry), feasIterations(coreCfg.Telemetry); a != b {
 				t.Fatalf("%s: reference %v, core %v", sched.MetricFeasIters, a, b)
 			}
+			n, e := shortcuts(coreCfg.Scheduler)
+			certified.Add(int64(n))
+			exits.Add(int64(e))
+			ran.Add(1)
 		})
 	}
 }

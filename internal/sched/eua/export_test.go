@@ -18,3 +18,10 @@ func NewReference(opts ...Option) sched.Scheduler {
 func (s *Scheduler) edfHead(now float64) (head *task.Job, n int, ok bool) {
 	return s.fp.seq.EDFHead(now)
 }
+
+// Shortcuts returns how many of s's decisions the f_m certificate
+// settled and how many of its greedy runs stopped once their head was
+// fixed.
+func (s *Scheduler) Shortcuts() (certified, exits int) {
+	return s.fp.certified, s.fp.seq.Exits()
+}

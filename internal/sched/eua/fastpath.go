@@ -33,6 +33,21 @@
 //     exactly as the literal sort.Slice version did, so the summation
 //     order — and the float — is unchanged. A task's earliest pending job
 //     is its first job in the Sequencer's critical-time order.
+//   - decideFreq first tries to certify that the look-ahead would select
+//     f_m (certifyFm), skipping the entries. Let D1 be the critical time
+//     of the first context-task job in critical-time order and R its
+//     task's windowed demand, the float its entry would carry. When
+//     D1 ≤ fl(now + min_i D_i), no entry precedes D1: every other pending
+//     task's entry is its earliest job, at D1 or later, and an idle or
+//     phantom entry lies at fl(at + D_i) with at ≥ now, which rounding
+//     keeps at or above fl(now + min_i D_i). So D1 is the look-ahead's dn
+//     and its entry adds R whole to the sum s. Demands are non-negative
+//     and rounded addition is monotone, so s ≥ R (or s is NaN, which the
+//     table maps to f_m), and s/fl(D1 − now) ≥ fl(R/fl(D1 − now)) when
+//     D1 > now (at D1 = now the look-ahead returns +Inf). When that
+//     exceeds the table step below f_m, the table selects f_m, and the
+//     f^o clamp cannot raise it. The table is discrete, so the test needs
+//     no rounding margin.
 //   - The UAM release history is a fixed ring of the last a_i release
 //     times per task (uam.Window, shared with the engine's watchdog)
 //     instead of a re-sliced, re-appended slice: the same values, read
@@ -72,6 +87,13 @@ type fastState struct {
 	ecRate       float64
 	ecMaxP       float64
 
+	// The f_m certificate's constants: the table step below f_m (0 when
+	// f_m is the only one) and the least critical time min_i D_i.
+	fmBelow float64
+	minCrit float64
+	// certified counts the decisions the certificate settled.
+	certified int
+
 	// decideFreq's scratch buffers, reused across events.
 	earliest []int32 // per task: live index of earliest pending job, -1 none
 	pending  []int32 // per task: pending job count
@@ -102,6 +124,13 @@ func (s *Scheduler) initFast() {
 		entries:      make([]sched.LookAheadEntry, 0, 2*n),
 	}
 	fp := &s.fp
+	if k := len(s.ctx.Freqs); k > 1 {
+		fp.fmBelow = s.ctx.Freqs[k-2]
+	}
+	fp.minCrit = math.Inf(1)
+	for ti := range ts {
+		fp.minCrit = min(fp.minCrit, fp.tab.Crit(ti))
+	}
 	history := make([]float64, window)
 	for ti, t := range ts {
 		f := s.optimalFrequency(t)
@@ -218,6 +247,10 @@ func (s *Scheduler) rationing() *sched.Ration {
 // sched.LookAheadFrequency.
 func (s *Scheduler) decideFreqFast(now float64, jexe *task.Job) float64 {
 	fp := &s.fp
+	if s.certifyFm(now) {
+		fp.certified++
+		return fp.fm
+	}
 	live := fp.seq.Live()
 
 	// Dense per-task view: a task's earliest pending job is its first in
@@ -256,13 +289,9 @@ func (s *Scheduler) decideFreqFast(now float64, jexe *task.Job) float64 {
 			continue
 		}
 		e := &live[fp.earliest[ti]]
-		remaining := e.Rem + float64(t.Arrival.A-1)*alloc
-		if s.noWindowed {
-			remaining = e.Rem
-		}
 		entries = append(entries, sched.LookAheadEntry{
 			AbsCritical: e.Job.AbsCritical,
-			Remaining:   remaining,
+			Remaining:   s.windowedDemand(e, ti),
 			StaticUtil:  tab.MinFreq(ti),
 		})
 		if !s.noPhantom {
@@ -289,4 +318,37 @@ func (s *Scheduler) decideFreqFast(now float64, jexe *task.Job) float64 {
 		}
 	}
 	return fexe
+}
+
+// certifyFm reports whether the look-ahead would select f_m, without
+// building its entries (see the file comment for the argument). D1 is
+// the critical time of the first context-task job in critical-time
+// order and R its task's windowed demand, the value its look-ahead entry
+// carries.
+func (s *Scheduler) certifyFm(now float64) bool {
+	fp := &s.fp
+	live := fp.seq.Live()
+	for _, li := range fp.seq.Critical() {
+		e := &live[li]
+		ti := int(e.TaskPos)
+		if ti < 0 {
+			continue
+		}
+		d1 := e.Job.AbsCritical
+		if !(d1 <= now+fp.minCrit) {
+			return false
+		}
+		return s.windowedDemand(e, ti)/(d1-now) > fp.fmBelow
+	}
+	return false
+}
+
+// windowedDemand is C_i^r of the task at table position ti, whose
+// earliest pending job is e: the job's remaining cycles and the
+// allocations of the a_i − 1 further jobs its window may release.
+func (s *Scheduler) windowedDemand(e *sched.Live, ti int) float64 {
+	if s.noWindowed {
+		return e.Rem
+	}
+	return e.Rem + float64(s.ctx.Tasks[ti].Arrival.A-1)*s.fp.tab.Alloc(ti)
 }

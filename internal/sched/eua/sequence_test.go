@@ -191,14 +191,21 @@ func seqRun(t *testing.T, seed uint64, cores []*Scheduler, ref *refScheduler) (s
 			}
 		}
 	}
+	for _, c := range cores {
+		n, e := c.Shortcuts()
+		st.certified += n
+		st.exits += e
+	}
 	return st
 }
 
-// seqStats counts what a sequence met: decisions the greedy made, and
-// pairs of ready jobs whose critical times tie, by the key that breaks
-// the tie.
+// seqStats counts what a sequence met: decisions the greedy made,
+// decisions the f_m certificate settled, greedy runs that stopped once
+// their head was fixed, and pairs of ready jobs whose critical times
+// tie, by the key that breaks the tie.
 type seqStats struct {
-	greedy, tieArrival, tieID, tieIndex int
+	greedy, certified, exits    int
+	tieArrival, tieID, tieIndex int
 }
 
 func TestDecideSequenceMatchesReference(t *testing.T) {
@@ -214,10 +221,20 @@ func TestDecideSequenceMatchesReference(t *testing.T) {
 	var total seqStats
 	for _, v := range variants {
 		for seed := uint64(1); seed <= 12; seed++ {
+			// A rationed or strict greedy counts every candidate it
+			// tries, so it never stops early.
+			noExit := func(t *testing.T, st seqStats) {
+				if st.exits != 0 && (v.name == "strictBreak" || v.name == "budget") {
+					t.Fatalf("%d greedy runs stopped early", st.exits)
+				}
+			}
 			t.Run(fmt.Sprintf("%s/one-instance/seed%d", v.name, seed), func(t *testing.T) {
 				st := seqRun(t, seed, []*Scheduler{New(v.opts...)}, NewReference(v.opts...).(*refScheduler))
+				noExit(t, st)
 				if v.name == "default" {
 					total.greedy += st.greedy
+					total.certified += st.certified
+					total.exits += st.exits
 					total.tieArrival += st.tieArrival
 					total.tieID += st.tieID
 					total.tieIndex += st.tieIndex
@@ -227,12 +244,14 @@ func TestDecideSequenceMatchesReference(t *testing.T) {
 			// overwrites the other's hints and finds its kept orders a
 			// decision out of date.
 			t.Run(fmt.Sprintf("%s/two-instances/seed%d", v.name, seed), func(t *testing.T) {
-				seqRun(t, seed, []*Scheduler{New(v.opts...), New(v.opts...)}, NewReference(v.opts...).(*refScheduler))
+				noExit(t, seqRun(t, seed, []*Scheduler{New(v.opts...), New(v.opts...)}, NewReference(v.opts...).(*refScheduler)))
 			})
 		}
 	}
-	// The script must reach the greedy and every kind of tie.
-	if total.greedy < 100 || total.tieArrival == 0 || total.tieID == 0 || total.tieIndex == 0 {
+	// The script must reach the greedy, both shortcuts and every kind of
+	// tie.
+	if total.greedy < 100 || total.certified == 0 || total.exits == 0 ||
+		total.tieArrival == 0 || total.tieID == 0 || total.tieIndex == 0 {
 		t.Fatalf("the script met too little: %+v", total)
 	}
 	t.Logf("default variant over 12 seeds: %+v", total)

@@ -29,10 +29,12 @@ type Global struct {
 	model  energy.Model
 	fmax   float64 // reference top frequency (shared ladder's maximum)
 
-	last   map[*task.Job]int // job → core of its previous dispatch
-	ranked []*task.Job       // reusable ranking buffer
-	cores  []sched.CoreDecision
-	taken  []bool
+	last    map[*task.Job]int // job → core of its previous dispatch
+	ranked  []*task.Job       // reusable ranking buffer
+	uers    []float64         // the UER of each ranked job
+	pending []*task.Job       // the second dispatch pass's buffer
+	cores   []sched.CoreDecision
+	taken   []bool
 }
 
 // NewGlobal builds the global scheduler for m cores.
@@ -63,7 +65,7 @@ func (g *Global) Init(ctx *sched.Context) error {
 	g.model = ctx.Energy
 	g.fmax = ctx.Freqs.Max()
 	g.last = make(map[*task.Job]int)
-	g.ranked = nil
+	g.ranked, g.uers, g.pending = nil, nil, nil
 	g.cores = make([]sched.CoreDecision, g.m)
 	g.taken = make([]bool, g.m)
 	return nil
@@ -82,7 +84,7 @@ func (g *Global) Decide(now float64, ready []*task.Job) sched.Decision {
 // migrations happen only when the ranking forces them.
 func (g *Global) DecideMulti(now float64, ready []*task.Job) sched.MultiDecision {
 	var aborts []*task.Job
-	g.ranked = g.ranked[:0]
+	g.ranked, g.uers = g.ranked[:0], g.uers[:0]
 	for _, j := range ready {
 		if !sched.JobFeasible(j, now, g.fmax) {
 			j.AbortReason = sched.AbortInfeasible
@@ -90,10 +92,9 @@ func (g *Global) DecideMulti(now float64, ready []*task.Job) sched.MultiDecision
 			continue
 		}
 		g.ranked = append(g.ranked, j)
+		g.uers = append(g.uers, sched.UER(now, j, g.fmax, g.model))
 	}
-	// Highest UER first; sched.Less breaks ties so the order is total
-	// and deterministic.
-	sortByUER(now, g.ranked, g.fmax, g.model)
+	g.sortByUER()
 	n := len(g.ranked)
 	if n > g.m {
 		n = g.m
@@ -105,7 +106,7 @@ func (g *Global) DecideMulti(now float64, ready []*task.Job) sched.MultiDecision
 	}
 	// Pass 1 — stickiness: a chosen job whose previous core is free
 	// stays there.
-	pending := chosen[:0:0]
+	pending := g.pending[:0]
 	for _, j := range chosen {
 		if k, ok := g.last[j]; ok && !g.taken[k] {
 			g.place(now, k, j)
@@ -113,6 +114,7 @@ func (g *Global) DecideMulti(now float64, ready []*task.Job) sched.MultiDecision
 		}
 		pending = append(pending, j)
 	}
+	g.pending = pending
 	// Pass 2 — the rest fill free cores in index order (rank order, so
 	// the highest-UER homeless job gets the lowest free core).
 	k := 0
@@ -122,15 +124,11 @@ func (g *Global) DecideMulti(now float64, ready []*task.Job) sched.MultiDecision
 		}
 		g.place(now, k, j)
 	}
-	// Prune stickiness entries of jobs no longer pending: ready holds
-	// every unresolved job, so anything absent from it has resolved.
+	// Prune stickiness entries of resolved jobs: ready holds every
+	// unresolved job, so a map larger than ready holds some.
 	if len(g.last) > len(ready) {
-		alive := make(map[*task.Job]bool, len(ready))
-		for _, j := range ready {
-			alive[j] = true
-		}
 		for j := range g.last {
-			if !alive[j] {
+			if j.State != task.Pending {
 				delete(g.last, j)
 			}
 		}
@@ -150,33 +148,19 @@ func (g *Global) place(now float64, k int, j *task.Job) {
 	g.cores[k] = sched.CoreDecision{Run: j, Freq: f}
 }
 
-// sortByUER orders jobs by decreasing UER at frequency f, tie-broken by
-// the deterministic critical-time total order.
-func sortByUER(now float64, jobs []*task.Job, f float64, m energy.Model) {
-	uer := make(map[*task.Job]float64, len(jobs))
-	for _, j := range jobs {
-		uer[j] = sched.UER(now, j, f, m)
-	}
-	sortJobs(jobs, func(a, b *task.Job) bool {
-		ua, ub := uer[a], uer[b]
-		if ua != ub {
-			return ua > ub
-		}
-		return sched.Less(a, b)
-	})
-}
-
-// sortJobs is an insertion sort: decision-time job counts are small and
-// the jobs arrive mostly ordered from the previous decision, so this
-// beats the allocation and indirection of sort.Slice on the hot path.
-func sortJobs(jobs []*task.Job, less func(a, b *task.Job) bool) {
+// sortByUER orders the ranked jobs by decreasing UER, tie-broken by the
+// deterministic critical-time total order, moving each job's UER with
+// it. It is an insertion sort: decision-time job counts are small and
+// the jobs arrive mostly ordered from the previous decision.
+func (g *Global) sortByUER() {
+	jobs, uers := g.ranked, g.uers
 	for i := 1; i < len(jobs); i++ {
-		j := jobs[i]
+		j, u := jobs[i], uers[i]
 		k := i - 1
-		for k >= 0 && less(j, jobs[k]) {
-			jobs[k+1] = jobs[k]
+		for k >= 0 && (u > uers[k] || u == uers[k] && sched.Less(j, jobs[k])) {
+			jobs[k+1], uers[k+1] = jobs[k], uers[k]
 			k--
 		}
-		jobs[k+1] = j
+		jobs[k+1], uers[k+1] = j, u
 	}
 }

@@ -58,6 +58,8 @@ type Sequencer struct {
 	byKey []int32 // positive-key live indices in key order
 	add   []int32 // live indices to merge into crit or byKey
 	tent  []slot  // the greedy's tentative schedule
+
+	exits int // greedy runs that stopped once their head was fixed
 }
 
 // Live is one job of a decision's live list. Gather fills Job, Rem and
@@ -257,6 +259,14 @@ func mergeSorted(dst, add []int32, before func(a, b int32) bool) []int32 {
 // suffix: the same additions on the same floats. rem/f_m and
 // X + 1e-12·X are computed once per job, in Gather. The prefix needs no
 // check: it passed its own with the same fin values.
+//
+// Without a Ration and without strict, Head stops as soon as the head is
+// fixed: when no remaining candidate in key order has a smaller critical-
+// time rank than the schedule's head. Each such candidate is inserted
+// after the head or refused, and each is tried, so the literal loop would
+// end with the same head and one iteration per candidate in byKey, which
+// is what Head returns. A Ration may pass candidates over and strict may
+// break off, so both finish the loop to count their iterations.
 func (q *Sequencer) Head(now float64, strict bool, r *Ration) (head *task.Job, iters int) {
 	if r == nil {
 		if head, n, ok := q.EDFHead(now); ok {
@@ -264,10 +274,27 @@ func (q *Sequencer) Head(now float64, strict bool, r *Ration) (head *task.Job, i
 		}
 	}
 	q.keepKey()
-	live := q.live
+	live, byKey := q.live, q.byKey
+	// minRank[k] is the smallest rank among byKey[k:], kept in the add
+	// buffer, which keepKey has finished with.
+	var minRank []int32
+	if r == nil && !strict {
+		minRank = slices.Grow(q.add[:0], len(byKey))[:len(byKey)]
+		low := int32(len(live))
+		for k := len(byKey) - 1; k >= 0; k-- {
+			low = min(low, live[byKey[k]].rank)
+			minRank[k] = low
+		}
+		q.add = minRank[:0]
+	}
 	tent := q.tent[:0]
 	committed := 0.0
-	for _, idx := range q.byKey {
+	for n, idx := range byKey {
+		if minRank != nil && len(tent) > 0 && minRank[n] > tent[0].rank {
+			q.tent = tent
+			q.exits++
+			return live[tent[0].i].Job, len(byKey)
+		}
 		c := &live[idx]
 		// Rationed out, the job stays pending and may abort at its
 		// termination time.
@@ -277,7 +304,15 @@ func (q *Sequencer) Head(now float64, strict bool, r *Ration) (head *task.Job, i
 		iters++
 		// Insertion position: the first slot whose job follows c in the
 		// critical-time order, found as InsertByCritical finds it.
-		i := sort.Search(len(tent), func(k int) bool { return c.rank < tent[k].rank })
+		i, hi := 0, len(tent)
+		for i < hi {
+			m := int(uint(i+hi) >> 1)
+			if c.rank < tent[m].rank {
+				hi = m
+			} else {
+				i = m + 1
+			}
+		}
 		// Feasibility trial: replay Feasible(tent) from the unchanged
 		// prefix sum, visiting only the candidate and the suffix.
 		start := now
@@ -291,7 +326,9 @@ func (q *Sequencer) Head(now float64, strict bool, r *Ration) (head *task.Job, i
 			ok = !(t > tent[k].thr)
 		}
 		if ok {
-			tent = slices.Insert(tent, i, slot{dur: c.dur, thr: c.thr, rank: c.rank, i: idx})
+			tent = append(tent, slot{})
+			copy(tent[i+1:], tent[i:])
+			tent[i] = slot{dur: c.dur, thr: c.thr, rank: c.rank, i: idx}
 			t = start
 			for k := i; k < len(tent); k++ {
 				t += tent[k].dur
@@ -308,6 +345,10 @@ func (q *Sequencer) Head(now float64, strict bool, r *Ration) (head *task.Job, i
 	}
 	return live[tent[0].i].Job, iters
 }
+
+// Exits returns how many of this Sequencer's greedy runs stopped early
+// because their head was fixed.
+func (q *Sequencer) Exits() int { return q.exits }
 
 // EDFHead is Head's underload shortcut (Theorem 2: in underload the
 // greedy yields EDF). It replays the finish times of the positive-key

@@ -92,7 +92,7 @@ func decide(q *Sequencer, tab *TaskTable, now float64, ready []*task.Job, key, c
 
 func TestSequencerMatchesLiteralLoop(t *testing.T) {
 	keyChoices := []float64{1, 1.5, 2, 2, 3, 0.5, 0, -1, math.NaN(), math.Inf(1)}
-	var replays, greedies, rationed, strictBreaks int
+	var replays, greedies, rationed, strictBreaks, exits int
 	var ties [3]int // critical-time ties broken by arrival, task ID, index
 	for seed := uint64(1); seed <= 48; seed++ {
 		src := rng.New(seed)
@@ -160,8 +160,14 @@ func TestSequencerMatchesLiteralLoop(t *testing.T) {
 			}
 
 			wantHead, wantIters, wantCrit, wantAborts := literalHead(now, ready, key, cost, strict, r)
+			exited := q.exits
 			gotHead, gotIters, gotAborts, replayed := decide(&q, &tab, now, ready, key, cost, strict, r)
+			exited = q.exits - exited
 			where := func() string { return fmt.Sprintf("seed %d step %d", seed, step) }
+			if exited != 0 && (strict || r != nil) {
+				t.Fatalf("%s: a greedy that is strict (%v) or rationed (%v) stopped early", where(), strict, r != nil)
+			}
+			exits += exited
 			if gotHead != wantHead {
 				t.Fatalf("%s: head %v, literal loop %v", where(), gotHead, wantHead)
 			}
@@ -212,9 +218,9 @@ func TestSequencerMatchesLiteralLoop(t *testing.T) {
 			now += dt
 		}
 	}
-	t.Logf("%d decisions settled by the replay, %d by the greedy (%d broken off), %d under a ration; critical-time ties broken by arrival, task ID and index: %v",
-		replays, greedies, strictBreaks, rationed, ties)
-	if replays == 0 || greedies == 0 || strictBreaks == 0 || rationed == 0 || slices.Contains(ties[:], 0) {
+	t.Logf("%d decisions settled by the replay, %d by the greedy (%d broken off, %d stopped once the head was fixed), %d under a ration; critical-time ties broken by arrival, task ID and index: %v",
+		replays, greedies, strictBreaks, exits, rationed, ties)
+	if replays == 0 || greedies == 0 || strictBreaks == 0 || exits == 0 || rationed == 0 || slices.Contains(ties[:], 0) {
 		t.Fatal("a path went untested")
 	}
 }
