@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"github.com/euastar/euastar/internal/experiment"
+	"github.com/euastar/euastar/internal/storage"
 	"github.com/euastar/euastar/internal/telemetry"
 )
 
@@ -64,6 +65,9 @@ type Config struct {
 	// ManifestPath, when set, persists the epoch watermark (see
 	// manifest.go). Empty disables persistence.
 	ManifestPath string
+	// FS is the filesystem the manifest is read and written through
+	// (nil = the real filesystem).
+	FS storage.FS
 	// Registry receives the euad_coord_* series (nil = no metrics).
 	Registry *telemetry.Registry
 	// Logf receives operational log lines (nil = silent).
@@ -91,6 +95,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.now == nil {
 		c.now = time.Now
+	}
+	if c.FS == nil {
+		c.FS = storage.OS()
 	}
 	return c
 }
@@ -161,7 +168,7 @@ func New(cfg Config) *Coordinator {
 		sweeps:  make(map[string]*sweepRun),
 	}
 	if cfg.ManifestPath != "" {
-		m, err := LoadManifest(cfg.ManifestPath)
+		m, err := LoadManifestFS(cfg.FS, cfg.ManifestPath)
 		if err != nil {
 			c.logf("coordinator: %v; discarding manifest, epoch fencing restarts from zero", err)
 		}
@@ -467,7 +474,7 @@ func (c *Coordinator) persistLocked() {
 			}
 		}
 	}
-	if err := SaveManifest(c.cfg.ManifestPath, m); err != nil {
+	if err := SaveManifestFS(c.cfg.FS, c.cfg.ManifestPath, m); err != nil {
 		c.logf("coordinator: persist lease manifest: %v", err)
 	}
 }

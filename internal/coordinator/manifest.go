@@ -1,13 +1,13 @@
 package coordinator
 
 import (
-	"encoding/binary"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
-	"path/filepath"
+
+	"github.com/euastar/euastar/internal/storage"
 )
 
 // The lease manifest persists the coordinator's epoch watermark (and the
@@ -15,9 +15,9 @@ import (
 // job is epoch monotonicity: a coordinator that restarts must never
 // reissue an epoch a previous incarnation already granted, because epoch
 // comparison is the only thing fencing a zombie worker that computed a
-// cell under the old incarnation. The file is CRC-framed like the job
-// journal: a torn write surfaces as ErrManifestCorrupt, never as a
-// silently wrong watermark.
+// cell under the old incarnation. The file is its magic followed by one
+// storage frame, the job journal's framing: a torn write surfaces as
+// ErrManifestCorrupt, never as a silently wrong watermark.
 
 // manifestMagic identifies a lease manifest file (8 bytes).
 const manifestMagic = "EUACMAN1"
@@ -29,7 +29,8 @@ const maxManifestSize = 1 << 22
 // ErrManifestCorrupt reports a manifest that failed framing, checksum,
 // or semantic validation. A corrupt manifest cannot prove any epoch
 // watermark, so callers must treat it as absent AND re-fence by other
-// means (euad removes the file and relies on per-job fingerprints).
+// means: New logs it and starts epochs from zero, relying on per-job
+// fingerprints, and the next save overwrites the file.
 var ErrManifestCorrupt = errors.New("coordinator: lease manifest corrupt")
 
 // Manifest is the persisted lease state.
@@ -61,40 +62,24 @@ func EncodeManifest(m Manifest) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, 0, len(manifestMagic)+8+len(payload))
-	buf = append(buf, manifestMagic...)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-	buf = append(buf, hdr[:]...)
-	buf = append(buf, payload...)
-	return buf, nil
+	return storage.AppendFrame([]byte(manifestMagic), payload), nil
 }
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // DecodeManifest parses and validates a framed manifest. Any framing,
 // checksum, or semantic violation returns ErrManifestCorrupt (wrapped
 // with detail); it never panics, whatever the input.
 func DecodeManifest(data []byte) (Manifest, error) {
 	var m Manifest
-	if len(data) < len(manifestMagic)+8 {
-		return m, fmt.Errorf("%w: %d bytes is shorter than the header", ErrManifestCorrupt, len(data))
-	}
-	if string(data[:len(manifestMagic)]) != manifestMagic {
+	frame, ok := bytes.CutPrefix(data, []byte(manifestMagic))
+	if !ok {
 		return m, fmt.Errorf("%w: bad magic", ErrManifestCorrupt)
 	}
-	n := binary.LittleEndian.Uint32(data[len(manifestMagic) : len(manifestMagic)+4])
-	sum := binary.LittleEndian.Uint32(data[len(manifestMagic)+4 : len(manifestMagic)+8])
-	if n > maxManifestSize {
-		return m, fmt.Errorf("%w: payload length %d exceeds limit", ErrManifestCorrupt, n)
+	payload, rest, err := storage.ReadFrame(frame, maxManifestSize)
+	if err != nil {
+		return m, fmt.Errorf("%w: %v", ErrManifestCorrupt, err)
 	}
-	payload := data[len(manifestMagic)+8:]
-	if uint32(len(payload)) != n {
-		return m, fmt.Errorf("%w: payload is %d bytes, header says %d", ErrManifestCorrupt, len(payload), n)
-	}
-	if crc32.Checksum(payload, crcTable) != sum {
-		return m, fmt.Errorf("%w: checksum mismatch", ErrManifestCorrupt)
+	if len(rest) != 0 {
+		return m, fmt.Errorf("%w: %d bytes past the frame", ErrManifestCorrupt, len(rest))
 	}
 	if err := json.Unmarshal(payload, &m); err != nil {
 		return m, fmt.Errorf("%w: %v", ErrManifestCorrupt, err)
@@ -131,38 +116,33 @@ func (m Manifest) validate() error {
 	return nil
 }
 
-// SaveManifest atomically writes the manifest (write temp, fsync,
-// rename), so a crash mid-save leaves either the old file or the new
-// one, never a torn frame.
+// SaveManifest is SaveManifestFS on the real filesystem.
 func SaveManifest(path string, m Manifest) error {
+	return SaveManifestFS(storage.OS(), path, m)
+}
+
+// SaveManifestFS durably replaces the manifest at path through fs
+// (storage.WriteFileAtomic), so a crash mid-save leaves either the old
+// file or the new one, never a torn frame, and a returned nil means the
+// rename itself is on disk.
+func SaveManifestFS(fs storage.FS, path string, m Manifest) error {
 	data, err := EncodeManifest(m)
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".manifest-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return storage.WriteFileAtomic(fs, path, data)
 }
 
-// LoadManifest reads a manifest. A missing file is a clean cold start
-// (zero manifest, nil error); a present-but-invalid file returns
-// ErrManifestCorrupt so the caller decides how to re-fence.
+// LoadManifest is LoadManifestFS on the real filesystem.
 func LoadManifest(path string) (Manifest, error) {
-	data, err := os.ReadFile(path)
+	return LoadManifestFS(storage.OS(), path)
+}
+
+// LoadManifestFS reads the manifest at path through fs. A missing file
+// is a clean cold start (zero manifest, nil error); a present-but-invalid
+// file returns ErrManifestCorrupt so the caller decides how to re-fence.
+func LoadManifestFS(fs storage.FS, path string) (Manifest, error) {
+	data, err := fs.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return Manifest{}, nil
 	}

@@ -3,12 +3,16 @@ package coordinator
 import (
 	"bytes"
 	"errors"
+	"io"
+	"os"
 	"path/filepath"
 	"reflect"
+	"syscall"
 	"testing"
 	"time"
 
 	"github.com/euastar/euastar/internal/experiment"
+	"github.com/euastar/euastar/internal/storage"
 	"github.com/euastar/euastar/internal/telemetry"
 )
 
@@ -139,6 +143,70 @@ func TestEpochsMonotonicAcrossRestart(t *testing.T) {
 	second := run()
 	if second <= first {
 		t.Fatalf("post-restart epoch %d not above pre-restart %d", second, first)
+	}
+}
+
+// TestManifestSaveDurabilityOrder asserts the full durability recipe of
+// a manifest save: temp write, temp fsync, rename, directory fsync — in
+// that order. Without the directory fsync a crash can lose the renamed
+// watermark, and a successor would reissue granted epochs.
+func TestManifestSaveDurabilityOrder(t *testing.T) {
+	var ops []string
+	trace := &storage.TraceFS{Inner: storage.OS(), OnOp: func(op, path string) { ops = append(ops, op) }}
+	if err := SaveManifestFS(trace, filepath.Join(t.TempDir(), "leases.manifest"), Manifest{MaxEpoch: 64}); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"create", "write", "sync", "rename", "syncdir"}; !reflect.DeepEqual(ops, want) {
+		t.Fatalf("ops %v, want %v", ops, want)
+	}
+}
+
+// TestManifestSaveFaultLeavesPreviousManifest: a save that dies mid-write
+// (injected short write, ENOSPC or fsync error) must report the error,
+// leave the previous manifest loadable and leave no temporary file.
+func TestManifestSaveFaultLeavesPreviousManifest(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		plan *storage.FaultPlan
+	}{
+		// After=3 lets the first save's write+sync+syncdir through, so the
+		// fault lands on the second save's operations.
+		{"short-write", &storage.FaultPlan{Seed: 3, ShortWriteProb: 1, After: 3}},
+		{"write-err", &storage.FaultPlan{Seed: 3, WriteErrProb: 1, After: 3}},
+		{"sync-err", &storage.FaultPlan{Seed: 3, SyncErrProb: 1, After: 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "leases.manifest")
+			fs := storage.NewFaultFS(storage.OS(), tc.plan)
+			if err := SaveManifestFS(fs, path, Manifest{MaxEpoch: 64}); err != nil {
+				t.Fatalf("save inside grace window: %v", err)
+			}
+			err := SaveManifestFS(fs, path, Manifest{MaxEpoch: 128})
+			if !errors.Is(err, syscall.ENOSPC) && !errors.Is(err, io.ErrShortWrite) && !errors.Is(err, syscall.EIO) {
+				t.Fatalf("faulted save returned %v", err)
+			}
+			m, err := LoadManifest(path)
+			if err != nil || m.MaxEpoch != 64 {
+				t.Fatalf("reload after faulted save: %+v, %v; want the previous watermark 64", m, err)
+			}
+			if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+				t.Fatalf("directory holds %d entries, want the manifest alone", len(entries))
+			}
+		})
+	}
+}
+
+// TestManifestSaveDirSyncFaultSurfaces: a directory-sync failure after
+// the rename must surface as a save error — the rename may not survive a
+// crash, so the watermark is not yet reserved.
+func TestManifestSaveDirSyncFaultSurfaces(t *testing.T) {
+	// Ops per save: write, sync, syncdir. After=2 exempts the write and
+	// sync; op 2 is the syncdir, which faults.
+	fs := storage.NewFaultFS(storage.OS(), &storage.FaultPlan{Seed: 1, SyncErrProb: 1, After: 2})
+	err := SaveManifestFS(fs, filepath.Join(t.TempDir(), "leases.manifest"), Manifest{MaxEpoch: 64})
+	if !errors.Is(err, syscall.EIO) {
+		t.Fatalf("save with failing dir sync: %v, want EIO", err)
 	}
 }
 

@@ -22,9 +22,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -317,7 +315,7 @@ func encodeCheckpoint(doc *checkpointDoc) ([]byte, error) {
 	}
 	return json.Marshal(checkpointWire{
 		Version:     checkpointVersion,
-		CRC:         crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)),
+		CRC:         storage.Checksum(payload),
 		Experiments: payload,
 	})
 }
@@ -338,7 +336,7 @@ func decodeCheckpoint(data []byte) (*checkpointDoc, error) {
 	if len(wire.Experiments) == 0 {
 		return nil, fmt.Errorf("experiment: %w: missing experiments payload", ErrCheckpointCorrupt)
 	}
-	if sum := crc32.Checksum(wire.Experiments, crc32.MakeTable(crc32.Castagnoli)); sum != wire.CRC {
+	if sum := storage.Checksum(wire.Experiments); sum != wire.CRC {
 		return nil, fmt.Errorf("experiment: %w: CRC mismatch (file %08x, payload %08x)", ErrCheckpointCorrupt, wire.CRC, sum)
 	}
 	doc := checkpointDoc{Version: wire.Version}
@@ -437,8 +435,9 @@ func (s *CheckpointStore) Lookup(exp, fingerprint string, i int) (json.RawMessag
 	return raw, ok
 }
 
-// Save records cell i's result and atomically rewrites the checkpoint
-// file. A fingerprint change discards the experiment's stale cells.
+// Save records cell i's result and durably replaces the checkpoint file
+// (storage.WriteFileAtomic). A fingerprint change discards the
+// experiment's stale cells.
 func (s *CheckpointStore) Save(exp, fingerprint string, i int, raw json.RawMessage) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -448,40 +447,9 @@ func (s *CheckpointStore) Save(exp, fingerprint string, i int, raw json.RawMessa
 		s.doc.Experiments[exp] = e
 	}
 	e.Cells[strconv.Itoa(i)] = raw
-	return s.flushLocked()
-}
-
-// flushLocked writes the document atomically and durably: marshal with
-// checksum, write to a temporary file in the same directory, fsync it,
-// rename over the target, then fsync the directory so the rename itself
-// survives a crash.
-func (s *CheckpointStore) flushLocked() error {
 	data, err := encodeCheckpoint(s.doc)
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(s.path)
-	tmp, err := s.fs.CreateTemp(dir, filepath.Base(s.path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		s.fs.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		s.fs.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		s.fs.Remove(tmp.Name())
-		return err
-	}
-	if err := s.fs.Rename(tmp.Name(), s.path); err != nil {
-		s.fs.Remove(tmp.Name())
-		return err
-	}
-	return s.fs.SyncDir(dir)
+	return storage.WriteFileAtomic(s.fs, s.path, data)
 }

@@ -7,14 +7,18 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/euastar/euastar/internal/client"
 	"github.com/euastar/euastar/internal/coordinator"
 	"github.com/euastar/euastar/internal/server"
+	"github.com/euastar/euastar/internal/storage"
 )
 
 // clusterSpec is a small faults-enabled sweep: 2 loads × 2 seeds.
@@ -200,5 +204,71 @@ func TestCoordinatorWithoutWorkersCompletesLocally(t *testing.T) {
 	}
 	if granted := metric(t, coordTS.URL, "euad_coord_leases_granted_total"); granted != 0 {
 		t.Fatalf("%v leases granted with no workers", granted)
+	}
+}
+
+// TestCoordinatorManifestThroughServerFS: a coordinator-mode daemon
+// writes its lease manifest through the server's storage.FS, so the
+// manifest gets the same atomic replace and directory sync as the
+// journal and checkpoints, and sits under -storage-faults.
+func TestCoordinatorManifestThroughServerFS(t *testing.T) {
+	dir := t.TempDir()
+	manifest := filepath.Join(dir, "leases.manifest")
+	var (
+		mu  sync.Mutex
+		ops []string
+	)
+	trace := &storage.TraceFS{Inner: storage.OS(), OnOp: func(op, path string) {
+		if path == manifest || path == dir {
+			mu.Lock()
+			ops = append(ops, op+" "+filepath.Base(path))
+			mu.Unlock()
+		}
+	}}
+	coord, err := server.New(server.Config{
+		DataDir: dir,
+		FS:      trace,
+		Workers: 1,
+		Logf:    t.Logf,
+		Cluster: &coordinator.Config{LeaseTTL: 5 * time.Second},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	coordTS := httptest.NewServer(coord)
+	defer coordTS.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	w := &client.Worker{Client: client.New(coordTS.URL), ID: "w1", Slots: 1, Logf: t.Logf}
+	workerDone := make(chan struct{})
+	go func() {
+		defer close(workerDone)
+		w.Run(ctx)
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for metric(t, coordTS.URL, "euad_coord_workers_live") < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("worker never registered")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	runSweepOn(t, coordTS.URL, server.JobSpec{ID: "m", Kind: server.KindSweep, Experiment: "fig2", Loads: []float64{0.5}, Seeds: 1, Horizon: 0.1})
+	cancel()
+	<-workerDone
+	if granted := metric(t, coordTS.URL, "euad_coord_leases_granted_total"); granted < 1 {
+		t.Fatal("no lease granted, so no manifest save to observe")
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	renamed := slices.Index(ops, "rename leases.manifest")
+	if renamed < 0 || !slices.Contains(ops[renamed:], "syncdir "+filepath.Base(dir)) {
+		t.Fatalf("manifest not replaced through the server's FS with a directory sync: %v", ops)
+	}
+	m, err := coordinator.LoadManifest(manifest)
+	if err != nil || m.MaxEpoch < 1 {
+		t.Fatalf("manifest on disk: %+v, %v", m, err)
 	}
 }

@@ -66,8 +66,9 @@ type Config struct {
 	// 64); submissions from further tenants are refused with 429.
 	MaxTenants int
 	// FS is the filesystem the durability layer writes through (journal,
-	// sweep checkpoints). Nil means the real filesystem; chaos tests and
-	// the -storage-faults flag inject a fault-wrapped one.
+	// sweep checkpoints, the coordinator's lease manifest). Nil means the
+	// real filesystem; chaos tests and the -storage-faults flag inject a
+	// fault-wrapped one.
 	FS storage.FS
 	// DiskLowWatermark, when > 0, is the free-space fraction of DataDir's
 	// filesystem below which the server enters degraded mode: stateless
@@ -98,8 +99,8 @@ type Config struct {
 	// Cluster, when non-nil, runs this daemon as a sweep coordinator:
 	// the cluster endpoints are mounted, sweep jobs are distributed
 	// across registered workers, and the local run merges the committed
-	// cells (computing any gaps itself). The coordinator's Registry and
-	// Logf are wired to the server's; its lease manifest defaults to
+	// cells (computing any gaps itself). The coordinator's Registry, Logf
+	// and FS are wired to the server's; its lease manifest defaults to
 	// DataDir/leases.manifest when DataDir is set.
 	Cluster *coordinator.Config
 
@@ -251,6 +252,7 @@ func New(cfg Config) (*Server, error) {
 		cc := *cfg.Cluster
 		cc.Registry = s.reg
 		cc.Logf = cfg.Logf
+		cc.FS = s.fs
 		if cc.ManifestPath == "" && cfg.DataDir != "" {
 			cc.ManifestPath = filepath.Join(cfg.DataDir, "leases.manifest")
 		}
