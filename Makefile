@@ -102,39 +102,32 @@ telemetry-overhead:
 telemetry-smoke:
 	$(GO) test -count=1 -run 'TestTelemetrySmoke' -v ./cmd/euad/
 
-# cover runs the tests with coverage and enforces the floors: the
-# scheduler core internal/sched/eua (the production core under its unit
-# and reference-oracle suites), the shared scheduling layer
-# internal/sched (the Sequencer against the literal loop, the task table
-# and the look-ahead, under the package's own tests), the admission
-# analyzer internal/admission (unit + differential + golden threshold
-# suites), the optimality oracles
+# cover runs the tests with coverage, then enforces an 80% statement
+# coverage floor on each package of COVER_FLOOR_PKGS: the scheduler core
+# internal/sched/eua (the production core under its unit and
+# reference-oracle suites), the shared scheduling layer internal/sched
+# (the Sequencer against the literal loop, the task table and the
+# look-ahead), the admission analyzer internal/admission (unit +
+# differential + golden threshold suites), the optimality oracles
 # internal/oracle (unit + soundness + cross-oracle suites), the
 # multi-tenant admission controller internal/tenancy, the
-# fault-injectable filesystem internal/storage, the multiprocessor
-# meta-schedulers internal/sched/partition (bin packing + global UER +
-# single-core identity suite) and the comparison schedulers
-# internal/sched/baseline (all ten EDF and utility-accrual variants) must
-# each stay at or above 80% statement coverage.
+# fault-injectable filesystem and durable-write helpers internal/storage,
+# the multiprocessor meta-schedulers internal/sched/partition (bin
+# packing + global UER + single-core identity suite), the comparison
+# schedulers internal/sched/baseline (all ten EDF and utility-accrual
+# variants) and the job journal internal/jobstore.
+COVER_FLOOR_PKGS = internal/sched/eua internal/sched internal/admission internal/oracle \
+	internal/tenancy internal/storage internal/sched/partition internal/sched/baseline internal/jobstore
+
 cover:
 	$(GO) test -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -1
-	$(GO) test -coverprofile=coverage-eua.out ./internal/sched/eua/
-	@$(GO) tool cover -func=coverage-eua.out | awk '/^total:/ { pct = $$3 + 0; printf "internal/sched/eua coverage: %s (floor 80%%)\n", $$3; if (pct < 80) { print "FAIL: internal/sched/eua below the 80% coverage floor"; exit 1 } }'
-	$(GO) test -coverprofile=coverage-sched.out ./internal/sched/
-	@$(GO) tool cover -func=coverage-sched.out | awk '/^total:/ { pct = $$3 + 0; printf "internal/sched coverage: %s (floor 80%%)\n", $$3; if (pct < 80) { print "FAIL: internal/sched below the 80% coverage floor"; exit 1 } }'
-	$(GO) test -coverprofile=coverage-admission.out ./internal/admission/
-	@$(GO) tool cover -func=coverage-admission.out | awk '/^total:/ { pct = $$3 + 0; printf "internal/admission coverage: %s (floor 80%%)\n", $$3; if (pct < 80) { print "FAIL: internal/admission below the 80% coverage floor"; exit 1 } }'
-	$(GO) test -coverprofile=coverage-oracle.out ./internal/oracle/
-	@$(GO) tool cover -func=coverage-oracle.out | awk '/^total:/ { pct = $$3 + 0; printf "internal/oracle coverage: %s (floor 80%%)\n", $$3; if (pct < 80) { print "FAIL: internal/oracle below the 80% coverage floor"; exit 1 } }'
-	$(GO) test -coverprofile=coverage-tenancy.out ./internal/tenancy/
-	@$(GO) tool cover -func=coverage-tenancy.out | awk '/^total:/ { pct = $$3 + 0; printf "internal/tenancy coverage: %s (floor 80%%)\n", $$3; if (pct < 80) { print "FAIL: internal/tenancy below the 80% coverage floor"; exit 1 } }'
-	$(GO) test -coverprofile=coverage-storage.out ./internal/storage/
-	@$(GO) tool cover -func=coverage-storage.out | awk '/^total:/ { pct = $$3 + 0; printf "internal/storage coverage: %s (floor 80%%)\n", $$3; if (pct < 80) { print "FAIL: internal/storage below the 80% coverage floor"; exit 1 } }'
-	$(GO) test -coverprofile=coverage-partition.out ./internal/sched/partition/
-	@$(GO) tool cover -func=coverage-partition.out | awk '/^total:/ { pct = $$3 + 0; printf "internal/sched/partition coverage: %s (floor 80%%)\n", $$3; if (pct < 80) { print "FAIL: internal/sched/partition below the 80% coverage floor"; exit 1 } }'
-	$(GO) test -coverprofile=coverage-baseline.out ./internal/sched/baseline/
-	@$(GO) tool cover -func=coverage-baseline.out | awk '/^total:/ { pct = $$3 + 0; printf "internal/sched/baseline coverage: %s (floor 80%%)\n", $$3; if (pct < 80) { print "FAIL: internal/sched/baseline below the 80% coverage floor"; exit 1 } }'
+	@for pkg in $(COVER_FLOOR_PKGS); do \
+		prof=coverage-$${pkg##*/}.out; \
+		echo "$(GO) test -coverprofile=$$prof ./$$pkg/"; \
+		$(GO) test -coverprofile=$$prof ./$$pkg/ || exit 1; \
+		$(GO) tool cover -func=$$prof | awk -v pkg=$$pkg '/^total:/ { pct = $$3 + 0; printf "%s coverage: %s (floor 80%%)\n", pkg, $$3; if (pct < 80) { printf "FAIL: %s below the 80%% coverage floor\n", pkg; exit 1 } }' || exit 1; \
+	done
 
 fuzz:
 	$(GO) test -fuzz=FuzzCompliant -fuzztime=30s ./internal/uam/
@@ -142,8 +135,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzConfig -fuzztime=30s ./internal/config/
 	$(GO) test -fuzz=FuzzCheckpoint -fuzztime=30s ./internal/experiment/
 	$(GO) test -fuzz=FuzzAdmission -fuzztime=30s -run='^$$' ./internal/admission/
-
 	$(GO) test -fuzz=FuzzLeaseManifest -fuzztime=30s -run='^$$' ./internal/coordinator/
+	$(GO) test -fuzz=FuzzFrame -fuzztime=30s -run='^$$' ./internal/storage/
 	$(GO) test -fuzz=FuzzOracle -fuzztime=30s -run='^$$' ./internal/oracle/
 
 # fuzz-smoke is the short CI-friendly fuzz pass wired into check.
@@ -152,6 +145,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzCheckpoint -fuzztime=5s -run='^$$' ./internal/experiment/
 	$(GO) test -fuzz=FuzzAdmission -fuzztime=5s -run='^$$' ./internal/admission/
 	$(GO) test -fuzz=FuzzLeaseManifest -fuzztime=5s -run='^$$' ./internal/coordinator/
+	$(GO) test -fuzz=FuzzFrame -fuzztime=5s -run='^$$' ./internal/storage/
 	$(GO) test -fuzz=FuzzOracle -fuzztime=5s -run='^$$' ./internal/oracle/
 
 # check is the full local gate: build, lint, tests, race tests, coverage
