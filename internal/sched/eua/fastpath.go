@@ -96,7 +96,6 @@ type fastState struct {
 
 	// decideFreq's scratch buffers, reused across events.
 	earliest []int32 // per task: live index of earliest pending job, -1 none
-	pending  []int32 // per task: pending job count
 	entries  []sched.LookAheadEntry
 }
 
@@ -120,7 +119,6 @@ func (s *Scheduler) initFast() {
 		arrivals:     make([]uam.Window, n),
 		allCacheable: true,
 		earliest:     make([]int32, n),
-		pending:      make([]int32, n),
 		entries:      make([]sched.LookAheadEntry, 0, 2*n),
 	}
 	fp := &s.fp
@@ -241,9 +239,9 @@ func (s *Scheduler) rationing() *sched.Ration {
 }
 
 // decideFreqFast is Algorithm 2, the stochastic DVS technique, over the
-// core's dense per-task view: earliest pending job and pending count per
-// task come from two reusable arrays instead of a per-event map, entries
-// reuse one buffer, and the deferral loop is the shared
+// core's dense per-task view: each task's earliest pending job (none
+// marks an idle task) comes from a reusable array instead of a per-event
+// map, entries reuse one buffer, and the deferral loop is the shared
 // sched.LookAheadFrequency.
 func (s *Scheduler) decideFreqFast(now float64, jexe *task.Job) float64 {
 	fp := &s.fp
@@ -258,24 +256,18 @@ func (s *Scheduler) decideFreqFast(now float64, jexe *task.Job) float64 {
 	// minimum by sched.Less.
 	for ti := range fp.earliest {
 		fp.earliest[ti] = -1
-		fp.pending[ti] = 0
 	}
 	for _, li := range fp.seq.Critical() {
-		ti := live[li].TaskPos
-		if ti < 0 {
-			continue
-		}
-		if fp.earliest[ti] < 0 {
+		if ti := live[li].TaskPos; ti >= 0 && fp.earliest[ti] < 0 {
 			fp.earliest[ti] = li
 		}
-		fp.pending[ti]++
 	}
 
 	tab := &fp.tab
 	entries := fp.entries[:0]
 	for ti, t := range s.ctx.Tasks {
 		crit, alloc := tab.Crit(ti), tab.Alloc(ti)
-		if fp.pending[ti] == 0 {
+		if fp.earliest[ti] < 0 {
 			entry := sched.LookAheadEntry{
 				AbsCritical: now + crit,
 				StaticUtil:  tab.MinFreq(ti),
