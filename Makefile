@@ -115,9 +115,11 @@ telemetry-smoke:
 # the multiprocessor meta-schedulers internal/sched/partition (bin
 # packing + global UER + single-core identity suite), the comparison
 # schedulers internal/sched/baseline (all ten EDF and utility-accrual
-# variants) and the job journal internal/jobstore.
+# variants), the job journal internal/jobstore, the simulation engine
+# internal/engine and the metrics registry internal/telemetry.
 COVER_FLOOR_PKGS = internal/sched/eua internal/sched internal/admission internal/oracle \
-	internal/tenancy internal/storage internal/sched/partition internal/sched/baseline internal/jobstore
+	internal/tenancy internal/storage internal/sched/partition internal/sched/baseline internal/jobstore \
+	internal/engine internal/telemetry
 
 cover:
 	$(GO) test -coverprofile=coverage.out ./...

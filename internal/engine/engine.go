@@ -396,7 +396,6 @@ type state struct {
 	single     oneCore
 	lastTime   float64
 	observer   EventObserver
-	readyBuf   []*task.Job // reusable Decide argument buffer
 	trace      []Span
 	depleted   bool
 	depletedAt float64
@@ -486,11 +485,10 @@ func Run(cfg Config) (res *Result, err error) {
 		window += t.Arrival.A
 	}
 	st := &state{
-		cfg:      cfg,
-		cores:    make([]coreState, m),
-		wd:       newWatchdog(cfg.Tasks, window),
-		pending:  make([]*task.Job, 0, window),
-		readyBuf: make([]*task.Job, 0, window),
+		cfg:     cfg,
+		cores:   make([]coreState, m),
+		wd:      newWatchdog(cfg.Tasks, window),
+		pending: make([]*task.Job, 0, window),
 	}
 	st.queue.Reserve(window + m)
 	for k := range st.cores {
@@ -928,11 +926,10 @@ func (st *state) decide(now float64) {
 			bo.OnEnergy(st.energyTotal(), st.cfg.EnergyBudget)
 		}
 	}
-	// DecideMulti may reorder ready in place but must not retain it, so
-	// one buffer is reused across the run instead of copying pending
-	// afresh on every decision.
-	st.readyBuf = append(st.readyBuf[:0], st.pending...)
-	d := st.multi.DecideMulti(now, st.readyBuf)
+	// DecideMulti must not modify ready or return a slice that aliases
+	// it, so the scheduler reads pending itself, and the aborts below
+	// can remove jobs from pending while d.Abort is walked.
+	d := st.multi.DecideMulti(now, st.pending)
 	st.ins.noteDecision(len(st.pending))
 	for _, j := range d.Abort {
 		st.abort(now, j, "scheduler abort")

@@ -16,8 +16,9 @@ import (
 // the engine's multi-core contract without pulling in the partition
 // package.
 type multiTestSched struct {
-	m     int
-	freqs []cpu.FrequencyTable
+	m      int
+	freqs  []cpu.FrequencyTable
+	sorted []*task.Job
 }
 
 func (s *multiTestSched) Name() string { return "multi-test" }
@@ -38,14 +39,21 @@ func (s *multiTestSched) Decide(now float64, ready []*task.Job) sched.Decision {
 
 func (s *multiTestSched) DecideMulti(now float64, ready []*task.Job) sched.MultiDecision {
 	d := sched.MultiDecision{Cores: make([]sched.CoreDecision, s.m)}
-	sched.ByCriticalTime(ready)
-	for _, j := range ready {
+	for _, j := range s.byCriticalTime(ready) {
 		k := j.Task.ID % s.m
 		if d.Cores[k].Run == nil {
 			d.Cores[k] = sched.CoreDecision{Run: j, Freq: s.freqs[k].Max()}
 		}
 	}
 	return d
+}
+
+// byCriticalTime returns the ready jobs in critical-time order, sorted
+// in the scheduler's own buffer: ready is the engine's and read-only.
+func (s *multiTestSched) byCriticalTime(ready []*task.Job) []*task.Job {
+	s.sorted = append(s.sorted[:0], ready...)
+	sched.ByCriticalTime(s.sorted)
+	return s.sorted
 }
 
 // multiTestSet builds n periodic tasks with distinct IDs 0..n-1.
@@ -214,10 +222,9 @@ func (s *migrateSched) DecideMulti(now float64, ready []*task.Job) sched.MultiDe
 	if len(ready) == 0 {
 		return d
 	}
-	sched.ByCriticalTime(ready)
 	s.flip++
 	k := s.flip % s.m
-	d.Cores[k] = sched.CoreDecision{Run: ready[0], Freq: s.freqs[k].Max()}
+	d.Cores[k] = sched.CoreDecision{Run: s.byCriticalTime(ready)[0], Freq: s.freqs[k].Max()}
 	return d
 }
 

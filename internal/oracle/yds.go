@@ -28,6 +28,11 @@ type Schedule struct {
 	Speeds []float64
 	// Rounds is how many critical intervals the peeling removed.
 	Rounds int
+
+	// swept and skipped count, over all rounds, the distinct releases of
+	// rescanned components that were swept and that their carried
+	// bound let the round skip.
+	swept, skipped int
 }
 
 // YDS computes the optimal continuous speed assignment for the
@@ -45,13 +50,15 @@ type Schedule struct {
 // the earlier start, then the earlier end, wins. Each round removes at
 // least one job.
 //
-// A round rescans only what the last peel could have changed, with the
-// float operations of the plain peel (ydsReference in the tests), so
-// Speeds and Rounds match it bit for bit:
+// A round forms only the candidates that can decide it, with the float
+// operations of the plain peel (ydsReference in the tests), so Speeds
+// and Rounds match it bit for bit:
 //
-//   - The jobs stay in (deadline, index) order across rounds. A peel
-//     moves few of them (the snapped deadlines, up to rounding), so one
-//     insertion pass restores the order.
+//   - The jobs stay in (deadline, index) order across rounds and their
+//     releases in ascending order. A peel moves few of them (the
+//     snapped deadlines, up to rounding), so each job is inserted into
+//     place as it is written back; nothing before the first deadline
+//     after t1 or the first release at or after t1 moves at all.
 //   - The order splits into window components: a new one starts after
 //     position k when every later job is released more than gapRel of
 //     the active span after the k-th deadline. An interval spanning
@@ -69,11 +76,77 @@ type Schedule struct {
 //     last round (it lies wholly before the peeled interval) keeps its
 //     best interval; every other component is rescanned. The round's
 //     winner is the best of the component bests under the same order.
+//   - Every release carries a bound: the highest intensity its
+//     candidates computed when it was last swept, or +Inf. A rescanned
+//     component sweeps the releases without a bound, then the one with
+//     the highest bound, then the others in order, skipping each whose
+//     bound times 1 + slack is below the running best. Every candidate
+//     of a skipped release computes strictly less than that best, so it
+//     neither wins nor ties, and the component's best is the full
+//     sweep's.
 //
-// Where that rounding argument does not apply — a collapsed window of
-// zero or negative width, intensities or the margin outside the normal
-// float range with room to spare, more than maxSplitJobs jobs — the
-// round runs as one component, which is the plain sweep.
+// The bound carries across peels because, in exact arithmetic, a peel
+// never raises the best intensity of a release outside [t1, t2].
+// Candidates left of t1 are untouched and candidates right of t2 only
+// shift. A candidate from r < t1 to d that spans the peeled interval,
+// or ends at the snapped t1, maps to the last round's candidate from r
+// to max(d, t2): that one held all of its work and the peeled work
+// g·(t2 − t1) besides, in t2 − t1 more time, so the new intensity can
+// exceed the old only if the old exceeded g. Floats weaken each step,
+// and slack covers every case:
+//
+//   - The computed maximum against the exact one: g above is the exact
+//     intensity of the peeled jobs, which can lie below the exact
+//     maximum by rounding. A release before t1 in the winner's
+//     component keeps its bound only if the bound times 1 + slack is
+//     below the winner's computed intensity; its exact best is then
+//     below g. (The candidates of other components never reach the
+//     peeled interval.)
+//   - Collapsing: t − (t2 − t1) lands within e = 4·2⁻⁵³·mag0 of the
+//     exact image, mag0 being the largest coordinate magnitude at the
+//     start, which later rounds exceed by a factor of at most
+//     1 + 4·n0·2⁻⁵³. A candidate's width therefore differs from its
+//     exact image's by at most 2e, against a width of at least w, the
+//     least window width of the round that reads the bound: every
+//     candidate holds the whole window of the job at its end.
+//   - Coordinates that round together: several releases (or deadlines)
+//     can collapse onto one value. A new candidate maps to the widest
+//     old candidate collapsing onto it — from the smallest release, to
+//     the largest deadline — which held all of its work, and a value's
+//     bound is the largest of its entries'. The collapse is not
+//     monotone at t2, where t2 − (t2 − t1) can round below t1, so a
+//     release in [t1, t2], or past t2 that lands at t1 or below, is
+//     reset to +Inf: its new candidates can hold jobs released before
+//     it.
+//   - Candidates that end at the snapped t1 hold the jobs whose
+//     deadlines snapped there from inside the interval; they map to the
+//     last round's candidates that end at t2, as above.
+//   - Component boundaries that move: a bound covers only the
+//     candidates inside its component. Each release entry carries the
+//     label of the component it was last scanned in, and a rescanned
+//     component whose entries carry two labels joins jobs of two
+//     earlier components, so its bounds are reset to +Inf. A component
+//     that splits keeps them.
+//   - Bounds carried over several rounds: going back from the reading
+//     round, each step maps a candidate to a last-round one whose
+//     collapsed width is within 2e of its own, so over at most n0
+//     peels (n0 the instance's job count) every candidate of the chain
+//     is at least half as wide while 4·n0·e ≤ w, and the chain grows
+//     the bound by a factor of at most 1 + 8·n0·e/w, which is
+//     1 + 32·n0·2⁻⁵³·mag0/w.
+//
+// Each computed intensity is within a relative (n0+2)·2⁻⁵³ of its exact
+// value, at the round that recorded the bound and at the round that
+// reads it, so the bound needs a relative slack of
+// 3·(n0+2)·2⁻⁵³ + 33·n0·2⁻⁵³·mag0/w; slack is (n0+2)·2⁻⁴⁵·(1 + mag0/w),
+// which covers that more than seven times over.
+//
+// Where the gap argument does not apply — a collapsed window of zero or
+// negative width, intensities or the margin outside the normal float
+// range with room to spare, more than maxSplitJobs jobs — the round
+// runs as one component, which is the plain sweep. Such a round, and
+// one whose slack exceeds maxSlack, prunes nothing and records no
+// bounds.
 func YDS(in Instance) (*Schedule, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -106,6 +179,7 @@ func YDS(in Instance) (*Schedule, error) {
 		}
 		stable = p.peel(best, s.Speeds)
 	}
+	s.swept, s.skipped = p.swept, p.skipped
 	return s, nil
 }
 
@@ -117,6 +191,12 @@ const (
 	// maxSplitJobs is the most jobs whose prefix-sum rounding error
 	// gapRel covers with a factor of four to spare.
 	maxSplitJobs = 1 << 20
+	// maxSlack is the largest bound slack a round prunes with; below it
+	// the approximations in the slack argument of YDS hold.
+	maxSlack = 0x1p-10
+	// sweptLabel marks, within one sweep, the release entries already
+	// swept.
+	sweptLabel = -1
 )
 
 // ydsItem is one active job in the current, collapsed coordinates.
@@ -155,12 +235,22 @@ type peeler struct {
 	items  []ydsItem
 	rels   []ydsRel
 	peeled []bool // by input index
+	// n0 and mag0 are the job count and the largest coordinate magnitude
+	// at the start, which bound every later round's (see YDS).
+	n0   int
+	mag0 float64
+	// slack is the round's relative margin on a carried bound, +Inf
+	// when the round prunes nothing (see YDS).
+	slack          float64
+	swept, skipped int
 }
 
-// ydsRel is one active job's release, with the job's input index.
+// ydsRel is one active job's release, with the job's input index, the
+// bound carried from the last sweep of the release and the label of the
+// component it was last scanned in (see YDS).
 type ydsRel struct {
-	t   float64
-	idx int
+	t, bound   float64
+	idx, label int
 }
 
 func newPeeler(jobs []Job) *peeler {
@@ -171,47 +261,39 @@ func newPeeler(jobs []Job) *peeler {
 		}
 	}
 	slices.SortFunc(p.items, byDeadline)
+	// Windows of similar width are released nearly in deadline order,
+	// so one insertion pass over that order sorts the releases.
 	p.rels = make([]ydsRel, len(p.items))
 	for k, it := range p.items {
-		p.rels[k] = ydsRel{t: it.rel, idx: it.idx}
+		r, j := ydsRel{t: it.rel, bound: math.Inf(1), idx: it.idx}, k
+		for j > 0 && p.rels[j-1].t > r.t {
+			p.rels[j] = p.rels[j-1]
+			j--
+		}
+		p.rels[j] = r
 	}
-	slices.SortFunc(p.rels, byRelease)
+	if n := len(p.items); n > 0 {
+		p.n0 = n
+		p.mag0 = max(math.Abs(p.rels[0].t), math.Abs(p.items[n-1].dl))
+	}
 	return p
 }
 
-func byRelease(a, b ydsRel) int { return cmp.Compare(a.t, b.t) }
-
 // components appends the window components of the deadline order to
-// comps, in order, with empty bests.
+// comps, in order, with empty bests, and sets the round's slack. A
+// boundary needs a gap above gapRel of the active span. Outside the
+// range the rounding arguments of YDS cover, the whole order is one
+// component and the slack is +Inf.
 func (p *peeler) components(comps []ydsComp) []ydsComp {
-	margin := p.gapMargin()
+	inf := math.Inf(1)
 	items := p.items
-	hi := len(items)
-	minRel := math.Inf(1)
-	for k := len(items) - 1; k > 0; k-- {
-		if items[k].rel < minRel {
-			minRel = items[k].rel
-		}
-		if minRel-items[k-1].dl > margin {
-			comps = append(comps, ydsComp{lo: k, hi: hi})
-			hi = k
-		}
-	}
-	comps = append(comps, ydsComp{lo: 0, hi: hi})
-	slices.Reverse(comps)
-	return comps
-}
-
-// gapMargin is the gap a component boundary must exceed: gapRel of the
-// active span, or +Inf (no boundary) outside the range the rounding
-// argument in YDS covers.
-func (p *peeler) gapMargin() float64 {
-	if len(p.items) > maxSplitJobs {
-		return math.Inf(1)
-	}
-	span := p.items[len(p.items)-1].dl - p.rels[0].t
-	wSum, wMin, widthMin := 0.0, math.Inf(1), math.Inf(1)
-	for _, it := range p.items {
+	n, base := len(items), len(comps)
+	span := items[n-1].dl - p.rels[0].t
+	margin := gapRel * span
+	hi := n
+	minRel, wSum, wMin, widthMin := inf, 0.0, inf, inf
+	for k := n - 1; k >= 0; k-- {
+		it := &items[k]
 		wSum += it.w
 		if it.w < wMin {
 			wMin = it.w
@@ -219,48 +301,134 @@ func (p *peeler) gapMargin() float64 {
 		if width := it.dl - it.rel; width < widthMin {
 			widthMin = width
 		}
+		if it.rel < minRel {
+			minRel = it.rel
+		}
+		if k > 0 && minRel-items[k-1].dl > margin {
+			comps = append(comps, ydsComp{lo: k, hi: hi})
+			hi = k
+		}
 	}
-	if !(widthMin > 0) || wSum/widthMin > 0x1p1000 || wMin/span < 0x1p-1000 || gapRel*span < 0x1p-1000 {
-		return math.Inf(1)
+	p.slack = inf
+	if n > maxSplitJobs || !(widthMin > 0) || wSum/widthMin > 0x1p1000 || wMin/span < 0x1p-1000 || margin < 0x1p-1000 {
+		return append(comps[:base], ydsComp{lo: 0, hi: n})
 	}
-	return gapRel * span
+	if slack := float64(p.n0+2) * 0x1p-45 * (1 + p.mag0/widthMin); slack <= maxSlack {
+		p.slack = slack
+	}
+	comps = append(comps, ydsComp{lo: 0, hi: hi})
+	slices.Reverse(comps[base:])
+	return comps
 }
 
-// sweep finds the component's best interval, sweeping each of its
-// distinct releases from the first deadline after it to the
-// component's end.
+// sweep finds the component's best interval, sweeping each release
+// from the first deadline after it to the component's end: first the
+// releases without a bound, then the one with the highest bound, then
+// the rest in ascending order, skipping each whose bound times
+// 1 + slack is below the running best. It relabels the component's
+// release entries.
 func (p *peeler) sweep(c *ydsComp) {
 	items := p.items[c.lo:c.hi]
-	best := ydsComp{g: math.Inf(-1)}
-	start := 0
-	for k, r := range p.rels[c.lo:c.hi] {
-		t1 := r.t
-		if k > 0 && t1 == p.rels[c.lo+k-1].t {
-			continue
+	rels := p.rels[c.lo:c.hi]
+	// A round that prunes nothing sweeps every release in order, and a
+	// component whose entries carry two labels joins jobs of two
+	// earlier components, whose bounds do not cover it.
+	reset := p.slack == math.Inf(1)
+	for i := 1; i < len(rels) && !reset; i++ {
+		reset = rels[i].label != rels[0].label
+	}
+	if reset {
+		for i := range rels {
+			rels[i].bound = math.Inf(1)
 		}
-		for start < len(items) && items[start].dl <= t1 {
+	}
+	best := ydsComp{g: math.Inf(-1)}
+	top, topStart, topBound := -1, 0, math.Inf(-1)
+	for k, start := 0, 0; k < len(rels); {
+		e, bound := release(rels, k)
+		for start < len(items) && items[start].dl <= rels[k].t {
 			start++
 		}
-		w := 0.0
-		for _, it := range items[start:] {
-			if it.rel < t1 {
-				continue
+		if bound == math.Inf(1) {
+			p.sweepRelease(items[start:], rels[k:e], &best)
+		} else if bound > topBound {
+			top, topStart, topBound = k, start, bound
+		}
+		k = e
+	}
+	if top >= 0 && !(topBound*(1+p.slack) < best.g) {
+		e, _ := release(rels, top)
+		p.sweepRelease(items[topStart:], rels[top:e], &best)
+	}
+	label := rels[0].idx
+	for k, start := 0, 0; k < len(rels); {
+		e, bound := release(rels, k)
+		switch {
+		case rels[k].label == sweptLabel:
+		case bound*(1+p.slack) < best.g:
+			p.skipped++
+		default:
+			for start < len(items) && items[start].dl <= rels[k].t {
+				start++
 			}
-			w += it.w
-			if g := w / (it.dl - t1); better(g, t1, it.dl, best) {
-				best.g, best.t1, best.t2 = g, t1, it.dl
-			}
+			p.sweepRelease(items[start:], rels[k:e], &best)
+		}
+		for ; k < e; k++ {
+			rels[k].label = label
 		}
 	}
 	c.g, c.t1, c.t2 = best.g, best.t1, best.t2
 }
 
+// release returns the end of the entries of the release at rels[k],
+// which are adjacent, and the largest of their bounds.
+func release(rels []ydsRel, k int) (end int, bound float64) {
+	bound = math.Inf(-1)
+	for end = k; end < len(rels) && rels[end].t == rels[k].t; end++ {
+		if rels[end].bound > bound {
+			bound = rels[end].bound
+		}
+	}
+	return end, bound
+}
+
+// sweepRelease forms the candidates of the release rels[0].t over
+// items, which start at the first deadline after it, folds its best
+// candidate into best and records its highest intensity as the bound of
+// the release's entries (+Inf when slack is, as such a round's rounding
+// argument does not hold).
+func (p *peeler) sweepRelease(items []ydsItem, rels []ydsRel, best *ydsComp) {
+	t1 := rels[0].t
+	top, t2, w := math.Inf(-1), 0.0, 0.0
+	for _, it := range items {
+		if it.rel < t1 {
+			continue
+		}
+		w += it.w
+		if g := w / (it.dl - t1); g > top {
+			top, t2 = g, it.dl
+		}
+	}
+	if top > math.Inf(-1) && better(top, t1, t2, *best) {
+		best.g, best.t1, best.t2 = top, t1, t2
+	}
+	if p.slack == math.Inf(1) {
+		top = math.Inf(1)
+	}
+	for i := range rels {
+		rels[i].bound, rels[i].label = top, sweptLabel
+	}
+	p.swept++
+}
+
 // peel assigns the winner's intensity to the jobs inside [t1, t2],
 // collapses the interval out of the other windows and restores both
-// orders. It returns how many leading positions of the deadline order
+// orders; jobs with a deadline at or before t1 and releases before t1
+// are untouched. It resets the bounds the peel may have outgrown (see
+// YDS) and returns how many leading positions of the deadline order
 // still hold the same jobs at the same coordinates.
-func (p *peeler) peel(best ydsComp, speeds []float64) int {
-	t1, t2 := best.t1, best.t2
+func (p *peeler) peel(win ydsComp, speeds []float64) int {
+	t1, t2 := win.t1, win.t2
 	length := t2 - t1
 	collapse := func(t float64) float64 {
 		switch {
@@ -272,56 +440,69 @@ func (p *peeler) peel(best ydsComp, speeds []float64) int {
 			return t1
 		}
 	}
-	n, stable := 0, len(p.items)
-	for _, it := range p.items {
+	// A release before t1 in the winner's component keeps its bound
+	// only if its exact best lies below the peeled jobs' intensity.
+	q := win.lo
+	for ; q < win.hi && p.rels[q].t < t1; q++ {
+		if !(p.rels[q].bound*(1+p.slack) < win.g) {
+			p.rels[q].bound = math.Inf(1)
+		}
+	}
+	k := win.lo
+	for k < win.hi && p.items[k].dl <= t1 {
+		k++
+	}
+	// Deadlines inside the interval snap to t1 and tie with each other
+	// (and with deadlines already at t1), so each kept job is inserted
+	// into place by (deadline, index) as it is written back.
+	n, stable := k, len(p.items)
+	for _, it := range p.items[k:] {
 		if it.rel >= t1 && it.dl <= t2 {
-			speeds[it.idx] = best.g
+			speeds[it.idx] = win.g
 			p.peeled[it.idx] = true
 			stable = min(stable, n)
 			continue
 		}
-		rel, dl := collapse(it.rel), collapse(it.dl)
-		if rel != it.rel || dl != it.dl {
+		moved := ydsItem{rel: collapse(it.rel), dl: collapse(it.dl), w: it.w, idx: it.idx}
+		if moved.rel != it.rel || moved.dl != it.dl {
 			stable = min(stable, n)
 		}
-		p.items[n] = ydsItem{rel: rel, dl: dl, w: it.w, idx: it.idx}
+		j := n
+		for ; j > 0 && byDeadline(moved, p.items[j-1]) < 0; j-- {
+			p.items[j] = p.items[j-1]
+		}
+		p.items[j] = moved
+		stable = min(stable, j)
 		n++
 	}
 	p.items = p.items[:n]
-	// Deadlines inside the interval snapped to t1 and now tie with
-	// each other (and with deadlines already at t1), so their index
-	// order must be restored; positions before stable are in order.
-	for i := max(stable, 1); i < n; i++ {
-		it, j := p.items[i], i
-		for j > 0 && byDeadline(it, p.items[j-1]) < 0 {
-			p.items[j] = p.items[j-1]
-			j--
-		}
-		p.items[j] = it
-		stable = min(stable, j)
-	}
 
-	m := 0
-	for _, r := range p.rels {
-		if !p.peeled[r.idx] {
-			p.rels[m] = ydsRel{t: collapse(r.t), idx: r.idx}
-			m++
-		}
-	}
-	p.rels = p.rels[:m]
 	// Collapsing keeps the releases in order except one at exactly t2,
 	// which t2 − length can round below t1; the sweep's start pointer
-	// and the component ranges rely on the order, so one insertion pass
-	// restores it. Nothing reads the order among equal releases: the
-	// sweep skips repeats and gapMargin reads only the first.
-	for i := 1; i < m; i++ {
-		r, j := p.rels[i], i
-		for j > 0 && p.rels[j-1].t > r.t {
+	// and the component ranges rely on the order, so each kept release
+	// is inserted into place as it is written back. Nothing reads the
+	// order among equal releases: the sweep takes the largest bound of
+	// a release's entries, and components reads only the first. A
+	// release in [t1, t2], or one past t2 that lands at t1 or below,
+	// loses its bound (see YDS).
+	m := q
+	for _, r := range p.rels[q:] {
+		if p.peeled[r.idx] {
+			continue
+		}
+		t := collapse(r.t)
+		if r.t <= t2 || t <= t1 {
+			r.bound = math.Inf(1)
+		}
+		r.t = t
+		j := m
+		for ; j > 0 && p.rels[j-1].t > t; j-- {
 			p.rels[j] = p.rels[j-1]
-			j--
 		}
 		p.rels[j] = r
+		m++
 	}
+	p.rels = p.rels[:m]
 	return stable
 }
 
@@ -366,16 +547,48 @@ func (s *Schedule) EnergyContinuous(m energy.Model) float64 {
 // Intensities above the table maximum are clamped to it: no
 // table-speed schedule can realize them, and instances derived from
 // real executions (ExecutedInstance) never produce them.
+//
+// The jobs peeled in one round share its intensity, so each distinct
+// speed is priced once; the sum still runs in input order.
 func (s *Schedule) EnergyDiscrete(m energy.Model, ft cpu.FrequencyTable) float64 {
+	var prices priceMemo
 	var total float64
 	fm := ft.Max()
 	for i, j := range s.Jobs {
 		if j.Cycles <= 0 {
 			continue
 		}
-		total += j.Cycles * perCycleTable(m, ft, math.Min(s.Speeds[i], fm))
+		total += j.Cycles * prices.get(m, ft, math.Min(s.Speeds[i], fm))
 	}
 	return total
+}
+
+// priceMemo remembers perCycleTable by speed in a fixed open-addressed
+// table, so it lives on the caller's stack. Once the table is three
+// quarters full, new speeds are priced without being remembered.
+type priceMemo struct {
+	n     int
+	used  [priceSlots]bool
+	speed [priceSlots]uint64
+	price [priceSlots]float64
+}
+
+const priceSlots = 128
+
+func (pm *priceMemo) get(m energy.Model, ft cpu.FrequencyTable, s float64) float64 {
+	key := math.Float64bits(s)
+	i := (key * 0x9e3779b97f4a7c15) >> 57 // the top 7 bits of a Fibonacci hash
+	for ; pm.used[i]; i = (i + 1) % priceSlots {
+		if pm.speed[i] == key {
+			return pm.price[i]
+		}
+	}
+	price := perCycleTable(m, ft, s)
+	if pm.n < priceSlots*3/4 {
+		pm.used[i], pm.speed[i], pm.price[i] = true, key, price
+		pm.n++
+	}
+	return price
 }
 
 // perCycleAtLeast returns inf over f >= s of m.PerCycle(f). The

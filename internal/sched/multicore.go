@@ -35,8 +35,9 @@ type MultiScheduler interface {
 	Cores() int
 	// DecideMulti selects, at time now, one job and frequency per core.
 	// ready holds all released, unfinished, unaborted jobs of the whole
-	// system; like Decide it may be reordered in place but not mutated,
-	// and the returned slice headers must not be retained.
+	// system; as with Decide, it must not be modified (not even
+	// reordered) or retained, and no returned slice may alias it. The
+	// caller must not retain the returned slices either.
 	DecideMulti(now float64, ready []*task.Job) MultiDecision
 }
 

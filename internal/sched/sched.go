@@ -70,8 +70,9 @@ type Scheduler interface {
 	// before the simulation starts.
 	Init(ctx *Context) error
 	// Decide selects the job and frequency at time now. ready holds all
-	// released, unfinished, unaborted jobs; it may be reordered in place
-	// but not mutated otherwise.
+	// released, unfinished, unaborted jobs. It is the engine's own list:
+	// Decide must not modify it (not even reorder it) or retain it, and
+	// no slice of the returned Decision may alias it.
 	Decide(now float64, ready []*task.Job) Decision
 }
 

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -75,7 +74,18 @@ func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
-var nameRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
+// validName reports whether s is a valid metric or label name: it
+// matches ^[a-zA-Z_:][a-zA-Z0-9_:]*$. Byte by byte, so any non-ASCII
+// byte fails.
+func validName(s string) bool {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || c == '_' || c == ':' || i > 0 && '0' <= c && c <= '9') {
+			return false
+		}
+	}
+	return len(s) > 0
+}
 
 // lookup finds or creates the (name, labels) series, enforcing one kind
 // per name. Metric names are compile-time constants in this repo, so a
@@ -83,11 +93,11 @@ var nameRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 // histogram bounds are fixed by the first registration of a name; later
 // registrations' help/bounds are ignored.
 func (r *Registry) lookup(name, help string, k kind, bounds []float64, labels []Label) *series {
-	if !nameRe.MatchString(name) {
+	if !validName(name) {
 		panic(fmt.Sprintf("telemetry: invalid metric name %q", name))
 	}
 	for _, l := range labels {
-		if !nameRe.MatchString(l.Key) {
+		if !validName(l.Key) {
 			panic(fmt.Sprintf("telemetry: invalid label name %q on %s", l.Key, name))
 		}
 	}

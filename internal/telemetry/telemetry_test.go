@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand/v2"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -158,6 +160,74 @@ func TestRegistryInvalidNamePanics(t *testing.T) {
 		}
 	}()
 	r.Counter("bad name", "")
+}
+
+// nameRe is the Prometheus metric and label name grammar that
+// validName implements byte by byte.
+var nameRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
+
+func TestValidNameMatchesGrammar(t *testing.T) {
+	for _, s := range []string{
+		"", "a", "Z", "_", ":", "0", "9a", "a9", "_9", ":9", "euad_jobs_total",
+		"euastar:sched:decide_seconds", "a-b", "a b", "a.b", "a\x00", "\x00", "é", "aé",
+		"a\n", "\xff", "A_Z:09", "-", "a/", "abc\u00e9", "_:_",
+	} {
+		if got, want := validName(s), nameRe.MatchString(s); got != want {
+			t.Errorf("validName(%q) = %v, regexp %v", s, got, want)
+		}
+	}
+	// Random strings over a small alphabet at every byte class boundary.
+	const alphabet = "09:;@AZ[_`az{/ -.\x00\x7f\x80\xff"
+	src := rand.New(rand.NewPCG(1, 2))
+	buf := make([]byte, 0, 8)
+	for k := 0; k < 100000; k++ {
+		buf = buf[:0]
+		for n := src.IntN(6); n > 0; n-- {
+			buf = append(buf, alphabet[src.IntN(len(alphabet))])
+		}
+		if s := string(buf); validName(s) != nameRe.MatchString(s) {
+			t.Fatalf("validName(%q) = %v, regexp %v", s, validName(s), nameRe.MatchString(s))
+		}
+	}
+}
+
+// Every constructor panics on an invalid metric name or label name, on
+// the first registration and on a lookup of an existing family alike.
+func TestRegistryInvalidNamesPanic(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("ok_total", "", L("ok", "v"))
+	r.Gauge("ok_gauge", "", L("ok", "v"))
+	r.Histogram("ok_seconds", "", []float64{1}, L("ok", "v"))
+	register := map[string]func(name string, labels ...Label){
+		"counter":   func(name string, labels ...Label) { r.Counter(name, "", labels...) },
+		"gauge":     func(name string, labels ...Label) { r.Gauge(name, "", labels...) },
+		"histogram": func(name string, labels ...Label) { r.Histogram(name, "", []float64{1}, labels...) },
+	}
+	ok := map[string]string{"counter": "ok_total", "gauge": "ok_gauge", "histogram": "ok_seconds"}
+	for kind, reg := range register {
+		for _, c := range []struct {
+			name   string
+			labels []Label
+		}{
+			{"", nil},
+			{"9lives", nil},
+			{"bad-name", nil},
+			{"bad name", nil},
+			{ok[kind], []Label{L("bad-key", "v")}},
+			{ok[kind], []Label{L("ok", "v"), L("0key", "v")}},
+			{ok[kind], []Label{L("", "v")}},
+			{"new_name", []Label{L("key.dot", "v")}},
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s %q with labels %v did not panic", kind, c.name, c.labels)
+					}
+				}()
+				reg(c.name, c.labels...)
+			}()
+		}
+	}
 }
 
 func TestWritePrometheusFormat(t *testing.T) {
