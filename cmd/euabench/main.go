@@ -13,9 +13,11 @@
 // allows allocs/event only bench.AllocSlack above the baseline; see
 // `make bench-check`. The process runs on one P, as the committed
 // baseline was taken, so the program and its GC share one vCPU.
-// -overhead benchmarks each cell twice — no-op telemetry vs a live
-// registry — and fails when the median cost exceeds -max-overhead
-// percent (see `make telemetry-overhead`).
+// -overhead benchmarks each cell with no-op telemetry and with a live
+// registry, the two sides alternating within every repetition, prints
+// each cell's median paired cost with its quartiles, and fails when the
+// median of the cells' costs exceeds -max-overhead percent (see `make
+// telemetry-overhead`).
 package main
 
 import (
@@ -139,8 +141,8 @@ func run(args []string, out, diag io.Writer) error {
 }
 
 // runOverhead gates the telemetry sink: each cell is benchmarked with the
-// no-op sink and with a live registry, and the median percent cost across
-// cells must stay under maxOver. The median (not the worst cell) is the
+// no-op sink and with a live registry in alternation, and the median of
+// the cells' median paired costs must stay under maxOver. The median (not the worst cell) is the
 // gate because single cells on shared CI runners see multi-percent noise
 // that the median of repetitions cannot fully cancel.
 func runOverhead(out io.Writer, reps int, horizon float64, seed uint64, quick bool, maxOver float64) error {

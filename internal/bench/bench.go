@@ -38,6 +38,7 @@ import (
 	"github.com/euastar/euastar/internal/sched/baseline"
 	"github.com/euastar/euastar/internal/sched/eua"
 	"github.com/euastar/euastar/internal/sched/partition"
+	"github.com/euastar/euastar/internal/stats"
 	"github.com/euastar/euastar/internal/telemetry"
 	"github.com/euastar/euastar/internal/workload"
 )
@@ -203,21 +204,17 @@ func cellConfig(c Cell) (engine.Config, error) {
 
 // Run benchmarks one cell: one warm-up run, then reps timed runs keeping
 // the median calibrated ns/event and the minimum allocs/event.
-func Run(c Cell, reps int) (Measurement, error) { return measure(c, reps, nil) }
-
-// measure is Run with an optional telemetry registry attached to every
-// engine run — the instrumented side of the overhead comparison.
-func measure(c Cell, reps int, reg *telemetry.Registry) (Measurement, error) {
+func Run(c Cell, reps int) (Measurement, error) {
 	if reps <= 0 {
 		reps = 1
 	}
 	cal := newCalibrator()
-	if _, err := sample(c, reg, cal); err != nil { // warm-up
+	if _, err := sample(c, nil, cal); err != nil { // warm-up
 		return Measurement{}, err
 	}
 	samples := make([]Measurement, reps)
 	for r := range samples {
-		s, err := sample(c, reg, cal)
+		s, err := sample(c, nil, cal)
 		if err != nil {
 			return Measurement{}, err
 		}
@@ -278,35 +275,63 @@ func summarize(samples []Measurement) Measurement {
 // Overhead is one cell's enabled-vs-no-op telemetry cost. The no-op side
 // runs with Config.Telemetry nil (the default every sweep and test uses);
 // the enabled side attaches a live registry, so Percent is exactly the
-// price a euad deployment pays for /metrics.
+// price a euad deployment pays for /metrics. Each repetition runs both
+// sides back to back and yields one paired percentage, 100*(enabled/base
+// - 1); Percent is their median and Q1, Q3 their quartiles.
 type Overhead struct {
 	Cell
-	BaseNs    float64 `json:"base_ns_per_event"`    // no-op sink
-	EnabledNs float64 `json:"enabled_ns_per_event"` // live registry
-	Percent   float64 `json:"percent"`              // 100*(enabled/base - 1)
+	BaseNs    float64 `json:"base_ns_per_event"`    // no-op sink, median
+	EnabledNs float64 `json:"enabled_ns_per_event"` // live registry, median
+	Percent   float64 `json:"percent"`
+	Q1        float64 `json:"percent_q1"`
+	Q3        float64 `json:"percent_q3"`
 }
 
 func (o Overhead) String() string {
-	return fmt.Sprintf("%s: %.0f -> %.0f ns/event (%+.1f%% with telemetry)",
-		o.Key(), o.BaseNs, o.EnabledNs, o.Percent)
+	return fmt.Sprintf("%s: %.0f -> %.0f ns/event (%+.1f%% with telemetry, quartiles %+.1f%% .. %+.1f%%)",
+		o.Key(), o.BaseNs, o.EnabledNs, o.Percent, o.Q1, o.Q3)
 }
 
-// MeasureOverhead benchmarks one cell twice — no-op sink, then a live
-// registry — under the same median-of-reps methodology as Run.
+// MeasureOverhead benchmarks one cell with the no-op sink and with a live
+// registry under the same calibration as Run. The two sides alternate
+// within every repetition, the one that goes first alternating too, as
+// Sweep interleaves cells: a change in host speed then lands on both
+// sides of a pair instead of on one side only.
 func MeasureOverhead(c Cell, reps int) (Overhead, error) {
-	base, err := measure(c, reps, nil)
-	if err != nil {
-		return Overhead{}, err
+	if reps <= 0 {
+		reps = 1
 	}
-	enabled, err := measure(c, reps, telemetry.NewRegistry())
-	if err != nil {
-		return Overhead{}, err
+	cal := newCalibrator()
+	reg := telemetry.NewRegistry()
+	var base, enabled []Measurement
+	var paired []float64
+	for r := -1; r < reps; r++ { // r = -1 is the warm-up
+		var b, e Measurement
+		var err error
+		if r%2 == 0 {
+			if e, err = sample(c, reg, cal); err == nil {
+				b, err = sample(c, nil, cal)
+			}
+		} else if b, err = sample(c, nil, cal); err == nil {
+			e, err = sample(c, reg, cal)
+		}
+		if err != nil {
+			return Overhead{}, err
+		}
+		if r >= 0 {
+			base, enabled = append(base, b), append(enabled, e)
+			paired = append(paired, 100*(e.NsPerEvent/b.NsPerEvent-1))
+		}
 	}
-	o := Overhead{Cell: c, BaseNs: base.NsPerEvent, EnabledNs: enabled.NsPerEvent}
-	if o.BaseNs > 0 {
-		o.Percent = 100 * (o.EnabledNs/o.BaseNs - 1)
-	}
-	return o, nil
+	sort.Float64s(paired)
+	return Overhead{
+		Cell:      c,
+		BaseNs:    summarize(base).NsPerEvent,
+		EnabledNs: summarize(enabled).NsPerEvent,
+		Percent:   stats.Quantile(paired, 0.5),
+		Q1:        stats.Quantile(paired, 0.25),
+		Q3:        stats.Quantile(paired, 0.75),
+	}, nil
 }
 
 // Sweep runs the full matrix and returns the report, cells ordered by

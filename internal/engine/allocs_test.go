@@ -11,6 +11,7 @@ import (
 	"github.com/euastar/euastar/internal/sched/eua"
 	"github.com/euastar/euastar/internal/sched/partition"
 	"github.com/euastar/euastar/internal/task"
+	"github.com/euastar/euastar/internal/telemetry"
 	"github.com/euastar/euastar/internal/workload"
 )
 
@@ -26,7 +27,9 @@ import (
 // either bound several times over. At load 0.6 no job is aborted; at
 // 1.6 each decision's abort list escapes into its Decision, which the
 // looser bound allows. G-UER dispatches two cores at loads 1.2 and 3.2
-// (per system, so 0.6 and 1.6 per core).
+// (per system, so 0.6 and 1.6 per core). The "+reg" rows attach one live
+// registry to every run, so that the engine times and tallies each
+// decision: that path must not allocate per decision either.
 func TestEventLoopAllocations(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -34,22 +37,30 @@ func TestEventLoopAllocations(t *testing.T) {
 		cores  int
 		load   float64
 		budget float64 // joules, 0 for none
+		reg    bool    // attach a live registry
 		bound  float64 // allocations per extra event
 	}{
-		{"EUA*/L0.6", func() sched.Scheduler { return eua.New() }, 1, 0.6, 0, 0.05},
-		{"DASA/L0.6", func() sched.Scheduler { return baseline.NewDASA() }, 1, 0.6, 0, 0.05},
-		{"GUS/L0.6", func() sched.Scheduler { return baseline.NewGUS() }, 1, 0.6, 0, 0.05},
-		{"EUA*/L1.6", func() sched.Scheduler { return eua.New() }, 1, 1.6, 0, 0.25},
+		{"EUA*/L0.6", func() sched.Scheduler { return eua.New() }, 1, 0.6, 0, false, 0.05},
+		{"DASA/L0.6", func() sched.Scheduler { return baseline.NewDASA() }, 1, 0.6, 0, false, 0.05},
+		{"GUS/L0.6", func() sched.Scheduler { return baseline.NewGUS() }, 1, 0.6, 0, false, 0.05},
+		{"EUA*/L0.6+reg", func() sched.Scheduler { return eua.New() }, 1, 0.6, 0, true, 0.05},
+		{"EUA*/L1.6", func() sched.Scheduler { return eua.New() }, 1, 1.6, 0, false, 0.25},
+		{"EUA*/L1.6+reg", func() sched.Scheduler { return eua.New() }, 1, 1.6, 0, true, 0.25},
 		// Rationing engages at about 0.76 s of the long run and the
 		// battery runs dry at 0.8 s; the short run never binds.
-		{"EUA*-budget/L1.6", func() sched.Scheduler { return eua.New(eua.WithBudgetAwareness(0)) }, 1, 1.6, 8e26, 0.25},
-		{"DASA/L1.6", func() sched.Scheduler { return baseline.NewDASA() }, 1, 1.6, 0, 0.25},
-		{"GUS/L1.6", func() sched.Scheduler { return baseline.NewGUS() }, 1, 1.6, 0, 0.25},
-		{"G-UER/2/L1.2", func() sched.Scheduler { return partition.NewGlobal(2) }, 2, 1.2, 0, 0.25},
-		{"G-UER/2/L3.2", func() sched.Scheduler { return partition.NewGlobal(2) }, 2, 3.2, 0, 0.5},
+		{"EUA*-budget/L1.6", func() sched.Scheduler { return eua.New(eua.WithBudgetAwareness(0)) }, 1, 1.6, 8e26, false, 0.25},
+		{"DASA/L1.6", func() sched.Scheduler { return baseline.NewDASA() }, 1, 1.6, 0, false, 0.25},
+		{"GUS/L1.6", func() sched.Scheduler { return baseline.NewGUS() }, 1, 1.6, 0, false, 0.25},
+		{"G-UER/2/L1.2", func() sched.Scheduler { return partition.NewGlobal(2) }, 2, 1.2, 0, false, 0.25},
+		{"G-UER/2/L3.2", func() sched.Scheduler { return partition.NewGlobal(2) }, 2, 3.2, 0, false, 0.5},
+		{"G-UER/2/L3.2+reg", func() sched.Scheduler { return partition.NewGlobal(2) }, 2, 3.2, 0, true, 0.5},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			perEvent := allocsPerExtraEvent(t, c.sched, c.cores, c.load, c.budget)
+			var reg *telemetry.Registry
+			if c.reg {
+				reg = telemetry.NewRegistry()
+			}
+			perEvent := allocsPerExtraEvent(t, c.sched, c.cores, c.load, c.budget, reg)
 			if perEvent > c.bound {
 				t.Fatalf("%.3f allocations per extra event, want at most %v", perEvent, c.bound)
 			}
@@ -57,13 +68,10 @@ func TestEventLoopAllocations(t *testing.T) {
 	}
 }
 
-// allocsPerExtraEvent runs the scheduler on the given number of cores at
-// horizons 0.25 and 1 and returns the allocations per event the longer
-// run adds.
-func allocsPerExtraEvent(t *testing.T, mk func() sched.Scheduler, cores int, load, budget float64) float64 {
+// table1Tasks synthesizes the Table 1 applications at seed 1 and scales
+// them to the load.
+func table1Tasks(t *testing.T, load float64) task.Set {
 	t.Helper()
-	ft := cpu.PowerNowK6()
-	model := energy.MustPreset(energy.E1, ft.Max())
 	src := rng.New(1)
 	var ts task.Set
 	for _, app := range workload.Table1() {
@@ -73,11 +81,21 @@ func allocsPerExtraEvent(t *testing.T, mk func() sched.Scheduler, cores int, loa
 		}
 		ts = append(ts, set...)
 	}
-	ts = ts.ScaleToLoad(load, ft.Max())
+	return ts.ScaleToLoad(load, cpu.PowerNowK6().Max())
+}
+
+// allocsPerExtraEvent runs the scheduler on the given number of cores at
+// horizons 0.25 and 1, reporting to reg (nil for none), and returns the
+// allocations per event the longer run adds.
+func allocsPerExtraEvent(t *testing.T, mk func() sched.Scheduler, cores int, load, budget float64, reg *telemetry.Registry) float64 {
+	t.Helper()
+	ft := cpu.PowerNowK6()
+	model := energy.MustPreset(energy.E1, ft.Max())
+	ts := table1Tasks(t, load)
 	measure := func(horizon float64) (allocs float64, events int) {
 		run := func() {
 			res, err := Run(Config{Tasks: ts, Scheduler: mk(), Cores: cores, Freqs: ft, Energy: model,
-				Horizon: horizon, Seed: 1, AbortAtTermination: true, EnergyBudget: budget})
+				Horizon: horizon, Seed: 1, AbortAtTermination: true, EnergyBudget: budget, Telemetry: reg})
 			if err != nil {
 				t.Fatal(err)
 			}

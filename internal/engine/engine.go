@@ -171,13 +171,15 @@ type Config struct {
 	// and SIGINT/SIGTERM shutdown.
 	Interrupt <-chan struct{}
 
-	// Telemetry, when non-nil, registers this run's counters, gauges and
-	// histograms (and the scheduler's, via sched.Context) in the given
-	// registry. A registry may be shared across runs — the euad service
-	// does — in which case counters accumulate; Result's integer fields
-	// remain strictly per-run either way. Nil (the default) costs nothing
-	// on the hot path. Multi-core runs additionally register core-labeled
-	// series (euastar_engine_core_*_total{core="k"}).
+	// Telemetry, when non-nil, receives this run's counters, gauges and
+	// histograms, the scheduler's per-decision series among them
+	// (labeled with its Name()), once, when Run returns, whether the run
+	// finished, was interrupted or failed. A registry may be shared
+	// across runs — the euad service does — in which case counters
+	// accumulate; Result's integer fields remain strictly per-run either
+	// way. Nil (the default) costs nothing on the hot path: no clock is
+	// read. Multi-core runs additionally register core-labeled series
+	// (euastar_engine_core_*_total{core="k"}).
 	Telemetry *telemetry.Registry
 }
 
@@ -292,10 +294,9 @@ type Result struct {
 	Decisions     int
 	// Events counts processed simulation events (arrivals, completions,
 	// terminations, boundaries); benchmark harnesses divide wall time by
-	// it to report ns/event. It is a view over the run's telemetry
-	// counters — the sum of the per-kind event counts — not a separately
-	// incremented field, so it cannot diverge from what a configured
-	// Telemetry registry exports.
+	// it to report ns/event. It is the sum of the run's per-kind event
+	// counts, not a separately incremented field, so it cannot diverge
+	// from what a configured Telemetry registry receives.
 	Events int
 	// Preemptions counts dispatches that stopped a still-pending running
 	// job in favor of another.
@@ -356,7 +357,9 @@ type coreState struct {
 	proc       *cpu.Processor
 	meter      *energy.Meter
 	switchSeq  int       // commanded frequency switches, fault-plan label
+	dispatches int       // jobs dispatched onto the core
 	target     *task.Job // the current decision's dispatch for this core
+	decided    float64   // the last non-idle decision's frequency (with a registry)
 }
 
 // oneCore presents a plain sched.Scheduler as a one-core
@@ -372,7 +375,7 @@ func (o *oneCore) Cores() int { return 1 }
 func (o *oneCore) DecideMulti(now float64, ready []*task.Job) sched.MultiDecision {
 	d := o.Decide(now, ready)
 	o.slot[0] = sched.CoreDecision{Run: d.Run, Freq: d.Freq}
-	return sched.MultiDecision{Cores: o.slot[:], Abort: d.Abort}
+	return sched.MultiDecision{Cores: o.slot[:], Abort: d.Abort, Iters: d.Iters}
 }
 
 // state is the mutable simulation state.
@@ -404,9 +407,8 @@ type state struct {
 	// migration accounting; nil on uniprocessor runs.
 	lastCore map[*task.Job]int
 
-	// ins holds every counting site of the run: always-on per-run
-	// counters feeding Result's integer fields, plus optional registered
-	// mirrors (Config.Telemetry).
+	// ins holds the run's counts, which Result's integer fields read and
+	// flush adds to Config.Telemetry.
 	ins instruments
 
 	// Resource state: holders maps resource id → holding job.
@@ -467,7 +469,7 @@ func Run(cfg Config) (res *Result, err error) {
 	cfg.Tasks = slices.Clone(cfg.Tasks)
 	slices.SortFunc(cfg.Tasks, func(a, b *task.Task) int { return cmp.Compare(a.ID, b.ID) })
 	m := cfg.coreCount()
-	ctx := &sched.Context{Tasks: cfg.Tasks, Freqs: cfg.Freqs, Energy: cfg.Energy, Telemetry: cfg.Telemetry}
+	ctx := &sched.Context{Tasks: cfg.Tasks, Freqs: cfg.Freqs, Energy: cfg.Energy}
 	if m > 1 {
 		ctx.CoreFreqs = make([]cpu.FrequencyTable, m)
 		for k := range ctx.CoreFreqs {
@@ -504,10 +506,13 @@ func Run(cfg Config) (res *Result, err error) {
 	if m > 1 {
 		st.lastCore = make(map[*task.Job]int)
 	}
-	st.ins.init(cfg.Telemetry, m)
+	st.ins.init(cfg.Telemetry)
 	if obs, ok := cfg.Scheduler.(EventObserver); ok {
 		st.observer = obs
 	}
+	// Deferred first, so it runs last: after the recover below has
+	// turned a panic into the run's error.
+	defer func() { st.flush(res, err) }()
 	// Graceful degradation: internal assertion panics (including the
 	// event queue's typed non-monotonicity panic) become structured,
 	// attributable errors instead of taking the whole process — a
@@ -523,7 +528,6 @@ func Run(cfg Config) (res *Result, err error) {
 			default:
 				err = &InvariantError{Invariant: InvInternal, Time: st.lastTime, Detail: fmt.Sprint(v)}
 			}
-			st.ins.noteInvariant(err.(*InvariantError))
 		}
 	}()
 	st.seedArrivals()
@@ -535,19 +539,19 @@ func Run(cfg Config) (res *Result, err error) {
 		SchedulerName:   cfg.Scheduler.Name(),
 		Jobs:            st.all,
 		EndTime:         st.lastTime,
-		Decisions:       st.ins.decisions.Value(),
+		Decisions:       st.ins.decisions,
 		Events:          st.ins.eventTotal(),
-		Preemptions:     st.ins.preemptions.Value(),
+		Preemptions:     st.ins.preemptions,
 		Trace:           st.trace,
 		Cores:           m,
 		PerCore:         make([]CoreResult, m),
-		Migrations:      st.ins.migrations.Value(),
+		Migrations:      st.ins.migrations,
 		Depleted:        st.depleted,
 		DepletedAt:      st.depletedAt,
-		Inheritances:    st.ins.inherits.Value(),
-		FaultEvents:     st.ins.faults.Value(),
-		SafeModeEntries: st.ins.safeEntries.Value(),
-		JobsShed:        st.ins.shed.Value(),
+		Inheritances:    st.ins.inherits,
+		FaultEvents:     st.ins.faults,
+		SafeModeEntries: st.ins.safeEntries,
+		JobsShed:        st.ins.shed,
 		AbortCycles:     st.abortCycles,
 	}
 	// Sum the per-core meters into the uniprocessor-era totals. The
@@ -569,7 +573,6 @@ func Run(cfg Config) (res *Result, err error) {
 		res.BusyTime += res.PerCore[k].BusyTime
 		res.Switches += res.PerCore[k].Switches
 	}
-	st.ins.noteCoreResults(res.PerCore)
 	return res, nil
 }
 
@@ -637,11 +640,11 @@ func (st *state) loop() error {
 		now := ev.Time
 		st.ins.noteEvent(ev.Kind)
 		if ierr := st.wd.checkEvent(st.lastTime, ev); ierr != nil {
-			return st.ins.noteInvariant(ierr)
+			return ierr
 		}
 		st.advance(now)
 		if ierr := st.wd.checkEnergy(now, st.energyTotal()); ierr != nil {
-			return st.ins.noteInvariant(ierr)
+			return ierr
 		}
 		if err := st.handle(now, ev); err != nil {
 			return err
@@ -748,7 +751,7 @@ func (st *state) handle(now float64, ev sim.Event) error {
 	case sim.Arrival:
 		t, tr := st.cfg.Tasks[ev.Ref], &st.tasks[ev.Ref]
 		if ierr := st.wd.checkArrival(now, ev.Ref, t); ierr != nil {
-			return st.ins.noteInvariant(ierr)
+			return ierr
 		}
 		slot := len(st.all)
 		j := &st.slab[slot]
@@ -761,7 +764,7 @@ func (st *state) handle(now float64, ev sim.Event) error {
 		// on the same jobs.
 		if fac, ok := st.cfg.Faults.Overrun(t.ID, j.Index); ok {
 			j.ActualCycles *= fac
-			st.ins.faults.Inc()
+			st.ins.faults++
 		}
 		st.all = append(st.all, j)
 		if st.depleted {
@@ -769,7 +772,6 @@ func (st *state) handle(now float64, ev sim.Event) error {
 			j.State = task.Aborted
 			j.FinishedAt = now
 			j.AbortReason = "energy budget depleted"
-			st.ins.noteAbort(j.AbortReason)
 			return nil
 		}
 		st.pending = append(st.pending, j)
@@ -792,7 +794,7 @@ func (st *state) handle(now float64, ev sim.Event) error {
 		j.FinishedAt = now
 		j.Utility = j.UtilityAt(now)
 		if ierr := st.wd.checkResolved(j); ierr != nil {
-			return st.ins.noteInvariant(ierr)
+			return ierr
 		}
 		st.wd.noteCompletion()
 		st.releaseAll(j)
@@ -859,7 +861,6 @@ func (st *state) abort(now float64, j *task.Job, reason string) {
 	if j.AbortReason == "" {
 		j.AbortReason = reason
 	}
-	st.ins.noteAbort(j.AbortReason)
 	if j.Task.Profiler != nil && j.Executed > 0 {
 		// The aborted job consumed at least this many cycles: a censored
 		// demand observation.
@@ -881,7 +882,7 @@ func (st *state) abort(now float64, j *task.Job, reason string) {
 	if cost := st.cfg.AbortCost; cost > 0 && !st.depleted {
 		if fac, ok := st.cfg.Faults.AbortSpike(j.Task.ID, j.Index); ok {
 			cost *= fac
-			st.ins.faults.Inc()
+			st.ins.faults++
 		}
 		c := &st.cores[chargeCore]
 		f := c.proc.Frequency()
@@ -929,8 +930,9 @@ func (st *state) decide(now float64) {
 	// DecideMulti must not modify ready or return a slice that aliases
 	// it, so the scheduler reads pending itself, and the aborts below
 	// can remove jobs from pending while d.Abort is walked.
+	start := st.ins.clock()
 	d := st.multi.DecideMulti(now, st.pending)
-	st.ins.noteDecision(len(st.pending))
+	st.noteDecision(start, d)
 	for _, j := range d.Abort {
 		st.abort(now, j, "scheduler abort")
 	}
@@ -966,7 +968,7 @@ func (st *state) decide(now float64) {
 			return
 		}
 		if eff != j {
-			st.ins.inherits.Inc()
+			st.ins.inherits++
 		}
 		c.target = eff
 	}
@@ -978,7 +980,7 @@ func (st *state) decide(now float64) {
 			continue
 		}
 		if c.running.State == task.Pending && c.target != nil {
-			st.ins.preemptions.Inc()
+			st.ins.preemptions++
 		}
 		st.stopCore(k)
 	}
@@ -1021,26 +1023,24 @@ func (st *state) dispatch(k int, now float64, run *task.Job, freq float64) {
 			}
 			if f := table[idx]; f != target {
 				target = f
-				st.ins.faults.Inc()
+				st.ins.faults++
 			}
 		}
 		stall, stalled := st.cfg.Faults.StallFor(c.switchSeq)
 		c.switchSeq++
-		st.ins.switches.Inc()
-		st.ins.noteCoreSwitch(k)
 		cost = c.proc.SetFrequency(target)
 		if stalled {
 			cost += stall
-			st.ins.faults.Inc()
+			st.ins.faults++
 		}
 	}
 	if st.lastCore != nil {
 		if prev, ok := st.lastCore[run]; ok && prev != k {
-			st.ins.migrations.Inc()
+			st.ins.migrations++
 		}
 		st.lastCore[run] = k
 	}
-	st.ins.noteCoreDispatch(k)
+	c.dispatches++
 	// From here on the effective frequency is the processor's, which a
 	// sticky switch may have left one step away from the scheduler's
 	// choice.

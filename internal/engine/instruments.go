@@ -1,15 +1,21 @@
 package engine
 
 import (
-	"fmt"
+	"errors"
+	"slices"
+	"strconv"
+	"time"
 
+	"github.com/euastar/euastar/internal/sched"
 	"github.com/euastar/euastar/internal/sim"
+	"github.com/euastar/euastar/internal/task"
 	"github.com/euastar/euastar/internal/telemetry"
 )
 
-// Metric names the engine registers. The per-run counters behind
-// Result's integer fields are always on; the registered series exist
-// only when Config.Telemetry is set (see DESIGN.md §10).
+// Metric names the engine registers. Result's integer fields read the
+// run's own counts; the registered series exist only when
+// Config.Telemetry is set, and receive a run's counts once, when the run
+// ends (see DESIGN.md §10).
 const (
 	MetricEvents       = "euastar_engine_events_total"
 	MetricDecisions    = "euastar_engine_decisions_total"
@@ -39,127 +45,91 @@ var eventKinds = [...]string{"completion", "termination", "arrival", "boundary"}
 
 // abortReasons maps the engine's abort-reason strings onto stable label
 // values; anything else (scheduler-set reasons like "infeasible at f_m")
-// falls into "other".
-func abortReasonLabel(reason string) string {
-	switch reason {
-	case "termination time reached":
-		return "termination"
-	case "scheduler abort":
-		return "scheduler"
-	case "energy budget depleted":
-		return "budget"
-	case shedReason:
-		return "shed"
-	case "resource deadlock resolved":
-		return "deadlock"
-	}
-	return "other"
+// falls into the last entry, "other".
+var abortReasons = [...]struct{ reason, label string }{
+	{"termination time reached", "termination"},
+	{"scheduler abort", "scheduler"},
+	{"energy budget depleted", "budget"},
+	{shedReason, "shed"},
+	{"resource deadlock resolved", "deadlock"},
+	{"", "other"},
 }
 
-// pairCounter is the engine's counting primitive: an always-on per-run
-// counter (the source of Result's integer fields) plus an optional mirror
-// registered in a shared registry. Both are incremented by the same call,
-// so the Result view and the exported series cannot diverge — the shared
-// mirror only ever differs by what *other* runs added to it.
-type pairCounter struct {
-	run telemetry.Counter  // per-run, always on
-	reg *telemetry.Counter // registered mirror, nil without a registry
+// invariantNames labels MetricInvariants; an unknown invariant counts as
+// the last, InvInternal.
+var invariantNames = [...]string{
+	InvEventMonotonic, InvQueueMonotonic, InvEnergyAccount,
+	InvUtilityBounds, InvUAMCompliance, InvInternal,
 }
 
-func (p *pairCounter) Inc() {
-	p.run.Inc()
-	p.reg.Inc()
+// The bucket ladders of the decision histograms, shared by every run.
+var (
+	latencyBounds = telemetry.LatencyBuckets()
+	depthBounds   = telemetry.DepthBuckets()
+)
+
+// tally is one histogram's share of a run: plain counts per bucket of
+// bounds, the last being the overflow bucket, and the values' sum.
+type tally struct {
+	bounds []float64
+	counts []uint64
+	sum    float64
 }
 
-func (p *pairCounter) Add(n uint64) {
-	p.run.Add(n)
-	p.reg.Add(n)
+func newTally(bounds []float64) tally {
+	return tally{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
 }
 
-// Value returns the per-run count.
-func (p *pairCounter) Value() int { return int(p.run.Value()) }
+// observe counts v in the first bucket whose bound is at least v, the
+// bucket telemetry.Histogram.Observe puts it in.
+func (t *tally) observe(v float64) {
+	i, _ := slices.BinarySearch(t.bounds, v)
+	t.counts[i]++
+	t.sum += v
+}
 
-// instruments gathers every counting site of one engine run.
+// instruments holds every count of one engine run in plain fields.
+// Result's integer fields read them, and flush adds them to the
+// registry, when one is attached, once when the run ends.
 type instruments struct {
-	events      [len(eventKinds)]pairCounter
-	decisions   pairCounter
-	preemptions pairCounter
-	inherits    pairCounter
-	faults      pairCounter
-	safeEntries pairCounter
-	shed        pairCounter
-	switches    pairCounter
-	migrations  pairCounter
+	events      [len(eventKinds)]int
+	decisions   int
+	preemptions int
+	inherits    int
+	faults      int
+	safeEntries int
+	shed        int
+	migrations  int
+	iters       int // feasibility trials the decisions reported
 
-	// Registered-only series: no Result field reads them back.
-	aborts     map[string]*telemetry.Counter // by normalized reason
-	invariants map[string]*telemetry.Counter // by invariant name
-	pending    *telemetry.Gauge
-	queueDepth *telemetry.Histogram
-
-	// Core-labeled registered-only series, non-nil only on multi-core
-	// runs with a registry (indexed by core id).
-	coreSwitches []*telemetry.Counter
-	coreDispatch []*telemetry.Counter
-	coreEnergy   []*telemetry.Gauge
-	coreBusy     []*telemetry.Gauge
+	// With a registry only: the epoch of the decision clock, each
+	// decision's latency and pending depth, the last depth, and the
+	// decisions that changed a core's frequency.
+	reg             *telemetry.Registry
+	epoch           time.Time
+	latency         tally
+	depth           tally
+	lastDepth       int
+	decidedSwitches int
 }
 
-func (ins *instruments) init(reg *telemetry.Registry, cores int) {
+// init attaches the run's registry, if any, and starts its decision
+// clock.
+func (ins *instruments) init(reg *telemetry.Registry) {
 	if reg == nil {
-		return // per-run counters stay standalone; every reg pointer stays nil
+		return
 	}
-	if cores > 1 {
-		// Core-labeled families exist only on multi-core runs so that
-		// uniprocessor runs keep exporting exactly the pre-multicore set.
-		ins.migrations.reg = reg.Counter(MetricMigrations,
-			"Dispatches that moved a job to a different core than its previous dispatch.")
-		ins.coreSwitches = make([]*telemetry.Counter, cores)
-		ins.coreDispatch = make([]*telemetry.Counter, cores)
-		ins.coreEnergy = make([]*telemetry.Gauge, cores)
-		ins.coreBusy = make([]*telemetry.Gauge, cores)
-		for k := 0; k < cores; k++ {
-			l := telemetry.L("core", fmt.Sprint(k))
-			ins.coreSwitches[k] = reg.Counter(MetricCoreSwitches,
-				"Commanded DVS frequency switches by core.", l)
-			ins.coreDispatch[k] = reg.Counter(MetricCoreDispatch,
-				"Job dispatches by core.", l)
-			ins.coreEnergy[k] = reg.Gauge(MetricCoreEnergy,
-				"Per-core metered energy of the last finished run.", l)
-			ins.coreBusy[k] = reg.Gauge(MetricCoreBusy,
-				"Per-core busy seconds of the last finished run.", l)
-		}
+	ins.reg, ins.epoch = reg, time.Now()
+	ins.latency, ins.depth = newTally(latencyBounds), newTally(depthBounds)
+}
+
+// clock reads the run's monotonic decision clock: zero, without a read,
+// when no registry takes the latencies.
+func (ins *instruments) clock() time.Duration {
+	if ins.reg == nil {
+		return 0
 	}
-	for i, kind := range eventKinds {
-		ins.events[i].reg = reg.Counter(MetricEvents,
-			"Processed simulation events by kind.", telemetry.L("kind", kind))
-	}
-	ins.decisions.reg = reg.Counter(MetricDecisions, "Scheduler invocations.")
-	ins.preemptions.reg = reg.Counter(MetricPreemptions,
-		"Dispatches that stopped a still-pending running job in favor of another.")
-	ins.inherits.reg = reg.Counter(MetricInherit,
-		"Dispatches resolved to the head of the selected job's blocking chain.")
-	ins.faults.reg = reg.Counter(MetricFaultEvents,
-		"Injected fault manifestations (overruns, sticky/stalled switches, abort spikes).")
-	ins.safeEntries.reg = reg.Counter(MetricSafeEntries, "Overload safe-mode activations.")
-	ins.shed.reg = reg.Counter(MetricJobsShed, "Pending jobs aborted by safe-mode shedding.")
-	ins.switches.reg = reg.Counter(MetricFreqSwitches, "Commanded DVS frequency switches.")
-	ins.aborts = make(map[string]*telemetry.Counter)
-	for _, reason := range []string{"termination", "scheduler", "budget", "shed", "deadlock", "other"} {
-		ins.aborts[reason] = reg.Counter(MetricAborts,
-			"Aborted jobs by reason.", telemetry.L("reason", reason))
-	}
-	ins.invariants = make(map[string]*telemetry.Counter)
-	for _, inv := range []string{
-		InvEventMonotonic, InvQueueMonotonic, InvEnergyAccount,
-		InvUtilityBounds, InvUAMCompliance, InvInternal,
-	} {
-		ins.invariants[inv] = reg.Counter(MetricInvariants,
-			"Watchdog invariant violations by invariant.", telemetry.L("invariant", inv))
-	}
-	ins.pending = reg.Gauge(MetricPendingJobs, "Released, unresolved jobs.")
-	ins.queueDepth = reg.Histogram(MetricQueueDepth,
-		"Pending-job count observed at each scheduler invocation.", telemetry.DepthBuckets())
+	return time.Since(ins.epoch)
 }
 
 // noteEvent counts one processed simulation event.
@@ -168,73 +138,132 @@ func (ins *instruments) noteEvent(kind sim.Kind) {
 	if k < 0 || k >= len(eventKinds) {
 		k = int(sim.Custom)
 	}
-	ins.events[k].Inc()
+	ins.events[k]++
 }
 
-// eventTotal sums the per-kind per-run counters — Result.Events is this
-// view, never a separately incremented field.
+// eventTotal sums the per-kind counts — Result.Events is this view,
+// never a separately incremented field.
 func (ins *instruments) eventTotal() int {
-	var n uint64
-	for i := range ins.events {
-		n += ins.events[i].run.Value()
+	n := 0
+	for _, c := range ins.events {
+		n += c
 	}
-	return int(n)
+	return n
 }
 
-// noteAbort counts one aborted job under its normalized reason.
-func (ins *instruments) noteAbort(reason string) {
-	if ins.aborts != nil {
-		ins.aborts[abortReasonLabel(reason)].Inc()
-	}
-}
-
-// noteInvariant counts a watchdog detection and passes the error through,
-// so call sites stay one-liners.
-func (ins *instruments) noteInvariant(ierr *InvariantError) *InvariantError {
-	if ierr == nil {
-		return nil
-	}
-	if ins.invariants != nil {
-		if c, ok := ins.invariants[ierr.Invariant]; ok {
-			c.Inc()
-		} else {
-			ins.invariants[InvInternal].Inc()
-		}
-	}
-	return ierr
-}
-
-// noteCoreSwitch mirrors one commanded frequency switch into core k's
-// labeled series (multi-core runs with a registry only).
-func (ins *instruments) noteCoreSwitch(k int) {
-	if ins.coreSwitches != nil {
-		ins.coreSwitches[k].Inc()
-	}
-}
-
-// noteCoreDispatch counts one dispatch onto core k.
-func (ins *instruments) noteCoreDispatch(k int) {
-	if ins.coreDispatch != nil {
-		ins.coreDispatch[k].Inc()
-	}
-}
-
-// noteCoreResults exports the finished run's per-core energy and busy
-// time (multi-core runs with a registry only).
-func (ins *instruments) noteCoreResults(per []CoreResult) {
-	if ins.coreEnergy == nil {
+// noteDecision counts one scheduler invocation, which started at clock
+// reading start and returned d over the pending queue.
+func (st *state) noteDecision(start time.Duration, d sched.MultiDecision) {
+	ins := &st.ins
+	ins.decisions++
+	ins.iters += d.Iters
+	if ins.reg == nil {
 		return
 	}
-	for k := range per {
-		ins.coreEnergy[k].Set(per[k].Energy)
-		ins.coreBusy[k].Set(per[k].BusyTime)
+	ins.latency.observe((ins.clock() - start).Seconds())
+	ins.lastDepth = len(st.pending)
+	ins.depth.observe(float64(ins.lastDepth))
+	// Idle cores decide no frequency and are not DVS switches.
+	for k := range d.Cores {
+		c := &st.cores[k]
+		if f := d.Cores[k].Freq; f > 0 {
+			if c.decided > 0 && f != c.decided {
+				ins.decidedSwitches++
+			}
+			c.decided = f
+		}
 	}
 }
 
-// noteDecision records one scheduler invocation and the pending-queue
-// depth it saw.
-func (ins *instruments) noteDecision(depth int) {
-	ins.decisions.Inc()
-	ins.pending.Set(float64(depth))
-	ins.queueDepth.Observe(float64(depth))
+// flush adds the run's counts to the registry, once, as Run returns:
+// res is the finished run's result, nil after an interruption or a
+// failure, and err the error Run returns, whose invariant it counts.
+func (st *state) flush(res *Result, err error) {
+	ins, reg := &st.ins, st.ins.reg
+	if reg == nil {
+		return
+	}
+	add := func(c *telemetry.Counter, n int) { c.Add(uint64(n)) }
+	if len(st.cores) > 1 {
+		add(reg.Counter(MetricMigrations,
+			"Dispatches that moved a job to a different core than its previous dispatch."), ins.migrations)
+		for k := range st.cores {
+			c, l := &st.cores[k], telemetry.L("core", strconv.Itoa(k))
+			add(reg.Counter(MetricCoreSwitches, "Commanded DVS frequency switches by core.", l), c.switchSeq)
+			add(reg.Counter(MetricCoreDispatch, "Job dispatches by core.", l), c.dispatches)
+			energy := reg.Gauge(MetricCoreEnergy, "Per-core metered energy of the last finished run.", l)
+			busy := reg.Gauge(MetricCoreBusy, "Per-core busy seconds of the last finished run.", l)
+			if res != nil {
+				energy.Set(res.PerCore[k].Energy)
+				busy.Set(res.PerCore[k].BusyTime)
+			}
+		}
+	}
+	for i, kind := range eventKinds {
+		add(reg.Counter(MetricEvents, "Processed simulation events by kind.", telemetry.L("kind", kind)), ins.events[i])
+	}
+	add(reg.Counter(MetricDecisions, "Scheduler invocations."), ins.decisions)
+	add(reg.Counter(MetricPreemptions,
+		"Dispatches that stopped a still-pending running job in favor of another."), ins.preemptions)
+	add(reg.Counter(MetricInherit,
+		"Dispatches resolved to the head of the selected job's blocking chain."), ins.inherits)
+	add(reg.Counter(MetricFaultEvents,
+		"Injected fault manifestations (overruns, sticky/stalled switches, abort spikes)."), ins.faults)
+	add(reg.Counter(MetricSafeEntries, "Overload safe-mode activations."), ins.safeEntries)
+	add(reg.Counter(MetricJobsShed, "Pending jobs aborted by safe-mode shedding."), ins.shed)
+	switches := 0 // a core's switch sequence counts its commanded switches
+	for k := range st.cores {
+		switches += st.cores[k].switchSeq
+	}
+	add(reg.Counter(MetricFreqSwitches, "Commanded DVS frequency switches."), switches)
+
+	// Every aborted job of the run holds its final reason.
+	var aborted [len(abortReasons)]int
+	for _, j := range st.all {
+		if j.State == task.Aborted {
+			i := 0
+			for i < len(abortReasons)-1 && abortReasons[i].reason != j.AbortReason {
+				i++
+			}
+			aborted[i]++
+		}
+	}
+	for i, r := range abortReasons {
+		add(reg.Counter(MetricAborts, "Aborted jobs by reason.", telemetry.L("reason", r.label)), aborted[i])
+	}
+	broke := -1
+	var ierr *InvariantError
+	if errors.As(err, &ierr) {
+		if broke = slices.Index(invariantNames[:], ierr.Invariant); broke < 0 {
+			broke = len(invariantNames) - 1
+		}
+	}
+	for i, inv := range invariantNames {
+		c := reg.Counter(MetricInvariants, "Watchdog invariant violations by invariant.", telemetry.L("invariant", inv))
+		if i == broke {
+			c.Inc()
+		}
+	}
+	pending := reg.Gauge(MetricPendingJobs, "Released, unresolved jobs.")
+	if ins.decisions > 0 {
+		pending.Set(float64(ins.lastDepth))
+	}
+	reg.Histogram(MetricQueueDepth, "Pending-job count observed at each scheduler invocation.",
+		depthBounds).AddCounts(ins.depth.counts, ins.depth.sum)
+
+	// The scheduler's families, labeled with its name; one depth tally
+	// fills both depth histograms.
+	name := st.cfg.Scheduler.Name()
+	if res != nil {
+		name = res.SchedulerName
+	}
+	l := telemetry.L("scheme", name)
+	reg.Histogram(sched.MetricDecideSeconds, "Wall-clock seconds per scheduler decision.",
+		latencyBounds, l).AddCounts(ins.latency.counts, ins.latency.sum)
+	reg.Histogram(sched.MetricReadyJobs, "Ready-queue length observed per scheduler decision.",
+		depthBounds, l).AddCounts(ins.depth.counts, ins.depth.sum)
+	add(reg.Counter(sched.MetricFeasIters,
+		"Feasibility-loop iterations across schedule constructions.", l), ins.iters)
+	add(reg.Counter(sched.MetricFreqSwitches,
+		"Decisions whose chosen frequency differs from the same core's previous decision's.", l), ins.decidedSwitches)
 }

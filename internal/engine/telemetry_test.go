@@ -32,10 +32,10 @@ func sumFamily(snap telemetry.Snapshot, name string) int {
 	return total
 }
 
-// TestTelemetryMirrorsResult pins the pairCounter contract: the exported
-// registry series and Result's integer fields are views of the same
-// increments and cannot diverge — and attaching a registry does not
-// change the simulation outcome at all.
+// TestTelemetryMirrorsResult pins that the exported registry series and
+// Result's integer fields are the same per-run counts and cannot
+// diverge — and that attaching a registry does not change the
+// simulation outcome at all.
 func TestTelemetryMirrorsResult(t *testing.T) {
 	mk := func(reg *telemetry.Registry) Config {
 		ts := task.Set{stepTask(1, 0.01, 10, 3e6), stepTask(2, 0.02, 20, 5e6)}

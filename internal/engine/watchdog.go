@@ -154,7 +154,7 @@ func (st *state) maybeShed(now float64) int {
 		return 0
 	}
 	st.wd.missStreak = 0
-	st.ins.safeEntries.Inc()
+	st.ins.safeEntries++
 	frac := st.cfg.SafeModeShed
 	if frac == 0 {
 		frac = defaultShedFraction
@@ -187,6 +187,6 @@ func (st *state) maybeShed(now float64) int {
 	for _, j := range victims[:n] {
 		st.abort(now, j, shedReason)
 	}
-	st.ins.shed.Add(uint64(n))
+	st.ins.shed += n
 	return n
 }

@@ -35,17 +35,11 @@ import (
 	"github.com/euastar/euastar/internal/task"
 )
 
-// infeasible is the abort reason of a job that could not finish by its
-// termination time even if it ran alone at f_m from now on.
-const infeasible = "infeasible at f_m"
-
-// scheme is what every baseline shares: its name, its context and
-// per-scheme instruments, f_m, and the per-task table its decisions read
-// c_i, C_i/D_i and D_i from.
+// scheme is what every baseline shares: its name, its context, f_m, and
+// the per-task table its decisions read c_i, C_i/D_i and D_i from.
 type scheme struct {
 	name string
 	ctx  *sched.Context
-	ins  *sched.Instruments
 	fm   float64
 	tab  sched.TaskTable
 }
@@ -58,7 +52,7 @@ func (s *scheme) init(ctx *sched.Context) error {
 	if err := ctx.Validate(); err != nil {
 		return fmt.Errorf("%s: %w", s.name, err)
 	}
-	s.ctx, s.ins, s.fm = ctx, ctx.Instruments(s.name), ctx.Freqs.Max()
+	s.ctx, s.fm = ctx, ctx.Freqs.Max()
 	s.tab = sched.NewTaskTable(ctx.Tasks)
 	return nil
 }

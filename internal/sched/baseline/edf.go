@@ -128,19 +128,11 @@ func (s *EDF) Init(ctx *sched.Context) error {
 	return nil
 }
 
-// Decide implements sched.Scheduler.
+// Decide implements sched.Scheduler: it aborts the jobs infeasible at
+// f_m (unless the variant never aborts) and runs the earliest survivor.
+// The critical-time order is total on distinct jobs, so its minimum,
+// taken in the filtering pass, is the head a sort would produce.
 func (s *EDF) Decide(now float64, ready []*task.Job) sched.Decision {
-	start := s.ins.Begin()
-	d := s.decide(now, ready)
-	s.ins.End(start, len(ready), d.Freq)
-	return d
-}
-
-// decide aborts the jobs infeasible at f_m (unless the variant never
-// aborts) and runs the earliest survivor. The critical-time order is
-// total on distinct jobs, so its minimum, taken in the filtering pass, is
-// the head a sort would produce.
-func (s *EDF) decide(now float64, ready []*task.Job) sched.Decision {
 	s.tab.Refresh()
 	var run *task.Job
 	var aborts []*task.Job

@@ -96,13 +96,6 @@ func (s *refEDF) Init(ctx *sched.Context) error {
 }
 
 func (s *refEDF) Decide(now float64, ready []*task.Job) sched.Decision {
-	start := s.ins.Begin()
-	d := s.decide(now, ready)
-	s.ins.End(start, len(ready), d.Freq)
-	return d
-}
-
-func (s *refEDF) decide(now float64, ready []*task.Job) sched.Decision {
 	var run *task.Job
 	var aborts []*task.Job
 	live := s.live[:0]
@@ -215,13 +208,6 @@ func refChain(j *task.Job) []*task.Job {
 func (s *refUA) Init(ctx *sched.Context) error { return s.init(ctx) }
 
 func (s *refUA) Decide(now float64, ready []*task.Job) sched.Decision {
-	start := s.ins.Begin()
-	d := s.decide(now, ready)
-	s.ins.End(start, len(ready), d.Freq)
-	return d
-}
-
-func (s *refUA) decide(now float64, ready []*task.Job) sched.Decision {
 	var live []*task.Job
 	var aborts []*task.Job
 	density := make(map[*task.Job]float64, len(ready))
@@ -264,9 +250,8 @@ func (s *refUA) decide(now float64, ready []*task.Job) sched.Decision {
 			order = tent
 		}
 	}
-	s.ins.FeasibilityIterations(iters)
 	if len(order) == 0 {
-		return sched.Decision{Abort: aborts}
+		return sched.Decision{Abort: aborts, Iters: iters}
 	}
-	return sched.Decision{Run: order[0], Freq: s.fm, Abort: aborts}
+	return sched.Decision{Run: order[0], Freq: s.fm, Abort: aborts, Iters: iters}
 }

@@ -84,13 +84,6 @@ func (s *UA) Init(ctx *sched.Context) error {
 
 // Decide implements sched.Scheduler.
 func (s *UA) Decide(now float64, ready []*task.Job) sched.Decision {
-	start := s.ins.Begin()
-	d := s.decide(now, ready)
-	s.ins.End(start, len(ready), d.Freq)
-	return d
-}
-
-func (s *UA) decide(now float64, ready []*task.Job) sched.Decision {
 	s.tab.Refresh()
 	aborts := s.seq.Gather(now, ready, &s.tab)
 	live := s.seq.Live()
@@ -98,9 +91,8 @@ func (s *UA) decide(now float64, ready []*task.Job) sched.Decision {
 		live[i].Key = s.density(s, now, live[i].Job)
 	}
 	head, iters := s.seq.Head(now, false, nil)
-	s.ins.FeasibilityIterations(iters)
 	if head == nil {
-		return sched.Decision{Abort: aborts}
+		return sched.Decision{Abort: aborts, Iters: iters}
 	}
-	return sched.Decision{Run: head, Freq: s.fm, Abort: aborts}
+	return sched.Decision{Run: head, Freq: s.fm, Abort: aborts, Iters: iters}
 }

@@ -10,7 +10,6 @@ import (
 	"github.com/euastar/euastar/internal/sched"
 	"github.com/euastar/euastar/internal/sched/baseline"
 	"github.com/euastar/euastar/internal/task"
-	"github.com/euastar/euastar/internal/telemetry"
 	"github.com/euastar/euastar/internal/tuf"
 	"github.com/euastar/euastar/internal/uam"
 )
@@ -145,9 +144,7 @@ func TestUANaNDensity(t *testing.T) {
 	for _, mk := range []func() *baseline.UA{baseline.NewDASA, baseline.NewGUS} {
 		for _, order := range orders {
 			s := mk()
-			c := ctx(ts)
-			c.Telemetry = telemetry.NewRegistry()
-			if err := s.Init(c); err != nil {
+			if err := s.Init(ctx(ts)); err != nil {
 				t.Fatal(err)
 			}
 			ready := make([]*task.Job, len(order))
@@ -158,9 +155,8 @@ func TestUANaNDensity(t *testing.T) {
 			if d.Run == nil || d.Run.Task != b {
 				t.Fatalf("%s, order %v: runs %v, want B", s.Name(), order, d.Run)
 			}
-			iters := c.Telemetry.Counter(sched.MetricFeasIters, "", telemetry.L("scheme", s.Name())).Value()
-			if iters != 2 {
-				t.Fatalf("%s, order %v: %d feasibility iterations, want 2", s.Name(), order, iters)
+			if d.Iters != 2 {
+				t.Fatalf("%s, order %v: %d feasibility iterations, want 2", s.Name(), order, d.Iters)
 			}
 		}
 	}

@@ -82,10 +82,9 @@ func WithBudgetAwareness(lookahead float64) Option {
 func WithoutPhantomReservation() Option { return func(s *Scheduler) { s.noPhantom = true } }
 
 // Scheduler is the EUA* algorithm. Create it with New and use one instance
-// per simulation run. Decide runs the incremental core in fastpath.go.
+// per simulation run. Decide, the incremental core, is in fastpath.go.
 type Scheduler struct {
 	ctx *sched.Context
-	ins *sched.Instruments
 
 	noDVS       bool
 	noUER       bool
@@ -150,7 +149,6 @@ func (s *Scheduler) Init(ctx *sched.Context) error {
 		return fmt.Errorf("eua: %w", err)
 	}
 	s.ctx = ctx
-	s.ins = ctx.Instruments(s.Name())
 	if s.budgetAware {
 		fm := ctx.Freqs.Max()
 		sumU, sumE := 0.0, 0.0
@@ -269,12 +267,4 @@ func (s *Scheduler) optimalFrequency(t *task.Task) float64 {
 // U_J(now + c/f_m) / (E(f_m) · c).
 func (s *Scheduler) UER(now float64, j *task.Job) float64 {
 	return sched.UER(now, j, s.ctx.Freqs.Max(), s.ctx.Energy)
-}
-
-// Decide implements sched.Scheduler (Algorithm 1).
-func (s *Scheduler) Decide(now float64, ready []*task.Job) sched.Decision {
-	start := s.ins.Begin()
-	d := s.decideFast(now, ready)
-	s.ins.End(start, len(ready), d.Freq)
-	return d
 }

@@ -174,10 +174,10 @@ func (s *Scheduler) fastUER(now float64, j *task.Job, ti int, rem float64) float
 	return u
 }
 
-// decideFast is Decide's body (Algorithm 1). It mirrors the literal
-// algorithm step for step; see the file comment for the bit-identity
-// argument of each replacement.
-func (s *Scheduler) decideFast(now float64, ready []*task.Job) sched.Decision {
+// Decide implements sched.Scheduler (Algorithm 1). It mirrors the
+// literal algorithm step for step; see the file comment for the
+// bit-identity argument of each replacement.
+func (s *Scheduler) Decide(now float64, ready []*task.Job) sched.Decision {
 	fp := &s.fp
 	fp.tab.Refresh()
 
@@ -199,17 +199,16 @@ func (s *Scheduler) decideFast(now float64, ready []*task.Job) sched.Decision {
 	}
 
 	var jexe *task.Job
+	var iters int
 	if s.noUER {
 		// Ablation: plain EDF order — the head is the critical-time
 		// minimum, no feasibility filtering.
 		jexe = live[fp.seq.Critical()[0]].Job
 	} else {
 		// Lines 12–18.
-		var n int
-		jexe, n = fp.seq.Head(now, s.strictBreak, s.rationing())
-		s.ins.FeasibilityIterations(n)
+		jexe, iters = fp.seq.Head(now, s.strictBreak, s.rationing())
 		if jexe == nil {
-			return sched.Decision{Abort: aborts}
+			return sched.Decision{Abort: aborts, Iters: iters}
 		}
 	}
 
@@ -218,7 +217,7 @@ func (s *Scheduler) decideFast(now float64, ready []*task.Job) sched.Decision {
 	if !s.noDVS {
 		fexe = s.decideFreqFast(now, jexe)
 	}
-	return sched.Decision{Run: jexe, Freq: fexe, Abort: aborts}
+	return sched.Decision{Run: jexe, Freq: fexe, Abort: aborts, Iters: iters}
 }
 
 // rationing returns the budget hook for this decision, nil without

@@ -27,8 +27,8 @@ type refScheduler struct {
 	arrivals map[int][]float64 // task ID → last a release times
 }
 
-// Init initializes the wrapped Scheduler (for its context, instruments
-// and fleet UER) and then the reference's own per-task state.
+// Init initializes the wrapped Scheduler (for its context and fleet
+// UER) and then the reference's own per-task state.
 func (r *refScheduler) Init(ctx *sched.Context) error {
 	if err := r.Scheduler.Init(ctx); err != nil {
 		return err
@@ -51,16 +51,9 @@ func (r *refScheduler) OnRelease(now float64, j *task.Job) {
 	r.arrivals[id] = h
 }
 
-// Decide is Algorithm 1 under the same instrumentation as the core.
+// Decide is the reference Algorithm 1. Like the core, it reports its
+// greedy's feasibility trials in Decision.Iters.
 func (r *refScheduler) Decide(now float64, ready []*task.Job) sched.Decision {
-	start := r.ins.Begin()
-	d := r.decideRef(now, ready)
-	r.ins.End(start, len(ready), d.Freq)
-	return d
-}
-
-// decideRef is the reference Algorithm 1.
-func (r *refScheduler) decideRef(now float64, ready []*task.Job) sched.Decision {
 	fm := r.ctx.Freqs.Max()
 
 	// Line 9–11: abort infeasible jobs, keep the rest.
@@ -95,6 +88,7 @@ func (r *refScheduler) decideRef(now float64, ready []*task.Job) sched.Decision 
 
 	// Lines 13–18: greedy feasible insertion in critical-time order.
 	var order []*task.Job
+	iters := 0
 	if r.noUER {
 		// Ablation: plain EDF order over all live jobs.
 		order = append(order, live...)
@@ -107,7 +101,6 @@ func (r *refScheduler) decideRef(now float64, ready []*task.Job) sched.Decision 
 			budgetLeft = r.energyBudget - r.spentEnergy
 			constrained = r.energyConstrained(budgetLeft)
 		}
-		iters := 0
 		for i, j := range live {
 			if uer[i] <= 0 {
 				break // sorted: no later job has positive UER
@@ -131,10 +124,9 @@ func (r *refScheduler) decideRef(now float64, ready []*task.Job) sched.Decision 
 				break
 			}
 		}
-		r.ins.FeasibilityIterations(iters)
 	}
 	if len(order) == 0 {
-		return sched.Decision{Abort: aborts}
+		return sched.Decision{Abort: aborts, Iters: iters}
 	}
 
 	// Line 19: the selected job is the head of the feasible schedule.
@@ -145,7 +137,7 @@ func (r *refScheduler) decideRef(now float64, ready []*task.Job) sched.Decision 
 	if !r.noDVS {
 		fexe = r.decideFreq(now, live, jexe)
 	}
-	return sched.Decision{Run: jexe, Freq: fexe, Abort: aborts}
+	return sched.Decision{Run: jexe, Freq: fexe, Abort: aborts, Iters: iters}
 }
 
 // plannedCost estimates the energy a job's remaining work will consume at

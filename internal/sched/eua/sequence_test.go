@@ -163,7 +163,7 @@ func seqRun(t *testing.T, seed uint64, cores []*Scheduler, ref *refScheduler) (s
 				t.Fatalf("%s: abort %d differs", where, i)
 			}
 		}
-		if g, w := feasIters(coreCtx, cores[0].Name()), feasIters(refCtx, ref.Name()); g != w {
+		if g, w := got.Iters, want.Iters; g != w {
 			t.Fatalf("%s: feasibility iterations: core %d, reference %d", where, g, w)
 		}
 		for _, a := range got.Abort {

@@ -9,7 +9,6 @@ import (
 	"github.com/euastar/euastar/internal/rng"
 	"github.com/euastar/euastar/internal/sched"
 	"github.com/euastar/euastar/internal/task"
-	"github.com/euastar/euastar/internal/telemetry"
 	"github.com/euastar/euastar/internal/tuf"
 	"github.com/euastar/euastar/internal/uam"
 )
@@ -157,19 +156,10 @@ func shortcutCases() []shortcutCase {
 	return cases
 }
 
-// shortcutCtx is a context on the power-of-two table with its own
-// registry, so that each scheduler's iteration count can be read back.
+// shortcutCtx is a context on the power-of-two table.
 func shortcutCtx(ts task.Set) *sched.Context {
 	ft := cpu.FrequencyTable{shortcutFm / 4, shortcutFm / 2, shortcutFm}
-	return &sched.Context{
-		Tasks: ts, Freqs: ft, Energy: energy.MustPreset(energy.E1, ft.Max()),
-		Telemetry: telemetry.NewRegistry(),
-	}
-}
-
-// feasIters reads a scheduler's iteration counter from its registry.
-func feasIters(ctx *sched.Context, scheme string) uint64 {
-	return ctx.Telemetry.Counter(sched.MetricFeasIters, "", telemetry.L("scheme", scheme)).Value()
+	return &sched.Context{Tasks: ts, Freqs: ft, Energy: energy.MustPreset(energy.E1, ft.Max())}
 }
 
 // runID is the task ID of the job d runs, 0 when it idles.
@@ -223,8 +213,7 @@ func TestShortcutDecideMatchesReference(t *testing.T) {
 				if len(got.Abort) != 0 || len(want.Abort) != 0 {
 					t.Fatalf("aborts: core %v, reference %v (every case is feasible job by job)", got.Abort, want.Abort)
 				}
-				gi, wi := feasIters(coreCtx, core.Name()), feasIters(refCtx, ref.Name())
-				if gi != wi {
+				if gi, wi := got.Iters, want.Iters; gi != wi {
 					t.Fatalf("feasibility iterations: core %d, reference %d", gi, wi)
 				}
 				if _, _, ok := core.edfHead(c.now); ok != c.shortcut {

@@ -15,10 +15,12 @@ type CoreDecision struct {
 
 // MultiDecision is a multiprocessor scheduler's answer at a scheduling
 // event: one CoreDecision per core (indexed by core id) plus the jobs to
-// abort. A job may appear on at most one core.
+// abort. A job may appear on at most one core. Iters is Decision.Iters
+// summed over the decision's cores.
 type MultiDecision struct {
 	Cores []CoreDecision
 	Abort []*task.Job
+	Iters int
 }
 
 // MultiScheduler is the multiprocessor scheduler contract. The engine

@@ -162,12 +162,7 @@ func (p *Partitioned) Init(ctx *sched.Context) error {
 			continue // task-less core: stays idle, needs no scheduler
 		}
 		sub := p.factory()
-		sctx := &sched.Context{
-			Tasks:     ts,
-			Freqs:     tables[k],
-			Energy:    ctx.Energy,
-			Telemetry: ctx.Telemetry,
-		}
+		sctx := &sched.Context{Tasks: ts, Freqs: tables[k], Energy: ctx.Energy}
 		if err := sub.Init(sctx); err != nil {
 			return fmt.Errorf("partition: core %d init: %w", k, err)
 		}
@@ -259,7 +254,8 @@ func (p *Partitioned) Decide(now float64, ready []*task.Job) sched.Decision {
 
 // DecideMulti routes the shared ready queue through the Init-time
 // assignment and lets each core's wrapped instance decide over its own
-// jobs only — tasks never migrate under partitioning.
+// jobs only — tasks never migrate under partitioning. The decision's
+// Iters sums the instances' own.
 func (p *Partitioned) DecideMulti(now float64, ready []*task.Job) sched.MultiDecision {
 	for k := range p.bufs {
 		p.bufs[k] = p.bufs[k][:0]
@@ -271,6 +267,7 @@ func (p *Partitioned) DecideMulti(now float64, ready []*task.Job) sched.MultiDec
 	// Both returned slices are reused by the next call, which the
 	// MultiScheduler contract permits: callers must not retain them.
 	p.aborts = p.aborts[:0]
+	iters := 0
 	for k := range p.cores {
 		p.cores[k] = sched.CoreDecision{}
 		if p.subs[k] == nil || len(p.bufs[k]) == 0 {
@@ -279,8 +276,9 @@ func (p *Partitioned) DecideMulti(now float64, ready []*task.Job) sched.MultiDec
 		d := p.subs[k].Decide(now, p.bufs[k])
 		p.cores[k] = sched.CoreDecision{Run: d.Run, Freq: d.Freq}
 		p.aborts = append(p.aborts, d.Abort...)
+		iters += d.Iters
 	}
-	return sched.MultiDecision{Cores: p.cores, Abort: p.aborts}
+	return sched.MultiDecision{Cores: p.cores, Abort: p.aborts, Iters: iters}
 }
 
 // OnRelease forwards a job release to the wrapped instance of the job's

@@ -7,12 +7,10 @@ package sched
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"github.com/euastar/euastar/internal/cpu"
 	"github.com/euastar/euastar/internal/energy"
 	"github.com/euastar/euastar/internal/task"
-	"github.com/euastar/euastar/internal/telemetry"
 )
 
 // Context carries the platform and application parameters a scheduler may
@@ -27,12 +25,6 @@ type Context struct {
 	// (every uniprocessor run) means all cores share Freqs, which then
 	// doubles as the fastest reference ladder.
 	CoreFreqs []cpu.FrequencyTable
-
-	// Telemetry, when non-nil, is the registry schedulers report their
-	// per-decision metrics into (via Instruments). The engine forwards
-	// its Config.Telemetry here; nil keeps scheduling uninstrumented at
-	// zero cost.
-	Telemetry *telemetry.Registry
 }
 
 // Validate checks the context.
@@ -51,11 +43,15 @@ func (c *Context) Validate() error {
 
 // Decision is a scheduler's answer at a scheduling event: which job to
 // execute (nil to idle), at which frequency, and which jobs to abort
-// because they can no longer contribute utility.
+// because they can no longer contribute utility. Iters reports the
+// feasibility trials the decision's greedy insertion made (the
+// candidates Sequencer.Head tried; 0 for schemes without one), which the
+// engine adds to MetricFeasIters.
 type Decision struct {
 	Run   *task.Job
 	Freq  float64
 	Abort []*task.Job
+	Iters int
 }
 
 // Scheduler is a sequencing algorithm invoked at every scheduling event
@@ -76,85 +72,17 @@ type Scheduler interface {
 	Decide(now float64, ready []*task.Job) Decision
 }
 
-// Metric names the schedulers report, one series per scheme label.
+// Metric names of the per-decision series the engine reports for every
+// scheduler, one series per scheme label (the scheduler's Name()): the
+// latency of each decision, the ready-queue length it saw, the
+// feasibility trials it reported in Decision.Iters, and the decisions
+// whose frequency differs from the same core's previous non-idle one.
 const (
 	MetricDecideSeconds = "euastar_sched_decide_seconds"
 	MetricReadyJobs     = "euastar_sched_ready_jobs"
 	MetricFeasIters     = "euastar_sched_feasibility_iterations_total"
 	MetricFreqSwitches  = "euastar_sched_freq_switches_total"
 )
-
-// Instruments bundles the per-scheme metrics every scheduler reports:
-// per-decision wall-clock latency, the ready-queue (equivalently, for the
-// heap-based schemes, heap) size each decision saw, cumulative
-// feasibility-loop iterations, and decision-level DVS frequency changes.
-// Obtain one from Context.Instruments in Init; a nil *Instruments (no
-// registry configured) makes every method a no-op, so schedulers call
-// them unconditionally.
-type Instruments struct {
-	decide   *telemetry.Histogram
-	ready    *telemetry.Histogram
-	feas     *telemetry.Counter
-	switches *telemetry.Counter
-	lastFreq float64 // previous decision's frequency, 0 before the first
-}
-
-// Instruments returns the metric bundle for the named scheme, or nil when
-// the context carries no registry. Schedulers sharing a registry and a
-// scheme name share series — intended for the euad service, where one
-// registry accumulates across runs.
-func (c *Context) Instruments(scheme string) *Instruments {
-	if c == nil || c.Telemetry == nil {
-		return nil
-	}
-	l := telemetry.L("scheme", scheme)
-	return &Instruments{
-		decide: c.Telemetry.Histogram(MetricDecideSeconds,
-			"Wall-clock seconds per Decide call.", telemetry.LatencyBuckets(), l),
-		ready: c.Telemetry.Histogram(MetricReadyJobs,
-			"Ready-queue length observed per Decide call.", telemetry.DepthBuckets(), l),
-		feas: c.Telemetry.Counter(MetricFeasIters,
-			"Feasibility-loop iterations across schedule constructions.", l),
-		switches: c.Telemetry.Counter(MetricFreqSwitches,
-			"Decisions whose chosen frequency differs from the previous decision's.", l),
-	}
-}
-
-// Begin stamps the start of a Decide call. Nil-safe: without instruments
-// it returns the zero time and End ignores it.
-func (ins *Instruments) Begin() time.Time {
-	if ins == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// End records one finished Decide call: its latency, the ready size it
-// saw, and whether its frequency choice switched from the previous one.
-func (ins *Instruments) End(start time.Time, ready int, freq float64) {
-	if ins == nil {
-		return
-	}
-	ins.decide.Observe(time.Since(start).Seconds())
-	ins.ready.Observe(float64(ready))
-	// Idle decisions carry frequency 0 and are not DVS switches.
-	if freq > 0 {
-		if ins.lastFreq > 0 && freq != ins.lastFreq {
-			ins.switches.Inc()
-		}
-		ins.lastFreq = freq
-	}
-}
-
-// FeasibilityIterations adds n iterations of a feasibility/insertion loop:
-// the candidates Sequencer.Head tries in Algorithm 1's greedy insertion,
-// for EUA*, DASA and GUS alike.
-func (ins *Instruments) FeasibilityIterations(n int) {
-	if ins == nil || n <= 0 {
-		return
-	}
-	ins.feas.Add(uint64(n))
-}
 
 // UER returns job j's Utility and Energy Ratio at time now when executed
 // at frequency f: U_J(now + c/f) / (E(f) · c), the utility accrued per

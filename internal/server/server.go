@@ -181,8 +181,9 @@ type Server struct {
 	started time.Time
 
 	// reg collects the daemon's own euad_* metrics and accumulates the
-	// euastar_engine_* / euastar_sched_* families from every job it runs;
-	// /metrics renders it in the Prometheus text format.
+	// euastar_engine_* / euastar_sched_* families from every job it runs,
+	// each engine run's counts once, when the run ends; /metrics renders
+	// it in the Prometheus text format.
 	reg *telemetry.Registry
 	ins serverInstruments
 

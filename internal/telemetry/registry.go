@@ -300,8 +300,8 @@ func writeSeries(w io.Writer, f familyView, s *series) error {
 	return nil
 }
 
-// Metric is one serialized series of a Snapshot: the JSON-safe, merge-
-// able view the experiment runner aggregates and euasim -stats renders.
+// Metric is one serialized series of a Snapshot: the JSON-safe view
+// euasim -stats renders.
 type Metric struct {
 	Name   string  `json:"name"`
 	Kind   string  `json:"kind"` // "counter" | "gauge" | "histogram"
@@ -336,8 +336,7 @@ func (m *Metric) Mean() float64 {
 }
 
 // Snapshot is a point-in-time serialization of a registry, ordered by
-// (name, registration order). It is JSON-safe — sweeps checkpoint and
-// ship it — and Merge-able for cross-cell aggregation.
+// (name, registration order). It is JSON-safe.
 type Snapshot struct {
 	Metrics []Metric `json:"metrics"`
 }
@@ -400,61 +399,4 @@ func (s *Snapshot) Find(name string, labels ...Label) *Metric {
 		}
 	}
 	return nil
-}
-
-// Merge folds other into s: counters and histogram buckets add, gauges
-// take other's (later) value, and series unknown to s are appended. Two
-// histograms of the same series merge only when their bucket bounds
-// match element-wise; a mismatched series is skipped and counted in the
-// returned dropped total, so callers can surface the loss instead of
-// silently aggregating incomparable data.
-func (s *Snapshot) Merge(other Snapshot) (dropped int) {
-	index := make(map[string]int, len(s.Metrics))
-	for i, m := range s.Metrics {
-		index[m.Name+"\x00"+seriesKey(m.Labels)] = i
-	}
-	for _, om := range other.Metrics {
-		key := om.Name + "\x00" + seriesKey(om.Labels)
-		i, ok := index[key]
-		if !ok {
-			cp := om
-			cp.Labels = append([]Label(nil), om.Labels...)
-			cp.Bounds = append([]float64(nil), om.Bounds...)
-			cp.Buckets = append([]uint64(nil), om.Buckets...)
-			index[key] = len(s.Metrics)
-			s.Metrics = append(s.Metrics, cp)
-			continue
-		}
-		m := &s.Metrics[i]
-		switch m.Kind {
-		case "counter":
-			m.Value += om.Value
-		case "gauge":
-			m.Value = om.Value
-		case "histogram":
-			if !boundsEqual(m.Bounds, om.Bounds) || len(m.Buckets) != len(om.Buckets) {
-				dropped++
-				continue
-			}
-			for b := range m.Buckets {
-				m.Buckets[b] += om.Buckets[b]
-			}
-			m.Count += om.Count
-			m.Sum += om.Sum
-		}
-	}
-	return dropped
-}
-
-// boundsEqual reports whether two bucket-bound slices match element-wise.
-func boundsEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -1,17 +1,19 @@
 // Package telemetry is the repo's single instrumentation core: counters,
 // gauges and fixed-bucket histograms with a Prometheus text exposition.
-// Every layer — the engine, the schedulers, the experiment runner and the
-// euad service — reports through this package instead of bespoke ad-hoc
-// fields, so one audited surface covers them all (see DESIGN.md §10 for
-// names and conventions).
+// Every layer — the engine (which also reports each scheduler's
+// decisions), the experiment runner and the euad service — reports
+// through this package instead of bespoke ad-hoc fields, so one audited
+// surface covers them all (see DESIGN.md §10 for names and conventions).
 //
-// The zero-cost default: every metric method is nil-receiver-safe, so an
-// uninstrumented component simply holds nil pointers and each would-be
-// update is a single inlined nil check. Components resolve their metric
-// pointers once (at Init/New) from an optional *Registry; when no
-// registry is configured the pointers stay nil and the hot path pays
-// nothing measurable — the bench-check gate (`make telemetry-overhead`)
-// enforces that the *enabled* sink stays within 5% ns/event too.
+// The zero-cost default: every metric method is nil-receiver-safe, and a
+// nil *Registry returns nil metrics, so a component without a registry
+// pays a nil check per would-be update. The daemon and the coordinator
+// resolve their metric pointers once, at New. The engine keeps a run's
+// counts and histogram buckets in plain per-run fields and adds them to
+// its registry once, when the run ends (Histogram.AddCounts); without a
+// registry it adds nothing and reads no clock. `make telemetry-overhead`
+// measures the *enabled* sink against a 5% ns/event budget (DESIGN.md
+// §10.3).
 //
 // All metrics are safe for concurrent use: counters and histogram
 // buckets are atomic adds, gauges are atomic stores, and the registry
@@ -21,6 +23,7 @@ package telemetry
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 )
 
@@ -122,24 +125,45 @@ func checkBounds(bounds []float64) {
 	}
 }
 
-// Observe records one value.
+// Observe records one value in the first bucket whose bound is at least
+// v, found by slices.BinarySearch; most histograms here have ~20
+// buckets, so this is a handful of comparisons.
 func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	// Binary search for the first bound >= v; most histograms here have
-	// ~20 buckets, so this is a handful of comparisons.
-	lo, hi := 0, len(h.bounds)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if h.bounds[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
+	i, _ := slices.BinarySearch(h.bounds, v)
+	h.counts[i].Add(1)
+	h.count.Add(1)
+	h.addSum(v)
+}
+
+// AddCounts adds observations tallied elsewhere in one step: counts[i]
+// observations in bucket i, the last entry being the overflow bucket,
+// whose values sum to sum. A tally that places each value the way
+// Observe does (slices.BinarySearch over Bounds) adds exactly what
+// observing its values one by one would. The engine adds each run's
+// decision histograms this way, once per run.
+func (h *Histogram) AddCounts(counts []uint64, sum float64) {
+	if h == nil {
+		return
+	}
+	if len(counts) != len(h.counts) {
+		panic(fmt.Sprintf("telemetry: %d bucket counts for a histogram of %d buckets", len(counts), len(h.counts)))
+	}
+	var n uint64
+	for i, c := range counts {
+		if c != 0 {
+			h.counts[i].Add(c)
+			n += c
 		}
 	}
-	h.counts[lo].Add(1)
-	h.count.Add(1)
+	h.count.Add(n)
+	h.addSum(sum)
+}
+
+// addSum adds v to the sum (CAS loop).
+func (h *Histogram) addSum(v float64) {
 	for {
 		old := h.sum.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -93,6 +94,35 @@ func TestHistogramBoundaryInclusive(t *testing.T) {
 	if b := h.Buckets(); b[0] != 1 {
 		t.Fatalf("observation at bound landed in %v", b)
 	}
+}
+
+// TestHistogramAddCounts: adding a tally that places each value the way
+// Observe does equals observing the values one by one; a nil histogram
+// ignores it and a tally of the wrong shape panics.
+func TestHistogramAddCounts(t *testing.T) {
+	bounds := []float64{1, 2, 4, 8}
+	one, batch := NewHistogram(bounds), NewHistogram(bounds)
+	counts := make([]uint64, len(bounds)+1)
+	sum := 0.0
+	for _, v := range []float64{-1, 0.5, 1, 1.5, 2, 3, 8, 100} {
+		one.Observe(v)
+		i, _ := slices.BinarySearch(bounds, v)
+		counts[i]++
+		sum += v
+	}
+	batch.AddCounts(counts, sum)
+	if !slices.Equal(one.Buckets(), batch.Buckets()) || one.Count() != batch.Count() || one.Sum() != batch.Sum() {
+		t.Fatalf("AddCounts: buckets %v count %d sum %g; Observe: %v %d %g",
+			batch.Buckets(), batch.Count(), batch.Sum(), one.Buckets(), one.Count(), one.Sum())
+	}
+	var h *Histogram
+	h.AddCounts(counts, sum)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AddCounts took a tally of the wrong length")
+		}
+	}()
+	batch.AddCounts(counts[1:], sum)
 }
 
 func TestCheckBoundsPanics(t *testing.T) {
@@ -303,69 +333,6 @@ func TestSnapshotRoundTripAndFind(t *testing.T) {
 	}
 	if back.Find("c", L("k", "other")) != nil || back.Find("absent") != nil {
 		t.Fatal("Find matched a metric it should not")
-	}
-}
-
-func TestSnapshotMerge(t *testing.T) {
-	mk := func(ctr float64, gauge float64, obs float64) Snapshot {
-		r := NewRegistry()
-		r.Counter("c", "").Add(uint64(ctr))
-		r.Gauge("g", "").Set(gauge)
-		r.Histogram("h", "", []float64{1, 2}).Observe(obs)
-		return r.Snapshot()
-	}
-	a := mk(2, 10, 0.5)
-	b := mk(3, 20, 1.5)
-	a.Merge(b)
-	if m := a.Find("c"); m.Value != 5 {
-		t.Fatalf("merged counter = %g, want 5", m.Value)
-	}
-	if m := a.Find("g"); m.Value != 20 {
-		t.Fatalf("merged gauge = %g, want 20 (later wins)", m.Value)
-	}
-	hm := a.Find("h")
-	if hm.Count != 2 || hm.Sum != 2 {
-		t.Fatalf("merged histogram count=%d sum=%g", hm.Count, hm.Sum)
-	}
-	if hm.Buckets[0] != 1 || hm.Buckets[1] != 1 {
-		t.Fatalf("merged buckets = %v", hm.Buckets)
-	}
-
-	// Merging into an empty snapshot deep-copies — mutating the result
-	// must not write through to the source.
-	var empty Snapshot
-	empty.Merge(b)
-	empty.Metrics[len(empty.Metrics)-1].Buckets[0] = 99
-	if b.Find("h").Buckets[0] == 99 {
-		t.Fatal("Merge aliased source buckets")
-	}
-}
-
-func TestSnapshotMergeBoundsMismatch(t *testing.T) {
-	mk := func(bounds []float64) Snapshot {
-		r := NewRegistry()
-		r.Histogram("h", "", bounds).Observe(0.5)
-		return r.Snapshot()
-	}
-	a := mk([]float64{1, 2})
-	sameLen := mk([]float64{10, 20}) // equal bucket count, different bounds
-	if dropped := a.Merge(sameLen); dropped != 1 {
-		t.Fatalf("dropped = %d, want 1", dropped)
-	}
-	diffLen := mk([]float64{1})
-	if dropped := a.Merge(diffLen); dropped != 1 {
-		t.Fatalf("dropped = %d, want 1", dropped)
-	}
-	hm := a.Find("h")
-	if hm.Count != 1 || hm.Buckets[0] != 1 {
-		t.Fatalf("mismatched merge mutated series: %+v", hm)
-	}
-	ok := mk([]float64{1, 2})
-	if dropped := a.Merge(ok); dropped != 0 {
-		t.Fatalf("dropped = %d, want 0", dropped)
-	}
-	if hm := a.Find("h"); hm.Count != 2 {
-		t.Fatalf("matching merge failed: %+v", hm)
 	}
 }
 
