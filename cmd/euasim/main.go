@@ -37,6 +37,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -221,33 +222,12 @@ func runWithSignals(args []string, out, diag io.Writer, sigs <-chan os.Signal) e
 		cfg.Store = store
 	}
 
-	// Signal handling: the first SIGINT/SIGTERM closes the interrupt
-	// channel every sweep cell observes; cells stop at their next engine
-	// event, completed work is flushed, and euasim exits non-zero.
-	if sigs != nil {
-		intr := make(chan struct{})
-		noteSignal := func(s os.Signal) {
-			fmt.Fprintf(diag, "euasim: received %v, stopping and flushing partial results\n", s)
-			close(intr)
-		}
-		// A signal already pending at startup takes effect before any cell
-		// runs; only later arrivals need the watcher goroutine.
-		select {
-		case s := <-sigs:
-			noteSignal(s)
-		default:
-			stopWatch := make(chan struct{})
-			defer close(stopWatch)
-			go func() {
-				select {
-				case s := <-sigs:
-					noteSignal(s)
-				case <-stopWatch:
-				}
-			}()
-		}
-		cfg.Interrupt = intr
-	}
+	// Signal handling: the first SIGINT/SIGTERM cancels the context every
+	// sweep cell observes; cells stop at their next engine event,
+	// completed work is flushed, and euasim exits non-zero.
+	ctx, stop := signalContext(sigs, diag, "stopping and flushing partial results")
+	defer stop()
+	cfg.Context = ctx
 
 	var chartOut io.Writer
 	if *chart {
@@ -313,6 +293,35 @@ func runWithSignals(args []string, out, diag io.Writer, sigs <-chan os.Signal) e
 		return errors.Join(sweepFailures...)
 	}
 	return nil
+}
+
+// signalContext returns a context that the first value on sigs cancels,
+// after "euasim: received <signal>, <action>" is printed to diag. A signal
+// already pending is taken before it returns, so it stops the run before
+// any cell starts. The returned cancel releases the watcher. With no sigs
+// the context never ends.
+func signalContext(sigs <-chan os.Signal, diag io.Writer, action string) (context.Context, context.CancelFunc) {
+	if sigs == nil {
+		return context.Background(), func() {}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	note := func(s os.Signal) {
+		fmt.Fprintf(diag, "euasim: received %v, %s\n", s, action)
+		cancel()
+	}
+	select {
+	case s := <-sigs:
+		note(s)
+	default:
+		go func() {
+			select {
+			case s := <-sigs:
+				note(s)
+			case <-ctx.Done():
+			}
+		}()
+	}
+	return ctx, cancel
 }
 
 // experiments resolves a comma-separated -exp list against the registry;

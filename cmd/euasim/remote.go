@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
@@ -46,18 +45,8 @@ func runRemote(opts remoteOpts, out, diag io.Writer, sigs <-chan os.Signal) erro
 		prefix = "euasim-" + hex.EncodeToString(buf[:])
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	if sigs != nil {
-		go func() {
-			select {
-			case s := <-sigs:
-				fmt.Fprintf(diag, "euasim: received %v, abandoning remote wait (jobs keep running on %s)\n", s, opts.base)
-				cancel()
-			case <-ctx.Done():
-			}
-		}()
-	}
+	ctx, stop := signalContext(sigs, diag, fmt.Sprintf("abandoning remote wait (jobs keep running on %s)", opts.base))
+	defer stop()
 
 	c := client.New(opts.base)
 	var docs []experiment.JSONDocument

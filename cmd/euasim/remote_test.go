@@ -3,10 +3,12 @@ package main
 import (
 	"bytes"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/euastar/euastar/internal/server"
@@ -97,6 +99,33 @@ func TestRemoteFailedJobSurfaces(t *testing.T) {
 		"-faults", "not-a-plan", "-remote", ts.URL, "-job-id", "bad"}, io.Discard, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "invalid") {
 		t.Fatalf("expected structured invalid error, got %v", err)
+	}
+}
+
+// TestRemoteSignalAbandonsWait: a signal already pending when a -remote
+// run starts is taken before anything is sent. euasim says it abandons
+// the wait, names the daemon, and fails without contacting it.
+func TestRemoteSignalAbandonsWait(t *testing.T) {
+	var requests atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		http.Error(w, "no request expected", http.StatusInternalServerError)
+	}))
+	defer ts.Close()
+	sigs := make(chan os.Signal, 1)
+	sigs <- os.Interrupt
+	var diag bytes.Buffer
+	err := runWithSignals([]string{"-exp", "fig2", "-seeds", "1", "-horizon", "0.1", "-loads", "0.4",
+		"-remote", ts.URL}, io.Discard, &diag, sigs)
+	if err == nil {
+		t.Fatal("abandoned remote run reported success")
+	}
+	want := "euasim: received interrupt, abandoning remote wait (jobs keep running on " + ts.URL + ")\n"
+	if !strings.Contains(diag.String(), want) {
+		t.Fatalf("diag = %q, want the line %q", diag.String(), want)
+	}
+	if n := requests.Load(); n != 0 {
+		t.Fatalf("the daemon got %d requests after the signal", n)
 	}
 }
 

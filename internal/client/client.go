@@ -148,17 +148,6 @@ func maxDur(a, b time.Duration) time.Duration {
 	return b
 }
 
-func (c *Client) sleep(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 // doJSON performs one request, decoding the error envelope (with its
 // Retry-After hint) on ≥400 and the response body into out otherwise.
 // Transport errors come back as-is (and are retryable).
@@ -239,7 +228,7 @@ func (c *Client) retryLoop(ctx context.Context, attempt func() error) error {
 			if c.MaxElapsed > 0 && now().Sub(start)+d > c.MaxElapsed {
 				return fmt.Errorf("euad: retry budget %v exhausted after %d attempts: %w", c.MaxElapsed, try, lastErr)
 			}
-			if err := c.sleep(ctx, d); err != nil {
+			if err := sleepCtx(ctx, d); err != nil {
 				return fmt.Errorf("%w (last error: %v)", err, lastErr)
 			}
 		}

@@ -171,6 +171,7 @@ func (w *Worker) leaseLoop(ctx context.Context) {
 	}
 }
 
+// sleepCtx waits d, or returns ctx's error as soon as ctx is done.
 func sleepCtx(ctx context.Context, d time.Duration) error {
 	t := time.NewTimer(d)
 	defer t.Stop()
@@ -218,15 +219,13 @@ func (w *Worker) cancelLease(ref coordinator.LeaseRef) {
 }
 
 // runLease computes one leased cell and commits the result (or the
-// failure). A revoked or interrupted cell is dropped without a commit —
-// the coordinator has already resolved the lease.
+// failure). The cell runs under its own context, which a revocation or
+// the worker's shutdown cancels; a cell stopped that way is dropped
+// without a commit — the coordinator has already resolved the lease.
 func (w *Worker) runLease(ctx context.Context, lease coordinator.LeaseResponse) {
 	ref := coordinator.LeaseRef{Sweep: lease.Sweep, Cell: lease.Cell, Epoch: lease.Epoch}
-	interrupt := make(chan struct{})
-	var once sync.Once
-	cancel := func() { once.Do(func() { close(interrupt) }) }
-	stop := context.AfterFunc(ctx, cancel)
-	defer stop()
+	cellCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	w.mu.Lock()
 	w.active[ref] = cancel
 	w.mu.Unlock()
@@ -242,17 +241,15 @@ func (w *Worker) runLease(ctx context.Context, lease coordinator.LeaseResponse) 
 	}
 	plan, err := w.plan(lease)
 	if err == nil {
-		commit.Unit, err = plan.Run(lease.Cell, interrupt)
+		commit.Unit, err = plan.Run(lease.Cell, cellCtx.Done())
 	}
 	if err != nil {
-		select {
-		case <-interrupt:
+		if cellCtx.Err() != nil {
 			// Revoked (or shutting down) mid-computation: the error is the
-			// interrupt surfacing, and the lease is already resolved on the
+			// stop surfacing, and the lease is already resolved on the
 			// coordinator — nothing to commit.
 			w.logf("worker %s: dropped sweep %s cell %d: %v", w.ID, lease.Sweep, lease.Cell, err)
 			return
-		default:
 		}
 		commit.Unit = nil
 		commit.Error = err.Error()

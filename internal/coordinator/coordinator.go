@@ -22,6 +22,7 @@
 package coordinator
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -489,12 +490,11 @@ func (c *Coordinator) Workers() int {
 // Distribute runs one sweep through the cluster: registers its cells,
 // lets workers lease and commit them, and returns once every cell is
 // done or abandoned — or once the cluster is idle (no live workers, no
-// outstanding leases) or the sweep is interrupted, in which case the
-// caller's local sweep run computes whatever is missing. Distribute
-// never fails the sweep: its worst case is "the local run does all the
-// work", its best case is "the local run finds every cell checkpointed
-// and just merges".
-func (c *Coordinator) Distribute(id string, spec SweepSpec, store experiment.CellStore, interrupt <-chan struct{}) error {
+// outstanding leases) or ctx is done, in which case the caller's local
+// sweep run computes whatever is missing. Distribute never fails the
+// sweep: its worst case is "the local run does all the work", its best
+// case is "the local run finds every cell checkpointed and just merges".
+func (c *Coordinator) Distribute(ctx context.Context, id string, spec SweepSpec, store experiment.CellStore) error {
 	plan, err := spec.Plan()
 	if err != nil {
 		return err
@@ -538,7 +538,7 @@ func (c *Coordinator) Distribute(id string, spec SweepSpec, store experiment.Cel
 
 	defer func() {
 		c.mu.Lock()
-		// Resolve any leases still out (interrupt/idle exit): each
+		// Resolve any leases still out (ctx done or idle exit): each
 		// granted lease must resolve exactly once, and these resolve as
 		// expired. Late commits then fence on the missing sweep.
 		for i := range sw.cells {
@@ -578,7 +578,7 @@ func (c *Coordinator) Distribute(id string, spec SweepSpec, store experiment.Cel
 				c.logf("coordinator: sweep %s: %d cells abandoned after repeated failures; local run will compute them", id, abandoned)
 			}
 			return nil
-		case <-interrupt:
+		case <-ctx.Done():
 			return nil
 		case <-ticker.C:
 			c.mu.Lock()

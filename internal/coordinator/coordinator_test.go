@@ -1,6 +1,7 @@
 package coordinator
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"sync"
@@ -72,7 +73,7 @@ func newHarness(t *testing.T, cfg Config) *harness {
 // distribute starts Distribute in the background.
 func (h *harness) distribute(t *testing.T, id string, spec SweepSpec) {
 	t.Helper()
-	go func() { h.done <- h.c.Distribute(id, spec, h.store, nil) }()
+	go func() { h.done <- h.c.Distribute(context.Background(), id, spec, h.store) }()
 }
 
 // wait asserts Distribute finishes cleanly.
@@ -376,7 +377,7 @@ func TestCellAbandonedAfterFailureBudget(t *testing.T) {
 func TestDistributeWithoutWorkersReturnsImmediately(t *testing.T) {
 	h := newHarness(t, Config{LeaseTTL: time.Minute})
 	start := time.Now()
-	if err := h.c.Distribute("job-1", testSpec(2, 2), h.store, nil); err != nil {
+	if err := h.c.Distribute(context.Background(), "job-1", testSpec(2, 2), h.store); err != nil {
 		t.Fatal(err)
 	}
 	if d := time.Since(start); d > 5*time.Second {
@@ -400,7 +401,7 @@ func TestDistributeResumesFromStore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := h.c.Distribute("job-1", spec, h.store, nil); err != nil {
+	if err := h.c.Distribute(context.Background(), "job-1", spec, h.store); err != nil {
 		t.Fatal(err)
 	}
 	if c := h.counts(); c.granted != 0 {

@@ -2,6 +2,7 @@ package coordinator
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"os"
@@ -107,7 +108,7 @@ func TestEpochsMonotonicAcrossRestart(t *testing.T) {
 		c := New(Config{LeaseTTL: time.Minute, ManifestPath: path, Registry: telemetry.NewRegistry(), Logf: t.Logf, now: newFakeClock().now})
 		c.Register("w1")
 		done := make(chan error, 1)
-		go func() { done <- c.Distribute("job-1", spec, store, nil) }()
+		go func() { done <- c.Distribute(context.Background(), "job-1", spec, store) }()
 		deadline := time.Now().Add(5 * time.Second)
 		var leases []LeaseResponse
 		for len(leases) < 2 && time.Now().Before(deadline) {

@@ -167,8 +167,9 @@ type Config struct {
 
 	// Interrupt, when non-nil, is polled between events: once the channel
 	// is closed the run stops and returns an error wrapping
-	// ErrInterrupted. The experiment runner uses it for per-cell timeouts
-	// and SIGINT/SIGTERM shutdown.
+	// ErrInterrupted. Callers pass a context's Done channel: the sweep
+	// runner's per-cell timeout and SIGINT/SIGTERM, euad's job deadline
+	// and drain, a cluster worker's lease revocation.
 	Interrupt <-chan struct{}
 
 	// Telemetry, when non-nil, receives this run's counters, gauges and

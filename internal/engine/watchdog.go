@@ -13,8 +13,8 @@ import (
 )
 
 // ErrInterrupted is the sentinel wrapped by Run's error when a configured
-// Interrupt channel closes mid-run (per-cell timeout or SIGINT/SIGTERM at
-// the experiment layer).
+// Interrupt channel closes mid-run (the context behind it was cancelled
+// or its deadline passed).
 var ErrInterrupted = errors.New("engine: run interrupted")
 
 // InvariantError is the structured error Run returns when the runtime

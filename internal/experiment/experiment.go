@@ -6,6 +6,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -168,11 +169,11 @@ type Config struct {
 	// Retries is how many additional attempts a failing cell gets before
 	// it is reported.
 	Retries int
-	// Interrupt, when closed, stops the whole sweep cooperatively:
-	// in-flight cells stop at their next engine event, completed cells are
-	// kept (and checkpointed if a Store is set), and the sweep returns a
-	// *SweepError with Interrupted set.
-	Interrupt <-chan struct{}
+	// Context, once done, stops the whole sweep cooperatively: in-flight
+	// cells stop at their next engine event, completed cells are kept (and
+	// checkpointed if a Store is set), and the sweep returns a *SweepError
+	// with Interrupted set. A nil Context never stops the sweep.
+	Context context.Context
 	// Store, when non-nil, persists every completed cell so an
 	// interrupted sweep can resume without recomputation. It is also the
 	// shard handoff surface of distributed sweeps: a cluster coordinator

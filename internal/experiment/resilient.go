@@ -5,8 +5,8 @@ package experiment
 // the production runner needs:
 //
 //   - Per-cell timeouts: a cell that exceeds Config.Timeout is stopped
-//     cooperatively (the engine polls an interrupt channel) and reported,
-//     without taking the sweep down.
+//     cooperatively (the engine polls its attempt context's Done channel)
+//     and reported, without taking the sweep down.
 //   - Bounded retries: a failing cell is retried up to Config.Retries
 //     times before being reported.
 //   - Cell-addressable errors: every failure carries the (load, seed,
@@ -19,6 +19,7 @@ package experiment
 //     sweep resumes without recomputing, bit-identically.
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -27,7 +28,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"github.com/euastar/euastar/internal/engine"
 	"github.com/euastar/euastar/internal/storage"
@@ -76,7 +76,7 @@ func (e *CellError) Unwrap() error { return e.Err }
 type SweepError struct {
 	Experiment  string
 	Cells       []*CellError
-	Interrupted bool // the sweep was stopped by Config.Interrupt
+	Interrupted bool // the sweep was stopped by Config.Context
 }
 
 func (e *SweepError) Error() string {
@@ -104,44 +104,8 @@ func (e *schemeError) Error() string { return fmt.Sprintf("scheme %s: %v", e.Sch
 func (e *schemeError) Unwrap() error { return e.Err }
 
 // errSweepInterrupted stops the dispatch of not-yet-started cells once
-// the global interrupt fires; it is internal to runCells.
+// Config.Context is done; it is internal to runCells.
 var errSweepInterrupted = errors.New("experiment: sweep interrupted")
-
-// closed reports whether ch is non-nil and already closed.
-func closed(ch <-chan struct{}) bool {
-	if ch == nil {
-		return false
-	}
-	select {
-	case <-ch:
-		return true
-	default:
-		return false
-	}
-}
-
-// cellInterrupt returns the interrupt channel one cell attempt should
-// observe: the global Config.Interrupt, additionally closed after
-// Config.Timeout. The returned stop func releases the watcher.
-func cellInterrupt(global <-chan struct{}, timeout time.Duration) (<-chan struct{}, func()) {
-	if timeout <= 0 {
-		return global, func() {}
-	}
-	merged := make(chan struct{})
-	stop := make(chan struct{})
-	timer := time.NewTimer(timeout)
-	go func() {
-		defer timer.Stop()
-		select {
-		case <-timer.C:
-			close(merged)
-		case <-global:
-			close(merged)
-		case <-stop:
-		}
-	}()
-	return merged, func() { close(stop) }
-}
 
 // runCells executes every not-yet-checkpointed cell of the grid through
 // run, applying timeouts, retries and checkpointing. It returns the cell
@@ -170,6 +134,10 @@ func runCells[U any](cfg Config, exp, params string, g unitGrid,
 		}
 	}
 
+	ctx := cfg.Context
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	var (
 		mu          sync.Mutex
 		cellErrs    []*CellError
@@ -182,23 +150,26 @@ func runCells[U any](cfg Config, exp, params string, g unitGrid,
 		var lastErr error
 		attempts := 0
 		for attempt := 0; attempt <= cfg.Retries; attempt++ {
-			if closed(cfg.Interrupt) {
+			if ctx.Err() != nil {
 				if lastErr == nil {
 					lastErr = engine.ErrInterrupted
 				}
 				break
 			}
 			attempts++
-			interrupt, stop := cellInterrupt(cfg.Interrupt, cfg.Timeout)
+			cellCtx, cancel := ctx, func() {}
+			if cfg.Timeout > 0 {
+				cellCtx, cancel = context.WithTimeout(ctx, cfg.Timeout)
+			}
 			if cfg.testCellFault != nil {
 				if err := cfg.testCellFault(exp, i, attempt); err != nil {
-					stop()
+					cancel()
 					lastErr = err
 					continue
 				}
 			}
-			u, err := run(i, interrupt)
-			stop()
+			u, err := run(i, cellCtx.Done())
+			cancel()
 			if err == nil {
 				units[i] = u
 				done[i] = true
@@ -215,8 +186,8 @@ func runCells[U any](cfg Config, exp, params string, g unitGrid,
 			}
 			lastErr = err
 			if errors.Is(err, engine.ErrInterrupted) {
-				if closed(cfg.Interrupt) {
-					break // global shutdown, not a per-cell timeout
+				if ctx.Err() != nil {
+					break // global stop, not a per-cell timeout
 				}
 				lastErr = fmt.Errorf("cell timed out after %v: %w", cfg.Timeout, err)
 			}
@@ -240,7 +211,7 @@ func runCells[U any](cfg Config, exp, params string, g unitGrid,
 		mu.Lock()
 		cellErrs = append(cellErrs, ce)
 		mu.Unlock()
-		if closed(cfg.Interrupt) {
+		if ctx.Err() != nil {
 			mu.Lock()
 			interrupted = true
 			mu.Unlock()

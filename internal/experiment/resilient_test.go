@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -204,20 +205,47 @@ func TestTimeoutCellReported(t *testing.T) {
 	}
 }
 
-// TestInterruptedSweep: a closed interrupt channel stops the sweep and
-// marks the error as interrupted.
+// TestInterruptedSweep: a cancelled Context stops the sweep and marks
+// the error as interrupted. Under a per-cell timeout that has not
+// expired, the cells it stops are not reported as timed out.
 func TestInterruptedSweep(t *testing.T) {
-	cfg := quickCfg(0.5, 1.5)
-	intr := make(chan struct{})
-	close(intr)
-	cfg.Interrupt = intr
-	_, err := Figure2(cfg)
-	var se *SweepError
-	if !errors.As(err, &se) {
-		t.Fatalf("err = %v, want *SweepError", err)
-	}
-	if !se.Interrupted {
-		t.Fatalf("SweepError not marked interrupted: %v", se)
+	for _, tc := range []struct {
+		name    string
+		horizon float64       // 0 keeps quickCfg's
+		timeout time.Duration // Config.Timeout
+		after   time.Duration // cancel this far into the sweep; 0 = before it
+	}{
+		{name: "cancelled before the sweep"},
+		{name: "cancelled mid-sweep under a timeout", horizon: 100, timeout: time.Minute, after: 50 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := quickCfg(0.5, 1.5)
+			if tc.horizon > 0 {
+				cfg.Horizon = tc.horizon
+			}
+			cfg.Timeout = tc.timeout
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if tc.after == 0 {
+				cancel()
+			} else {
+				time.AfterFunc(tc.after, cancel)
+			}
+			cfg.Context = ctx
+			_, err := Figure2(cfg)
+			var se *SweepError
+			if !errors.As(err, &se) {
+				t.Fatalf("err = %v, want *SweepError", err)
+			}
+			if !se.Interrupted {
+				t.Fatalf("SweepError not marked interrupted: %v", se)
+			}
+			for _, ce := range se.Cells {
+				if strings.Contains(ce.Error(), "timed out") {
+					t.Fatalf("interrupted cell reported as a timeout: %v", ce)
+				}
+			}
+		})
 	}
 }
 
@@ -233,9 +261,9 @@ func (failWriter) Write([]byte) (int, error) { return 0, errWrite }
 // the -json document is still returned.
 func TestRunJoinsWriteError(t *testing.T) {
 	cfg := quickCfg(0.5)
-	intr := make(chan struct{})
-	close(intr)
-	cfg.Interrupt = intr
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg.Context = ctx
 	x, _ := Lookup("fig2")
 	doc, err := x.Run(cfg, failWriter{}, nil)
 	var se *SweepError

@@ -56,19 +56,10 @@ func forEach(workers, n int, fn func(i int) error) error {
 		return nil
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var (
-		wg    sync.WaitGroup
-		once  sync.Once
-		first error
-	)
-	fail := func(err error) {
-		once.Do(func() {
-			first = err
-			cancel()
-		})
-	}
+	// The first cause wins; later cancels change nothing.
+	ctx, fail := context.WithCancelCause(context.Background())
+	defer fail(nil)
+	var wg sync.WaitGroup
 	indices := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -104,7 +95,7 @@ feed:
 	}
 	close(indices)
 	wg.Wait()
-	return first
+	return context.Cause(ctx)
 }
 
 // unitGrid enumerates the cartesian product of sweep dimensions in the

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha1"
 	"encoding/json"
 	"errors"
@@ -105,7 +106,7 @@ type simulateTask struct {
 	Satisfied bool    `json:"satisfied"`
 }
 
-func (s *Server) runSimulate(spec JobSpec, interrupt <-chan struct{}) (any, error) {
+func (s *Server) runSimulate(ctx context.Context, spec JobSpec) (any, error) {
 	ts, err := loadTasks(spec)
 	if err != nil {
 		return nil, err
@@ -146,7 +147,7 @@ func (s *Server) runSimulate(spec JobSpec, interrupt <-chan struct{}) (any, erro
 		Seed:               seed,
 		AbortAtTermination: scheme.Abort,
 		Faults:             plan,
-		Interrupt:          interrupt,
+		Interrupt:          ctx.Done(),
 		Telemetry:          s.reg,
 	})
 	if err != nil {
@@ -253,14 +254,15 @@ func (s *Server) sweepSpecOf(spec JobSpec) coordinator.SweepSpec {
 	}
 }
 
-// sweepConfig materializes a sweep spec into an experiment configuration.
-func (s *Server) sweepConfig(spec JobSpec, interrupt <-chan struct{}) (experiment.Config, *JobError) {
+// sweepConfig materializes a sweep spec into an experiment configuration
+// that stops when the job's context is done.
+func (s *Server) sweepConfig(ctx context.Context, spec JobSpec) (experiment.Config, *JobError) {
 	cfg, err := s.sweepSpecOf(spec).Config()
 	if err != nil {
 		return cfg, invalidf("%v", err)
 	}
 	cfg.Workers = s.cfg.SimWorkers
-	cfg.Interrupt = interrupt
+	cfg.Context = ctx
 	cfg.Telemetry = s.reg
 	return cfg, nil
 }
@@ -277,12 +279,12 @@ func (s *Server) checkpointPath(id string) string {
 // completed cell is checkpointed under the job's ID, so a crash mid-sweep
 // resumes bit-identically on restart; the checkpoint is deleted once the
 // job's result is journaled.
-func (s *Server) runSweep(spec JobSpec, interrupt <-chan struct{}) (any, error) {
+func (s *Server) runSweep(ctx context.Context, spec JobSpec) (any, error) {
 	x, ok := sweepExperiment(spec.Experiment)
 	if !ok {
 		return nil, invalidf("unknown sweep experiment %q", spec.Experiment)
 	}
-	cfg, jerr := s.sweepConfig(spec, interrupt)
+	cfg, jerr := s.sweepConfig(ctx, spec)
 	if jerr != nil {
 		return nil, jerr
 	}
@@ -316,7 +318,7 @@ func (s *Server) runSweep(spec JobSpec, interrupt <-chan struct{}) (any, error) 
 		if cfg.Store == nil {
 			cfg.Store = experiment.NewMemStore()
 		}
-		if err := s.coord.Distribute(spec.ID, s.sweepSpecOf(spec), cfg.Store, interrupt); err != nil {
+		if err := s.coord.Distribute(ctx, spec.ID, s.sweepSpecOf(spec), cfg.Store); err != nil {
 			s.logf("euad: job %s: distribute: %v; completing locally", spec.ID, err)
 		}
 	}

@@ -107,7 +107,7 @@ type Config struct {
 	// testExec, when set, admits the hidden "test" job kind and executes
 	// it. In-package tests use it to inject sleeps, failures and panics
 	// deterministically.
-	testExec func(spec JobSpec, interrupt <-chan struct{}) (json.RawMessage, error)
+	testExec func(ctx context.Context, spec JobSpec) (json.RawMessage, error)
 }
 
 func (c Config) withDefaults() Config {
@@ -175,8 +175,11 @@ type Server struct {
 	probeFree float64
 	probeErr  error
 
-	stopC chan struct{} // closed to stop in-flight jobs cooperatively
-	wg    sync.WaitGroup
+	// ctx is the parent of every job's context; Drain cancels it to stop
+	// in-flight jobs cooperatively.
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
 
 	started time.Time
 
@@ -200,10 +203,10 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		fs:      cfg.FS,
 		jobs:    make(map[string]*job),
-		stopC:   make(chan struct{}),
 		started: time.Now(),
 		reg:     telemetry.NewRegistry(),
 	}
+	s.ctx, s.cancel = context.WithCancel(context.Background())
 	if s.fs == nil {
 		s.fs = storage.OS()
 	}
@@ -358,8 +361,9 @@ func (s *Server) worker() {
 	}
 }
 
-// execute runs one job with panic isolation and its wall-clock budget
-// propagated into the engine's cooperative interrupt. A panicking
+// execute runs one job with panic isolation under a context that Drain
+// cancels and, when the job has a wall-clock budget, that expires with
+// it; the engine polls that context's Done channel. A panicking
 // simulation fails that job with a structured error; the process and the
 // other jobs are untouched.
 func (s *Server) execute(j *job) (result json.RawMessage, jerr *JobError) {
@@ -372,8 +376,12 @@ func (s *Server) execute(j *job) (result json.RawMessage, jerr *JobError) {
 		}
 	}()
 
-	interrupt, timedOut, release := s.jobInterrupt(j.spec.timeout(s.cfg.DefaultTimeout, s.cfg.MaxTimeout))
-	defer release()
+	ctx := s.ctx
+	if timeout := j.spec.timeout(s.cfg.DefaultTimeout, s.cfg.MaxTimeout); timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
+	}
 
 	var (
 		out any
@@ -383,17 +391,17 @@ func (s *Server) execute(j *job) (result json.RawMessage, jerr *JobError) {
 	case KindAnalyze:
 		out, err = runAnalyze(j.spec)
 	case KindSimulate:
-		out, err = s.runSimulate(j.spec, interrupt)
+		out, err = s.runSimulate(ctx, j.spec)
 	case KindSweep:
-		out, err = s.runSweep(j.spec, interrupt)
+		out, err = s.runSweep(ctx, j.spec)
 	case KindTest:
-		out, err = s.cfg.testExec(j.spec, interrupt)
+		out, err = s.cfg.testExec(ctx, j.spec)
 	default:
 		err = invalidf("unknown job kind %q", j.spec.Kind)
 	}
 	s.notePhase(j, phaseRun, time.Since(runStart))
 	if err != nil {
-		return nil, s.classify(err, timedOut())
+		return nil, classify(err, ctx.Err())
 	}
 	renderStart := time.Now()
 	raw, merr := json.Marshal(out)
@@ -405,10 +413,12 @@ func (s *Server) execute(j *job) (result json.RawMessage, jerr *JobError) {
 }
 
 // classify maps an execution error onto the structured job error the API
-// reports: explicit job errors pass through; a cooperative stop is a
-// timeout (the job's own budget) or an interruption (server drain);
-// everything else failed on its own terms.
-func (s *Server) classify(err error, timedOut bool) *JobError {
+// reports, given why the job's context ended (nil if it did not):
+// explicit job errors pass through; a cooperative stop is a timeout when
+// the context's deadline passed (the job's own budget) and an
+// interruption otherwise (server drain); everything else failed on its
+// own terms.
+func classify(err, stop error) *JobError {
 	var je *JobError
 	if errors.As(err, &je) {
 		return je
@@ -419,43 +429,12 @@ func (s *Server) classify(err error, timedOut bool) *JobError {
 		interrupted = true
 	}
 	if interrupted {
-		if timedOut {
+		if errors.Is(stop, context.DeadlineExceeded) {
 			return &JobError{Code: CodeTimeout, Message: "job exceeded its wall-clock budget"}
 		}
 		return &JobError{Code: CodeInterrupted, Message: "server shutting down; job will resume on restart"}
 	}
 	return &JobError{Code: CodeFailed, Message: err.Error()}
-}
-
-// jobInterrupt merges the server stop channel with the job's own
-// deadline into the single channel the engine polls.
-func (s *Server) jobInterrupt(timeout time.Duration) (<-chan struct{}, func() bool, func()) {
-	if timeout <= 0 {
-		return s.stopC, func() bool { return false }, func() {}
-	}
-	merged := make(chan struct{})
-	release := make(chan struct{})
-	timer := time.NewTimer(timeout)
-	var timedOut bool
-	var mu sync.Mutex
-	go func() {
-		defer timer.Stop()
-		select {
-		case <-timer.C:
-			mu.Lock()
-			timedOut = true
-			mu.Unlock()
-			close(merged)
-		case <-s.stopC:
-			close(merged)
-		case <-release:
-		}
-	}()
-	return merged, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return timedOut
-	}, func() { close(release) }
 }
 
 // finish commits a job's terminal state: journal first (fsynced), then
@@ -525,7 +504,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	select {
 	case <-finished:
 	case <-ctx.Done():
-		close(s.stopC)
+		s.cancel()
 		<-finished
 	}
 	if s.journal != nil {

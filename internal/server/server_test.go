@@ -38,8 +38,9 @@ type testPayload struct {
 }
 
 // testExecutor simulates work: sleeps cooperatively, fails, panics, or
-// blocks until the interrupt fires — the corners the real engine can hit.
-func testExecutor(spec JobSpec, interrupt <-chan struct{}) (json.RawMessage, error) {
+// blocks until the job's context is done — the corners the real engine
+// can hit.
+func testExecutor(ctx context.Context, spec JobSpec) (json.RawMessage, error) {
 	var p testPayload
 	if len(spec.Payload) > 0 {
 		if err := json.Unmarshal(spec.Payload, &p); err != nil {
@@ -53,13 +54,13 @@ func testExecutor(spec JobSpec, interrupt <-chan struct{}) (json.RawMessage, err
 		return nil, errors.New("test job failure")
 	}
 	if p.Block {
-		<-interrupt
+		<-ctx.Done()
 		return nil, fmt.Errorf("stopped: %w", engine.ErrInterrupted)
 	}
 	if p.SleepMS > 0 {
 		select {
 		case <-time.After(time.Duration(p.SleepMS) * time.Millisecond):
-		case <-interrupt:
+		case <-ctx.Done():
 			return nil, fmt.Errorf("stopped: %w", engine.ErrInterrupted)
 		}
 	}
@@ -433,40 +434,56 @@ func TestDrain(t *testing.T) {
 }
 
 // TestDrainDeadlineInterrupts: when the drain deadline expires, a job
-// that will not finish is stopped cooperatively and reported as
-// interrupted.
+// that will not finish is stopped cooperatively, reported as
+// interrupted and left unfinished in the journal, so it resumes on
+// restart. A job whose own, longer budget has not run out is
+// interrupted too, not timed out.
 func TestDrainDeadlineInterrupts(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1})
-	post(t, ts.URL, `{"id":"di-1","kind":"test","payload":{"block":true}}`)
-	// Give the worker a moment to pick the job up.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		s.mu.Lock()
-		running := s.jobs["di-1"] != nil && s.jobs["di-1"].state == StateRunning
-		s.mu.Unlock()
-		if running {
-			break
+	for _, spec := range []string{
+		`{"id":"di-1","kind":"test","payload":{"block":true}}`,
+		`{"id":"di-1","kind":"test","timeout_seconds":60,"payload":{"block":true}}`,
+	} {
+		dir := t.TempDir()
+		s, ts := newTestServer(t, Config{Workers: 1, DataDir: dir})
+		post(t, ts.URL, spec)
+		// Give the worker a moment to pick the job up.
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			s.mu.Lock()
+			running := s.jobs["di-1"] != nil && s.jobs["di-1"].state == StateRunning
+			s.mu.Unlock()
+			if running {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("di-1 never started")
+			}
+			time.Sleep(time.Millisecond)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("di-1 never started")
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		if err := s.Drain(ctx); err != nil {
+			t.Fatalf("drain: %v", err)
 		}
-		time.Sleep(time.Millisecond)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	if err := s.Drain(ctx); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	resp, data := get(t, ts.URL+"/v1/jobs/di-1")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("job after drain: %d", resp.StatusCode)
-	}
-	var st JobStatus
-	if err := json.Unmarshal(data, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.State != StateFailed || st.Error == nil || st.Error.Code != CodeInterrupted {
-		t.Fatalf("interrupted job: %+v", st)
+		cancel()
+		resp, data := get(t, ts.URL+"/v1/jobs/di-1")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("job after drain: %d", resp.StatusCode)
+		}
+		var st JobStatus
+		if err := json.Unmarshal(data, &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.State != StateFailed || st.Error == nil || st.Error.Code != CodeInterrupted {
+			t.Fatalf("%s: interrupted job: %+v", spec, st)
+		}
+		journal, rec, err := jobstore.Open(filepath.Join(dir, "journal.wal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		journal.Close()
+		if js := jobstore.Rebuild(rec.Records)["di-1"]; js == nil || js.Terminal() {
+			t.Fatalf("%s: journal state after drain = %+v, want unfinished", spec, js)
+		}
 	}
 }
 

@@ -17,7 +17,6 @@ package uam
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"github.com/euastar/euastar/internal/rng"
 )
@@ -276,34 +275,6 @@ func repair(trace []float64, t float64, spec Spec) float64 {
 		return trace[len(trace)-1]
 	}
 	return t
-}
-
-// Merge combines several sorted traces into one sorted trace, returning
-// the merged times and, in parallel, the index of the source trace each
-// arrival came from. It is used to interleave per-task arrival streams
-// into a single event feed.
-func Merge(traces ...[]float64) (times []float64, source []int) {
-	total := 0
-	for _, tr := range traces {
-		total += len(tr)
-	}
-	type tagged struct {
-		t   float64
-		src int
-	}
-	all := make([]tagged, 0, total)
-	for s, tr := range traces {
-		for _, t := range tr {
-			all = append(all, tagged{t, s})
-		}
-	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].t < all[j].t })
-	times = make([]float64, total)
-	source = make([]int, total)
-	for i, a := range all {
-		times[i], source[i] = a.t, a.src
-	}
-	return times, source
 }
 
 // Density returns the maximum number of arrivals observed in any sliding

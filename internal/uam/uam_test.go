@@ -270,32 +270,6 @@ func TestQuickGeneratorsCompliant(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	times, src := Merge([]float64{0, 2, 4}, []float64{1, 2, 3})
-	wantT := []float64{0, 1, 2, 2, 3, 4}
-	wantS := []int{0, 1, 0, 1, 1, 0}
-	for i := range wantT {
-		if times[i] != wantT[i] || src[i] != wantS[i] {
-			t.Fatalf("merge = %v %v", times, src)
-		}
-	}
-}
-
-func TestMergeEmpty(t *testing.T) {
-	times, src := Merge(nil, []float64{}, nil)
-	if len(times) != 0 || len(src) != 0 {
-		t.Fatalf("merge of empties = %v %v", times, src)
-	}
-}
-
-func TestMergeStable(t *testing.T) {
-	// Equal times keep source order: source 0 before source 1.
-	_, src := Merge([]float64{5}, []float64{5})
-	if src[0] != 0 || src[1] != 1 {
-		t.Fatalf("merge not stable: %v", src)
-	}
-}
-
 func TestDensity(t *testing.T) {
 	tr := []float64{0, 0, 0, 2, 2, 2}
 	if d := Density(tr, 1); d != 3 {
