@@ -265,10 +265,11 @@ func TestInterruptStopsDespiteWriteError(t *testing.T) {
 func TestTimeoutReportedAndPartialFlushed(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "out.json")
 	var out bytes.Buffer
-	// The horizon is deliberately huge: the 1ns timeout fires via a
-	// watcher goroutine, and on a loaded machine a short cell could finish
-	// before the watcher is ever scheduled. A long cell cannot, and it
-	// still exits almost immediately once the interrupt lands.
+	// The horizon is deliberately huge: if the 1ns deadline has not passed
+	// when the attempt's context is made, a timer goroutine cancels it,
+	// and on a loaded machine a short cell could finish before that
+	// goroutine is scheduled. A long cell cannot, and it still exits almost
+	// immediately once the stop lands.
 	err := run([]string{"-exp", "fig2", "-seeds", "1", "-horizon", "500",
 		"-loads", "0.5", "-timeout", "1ns", "-json", path}, &out, io.Discard)
 	if err == nil {
