@@ -124,10 +124,11 @@ telemetry-smoke:
 # packing + global UER + single-core identity suite), the comparison
 # schedulers internal/sched/baseline (all ten EDF and utility-accrual
 # variants), the job journal internal/jobstore, the simulation engine
-# internal/engine and the metrics registry internal/telemetry.
+# internal/engine, the metrics registry internal/telemetry and the euad
+# service core internal/server.
 COVER_FLOOR_PKGS = internal/sched/eua internal/sched internal/admission internal/oracle \
 	internal/tenancy internal/storage internal/sched/partition internal/sched/baseline internal/jobstore \
-	internal/engine internal/telemetry
+	internal/engine internal/telemetry internal/server
 
 cover:
 	$(GO) test -coverprofile=coverage.out ./...
@@ -148,6 +149,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzLeaseManifest -fuzztime=30s -run='^$$' ./internal/coordinator/
 	$(GO) test -fuzz=FuzzFrame -fuzztime=30s -run='^$$' ./internal/storage/
 	$(GO) test -fuzz=FuzzOracle -fuzztime=30s -run='^$$' ./internal/oracle/
+	$(GO) test -fuzz=FuzzSeriesKey -fuzztime=30s -run='^$$' ./internal/telemetry/
 
 # fuzz-smoke is the short CI-friendly fuzz pass wired into check.
 fuzz-smoke:
@@ -157,6 +159,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzLeaseManifest -fuzztime=5s -run='^$$' ./internal/coordinator/
 	$(GO) test -fuzz=FuzzFrame -fuzztime=5s -run='^$$' ./internal/storage/
 	$(GO) test -fuzz=FuzzOracle -fuzztime=5s -run='^$$' ./internal/oracle/
+	$(GO) test -fuzz=FuzzSeriesKey -fuzztime=5s -run='^$$' ./internal/telemetry/
 
 # check is the full local gate: build, lint, tests, race tests, coverage
 # floor, fuzz smoke.

@@ -69,8 +69,20 @@ func main() {
 		if errors.Is(err, flag.ErrHelp) {
 			return
 		}
-		fmt.Fprintln(os.Stderr, "euasim:", err)
+		report(os.Stderr, err)
 		os.Exit(1)
+	}
+}
+
+// report prints a failed run's error to diag: one "euasim:" line for
+// each failed sweep it joins, or for the error itself.
+func report(diag io.Writer, err error) {
+	errs := []error{err}
+	if joined, ok := err.(interface{ Unwrap() []error }); ok {
+		errs = joined.Unwrap()
+	}
+	for _, e := range errs {
+		fmt.Fprintln(diag, "euasim:", e)
 	}
 }
 
@@ -238,14 +250,18 @@ func runWithSignals(args []string, out, diag io.Writer, sigs <-chan os.Signal) e
 	// *experiment.SweepError. Those partial results are still written (and
 	// included in -json) before the failure is reported, so a single
 	// poisoned cell never discards its siblings' work. sweepFailures
-	// accumulates across experiments; euasim exits non-zero at the end.
+	// accumulates across experiments, each naming its sweep once (a
+	// SweepError's text starts with it); euasim reports them and exits
+	// non-zero at the end.
 	var sweepFailures []error
 	sweepDone := func(e string, err error) (stop bool) {
 		if err == nil {
 			return false
 		}
-		fmt.Fprintf(diag, "euasim: %s: %v\n", e, err)
-		sweepFailures = append(sweepFailures, fmt.Errorf("%s: %w", e, err))
+		if !strings.HasPrefix(err.Error(), e+":") {
+			err = fmt.Errorf("%s: %w", e, err)
+		}
+		sweepFailures = append(sweepFailures, err)
 		var se *experiment.SweepError
 		return errors.As(err, &se) && se.Interrupted
 	}

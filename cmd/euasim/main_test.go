@@ -286,6 +286,41 @@ func TestTimeoutReportedAndPartialFlushed(t *testing.T) {
 	}
 }
 
+// TestFailedSweepReportedOnce: each sweep whose cells time out is
+// reported on one stderr line, as main prints it, that names it once.
+func TestFailedSweepReportedOnce(t *testing.T) {
+	for _, c := range []struct {
+		exps string
+		want []string
+	}{
+		{"fig2", []string{"fig2"}},
+		{"fig2,fig3", []string{"fig2", "fig3"}},
+	} {
+		var diag bytes.Buffer
+		err := run([]string{"-exp", c.exps, "-seeds", "1", "-horizon", "0.3", "-loads", "0.5", "-timeout", "1ns"},
+			io.Discard, &diag)
+		if err == nil {
+			t.Fatalf("-exp %s: timed-out sweep reported success", c.exps)
+		}
+		report(&diag, err)
+		var failed []string
+		for _, line := range strings.Split(diag.String(), "\n") {
+			if strings.Contains(line, "failed") {
+				failed = append(failed, line)
+			}
+		}
+		if len(failed) != len(c.want) {
+			t.Fatalf("-exp %s: %d failure lines, want %d:\n%s", c.exps, len(failed), len(c.want), &diag)
+		}
+		for i, e := range c.want {
+			if !strings.HasPrefix(failed[i], "euasim: "+e+": ") || !strings.Contains(failed[i], " cell(s) failed: ") ||
+				strings.Count(failed[i], e+":") != 1 {
+				t.Errorf("-exp %s: failure line %q, want one naming %s once", c.exps, failed[i], e)
+			}
+		}
+	}
+}
+
 // TestStatsFlag: -stats appends the telemetry table to stderr — covering
 // scheduler decision latencies, preemptions and frequency switches — and
 // leaves stdout byte-identical to a run without it.

@@ -66,6 +66,36 @@ func TestEventLoopAllocations(t *testing.T) {
 			}
 		})
 	}
+	// A registry whose series exist already costs a run only its two
+	// tallies: the flush finds every series without allocating.
+	for _, c := range []struct {
+		name  string
+		sched func() sched.Scheduler
+		cores int
+	}{
+		{"EUA*/L0.6+warm-reg", func() sched.Scheduler { return eua.New() }, 1},
+		{"G-UER/2/L1.2+warm-reg", func() sched.Scheduler { return partition.NewGlobal(2) }, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ft := cpu.PowerNowK6()
+			model := energy.MustPreset(energy.E1, ft.Max())
+			ts := table1Tasks(t, 0.6*float64(c.cores))
+			allocs := func(reg *telemetry.Registry) float64 {
+				// AllocsPerRun's warm-up run registers every series.
+				return testing.AllocsPerRun(5, func() {
+					if _, err := Run(Config{Tasks: ts, Scheduler: c.sched(), Cores: c.cores, Freqs: ft, Energy: model,
+						Horizon: 0.25, Seed: 1, AbortAtTermination: true, Telemetry: reg}); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			without, with := allocs(nil), allocs(telemetry.NewRegistry())
+			t.Logf("%v allocations per run without a registry, %v with a warm one", without, with)
+			if with > without+2 {
+				t.Fatalf("a warm registry adds %v allocations per run, want at most the 2 tallies", with-without)
+			}
+		})
+	}
 }
 
 // table1Tasks synthesizes the Table 1 applications at seed 1 and scales

@@ -232,10 +232,12 @@ func (st *state) flush(res *Result, err error) {
 		add(reg.Counter(MetricAborts, "Aborted jobs by reason.", telemetry.L("reason", r.label)), aborted[i])
 	}
 	broke := -1
-	var ierr *InvariantError
-	if errors.As(err, &ierr) {
-		if broke = slices.Index(invariantNames[:], ierr.Invariant); broke < 0 {
-			broke = len(invariantNames) - 1
+	if err != nil { // errors.As's target escapes: declare it only when needed
+		var ierr *InvariantError
+		if errors.As(err, &ierr) {
+			if broke = slices.Index(invariantNames[:], ierr.Invariant); broke < 0 {
+				broke = len(invariantNames) - 1
+			}
 		}
 	}
 	for i, inv := range invariantNames {
@@ -253,9 +255,11 @@ func (st *state) flush(res *Result, err error) {
 
 	// The scheduler's families, labeled with its name; one depth tally
 	// fills both depth histograms.
-	name := st.cfg.Scheduler.Name()
+	var name string
 	if res != nil {
 		name = res.SchedulerName
+	} else {
+		name = st.cfg.Scheduler.Name()
 	}
 	l := telemetry.L("scheme", name)
 	reg.Histogram(sched.MetricDecideSeconds, "Wall-clock seconds per scheduler decision.",

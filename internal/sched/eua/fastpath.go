@@ -108,13 +108,16 @@ func (s *Scheduler) initFast() {
 	for _, t := range ts {
 		window += t.Arrival.A
 	}
+	// f^o, E(f^o) and the arrival histories share one array, each part
+	// capped at its own length.
+	vals := make([]float64, 2*n+window)
 	s.fp = fastState{
 		fm:           fm,
 		perCycleFM:   s.ctx.Energy.PerCycle(fm),
 		tab:          sched.NewTaskTable(ts),
 		seq:          sched.NewSequencer(fm, ts),
-		foFreq:       make([]float64, n),
-		foCost:       make([]float64, n),
+		foFreq:       vals[:n:n],
+		foCost:       vals[n : 2*n : 2*n],
 		stepUER:      make([]bool, n),
 		arrivals:     make([]uam.Window, n),
 		allCacheable: true,
@@ -129,7 +132,7 @@ func (s *Scheduler) initFast() {
 	for ti := range ts {
 		fp.minCrit = min(fp.minCrit, fp.tab.Crit(ti))
 	}
-	history := make([]float64, window)
+	history := vals[2*n:]
 	for ti, t := range ts {
 		f := s.optimalFrequency(t)
 		fp.foFreq[ti], fp.foCost[ti] = f, s.ctx.Energy.PerCycle(f)

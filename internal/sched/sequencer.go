@@ -97,21 +97,25 @@ type Ration struct {
 }
 
 // NewSequencer returns a Sequencer for decisions at f_m = fm, its
-// buffers sized from Σ a_i over ts, the UAM bound on live jobs.
+// buffers sized from Σ a_i over ts, the UAM bound on live jobs. Buffers
+// of one type are carved from one array, each capped at its own length,
+// so a buffer that outgrows it moves rather than overrun its neighbour.
 func NewSequencer(fm float64, ts task.Set) Sequencer {
 	window := 0
 	for _, t := range ts {
 		window += t.Arrival.A
 	}
+	jobs := make([]*task.Job, 2*window)
+	idx := make([]int32, 3*window)
 	return Sequencer{
 		fm:       fm,
-		critJobs: make([]*task.Job, 0, window),
-		keyJobs:  make([]*task.Job, 0, window),
+		critJobs: jobs[:0:window],
+		keyJobs:  jobs[window : window : 2*window],
 		keys:     make([]float64, 0, window),
 		live:     make([]Live, 0, window),
-		crit:     make([]int32, 0, window),
-		byKey:    make([]int32, 0, window),
-		add:      make([]int32, 0, window),
+		crit:     idx[:0:window],
+		byKey:    idx[window : window : 2*window],
+		add:      idx[2*window : 2*window : 3*window],
 		tent:     make([]slot, 0, window),
 	}
 }

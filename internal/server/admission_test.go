@@ -1,13 +1,18 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/euastar/euastar/internal/jobstore"
+	"github.com/euastar/euastar/internal/task"
 )
 
 // rejectDoc is a task set the analytical admission test proves
@@ -133,6 +138,9 @@ func TestAdmissionRejectReplays(t *testing.T) {
 	if err := json.Unmarshal(data, &env); err != nil || env.Error.Code != CodeRejected {
 		t.Errorf("replayed error = %+v (err %v), want code %q", env.Error, err, CodeRejected)
 	}
+	if jobTasks(s, "rr-1") != nil {
+		t.Error("a rejected job keeps the task set triage parsed")
+	}
 	conflicting := fmt.Sprintf(`{"id":"rr-1","kind":"simulate","scheme":"EDF-fm","tasks":%s}`, rejectDoc)
 	if resp, _ := post(t, ts.URL, conflicting); resp.StatusCode != http.StatusConflict {
 		t.Fatalf("conflicting spec: %d, want 409", resp.StatusCode)
@@ -232,5 +240,88 @@ func TestMulticoreTriageDefers(t *testing.T) {
 	// The same document on one core still fast-rejects.
 	if resp, _ := post(t, ts.URL, rejectSpec("mc-uni")); resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("uniprocessor submit: %d, want 422", resp.StatusCode)
+	}
+}
+
+// jobTasks reads the parsed task set a job holds.
+func jobTasks(s *Server, id string) task.Set {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.jobs[id].tasks
+}
+
+// TestTriagedSetRunsOnce: an admitted simulate job carries the set
+// triage parsed to its worker and drops it when it finishes; a job
+// recovered from the journal was never triaged, so its worker parses
+// the document, and its result is byte-identical to the fresh job's.
+func TestTriagedSetRunsOnce(t *testing.T) {
+	spec := fmt.Sprintf(`{"id":"once-1","kind":"simulate","scheme":"EUA*","load":0.7,"horizon":0.2,"seed":3,"tasks":%s}`, tasksDoc)
+
+	s, ts := newTestServer(t, Config{Workers: 1})
+	defer s.Close()
+	// The only worker sleeps on a test job, so the simulate job waits in
+	// the queue holding its parsed set.
+	if resp, data := post(t, ts.URL, `{"id":"busy","kind":"test","payload":{"sleep_ms":200}}`); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit busy: %d %s", resp.StatusCode, data)
+	}
+	if resp, data := post(t, ts.URL, spec); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", resp.StatusCode, data)
+	}
+	if queued := jobTasks(s, "once-1"); len(queued) != 2 {
+		t.Fatalf("queued job holds %d parsed tasks, want the 2 triage parsed", len(queued))
+	}
+	fresh := waitJob(t, ts.URL, "once-1")
+	if fresh.State != StateDone {
+		t.Fatalf("fresh job: %+v", fresh)
+	}
+	if jobTasks(s, "once-1") != nil {
+		t.Error("the finished job still holds its parsed task set")
+	}
+
+	// The same spec journaled as submitted but never run.
+	dir := t.TempDir()
+	journal, _, err := jobstore.Open(filepath.Join(dir, "journal.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := journal.Append(jobstore.Record{Kind: jobstore.KindSubmitted, JobID: "once-1", Spec: json.RawMessage(spec), Tenant: DefaultTenant}); err != nil {
+		t.Fatal(err)
+	}
+	if err := journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, ts2 := newTestServer(t, Config{Workers: 1, DataDir: dir})
+	defer s2.Close()
+	recovered := waitJob(t, ts2.URL, "once-1")
+	if recovered.State != StateDone {
+		t.Fatalf("recovered job: %+v", recovered)
+	}
+	if !bytes.Equal(recovered.Result, fresh.Result) {
+		t.Fatalf("recovered result differs from the fresh one:\n%s\nvs\n%s", recovered.Result, fresh.Result)
+	}
+}
+
+// TestUnparseableTasksFailOnWorker: triage cannot parse the document, so
+// it admits the job, and the worker fails it with the parser's own
+// "tasks document:" message.
+func TestUnparseableTasksFailOnWorker(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	defer s.Close()
+	const body = `{"id":"bad-doc","kind":"simulate","scheme":"EUA*","tasks":{"tasks":"not a list"}}`
+	if resp, data := post(t, ts.URL, body); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d %s, want 202 (triage defers what it cannot parse)", resp.StatusCode, data)
+	}
+	st := waitJob(t, ts.URL, "bad-doc")
+	var spec JobSpec
+	if err := json.Unmarshal([]byte(body), &spec); err != nil {
+		t.Fatal(err)
+	}
+	_, err := loadTasks(spec)
+	want, ok := err.(*JobError)
+	if !ok || !strings.HasPrefix(want.Message, "tasks document: ") {
+		t.Fatalf("loadTasks = %v, want a tasks document error", err)
+	}
+	if st.State != StateFailed || st.Error == nil || *st.Error != *want {
+		t.Fatalf("job %+v (error %+v), want failed with %+v", st, st.Error, want)
 	}
 }

@@ -106,10 +106,14 @@ type simulateTask struct {
 	Satisfied bool    `json:"satisfied"`
 }
 
-func (s *Server) runSimulate(ctx context.Context, spec JobSpec) (any, error) {
-	ts, err := loadTasks(spec)
-	if err != nil {
-		return nil, err
+// runSimulate runs a simulate job on ts, the set triage parsed from the
+// spec, or, when triage did not parse it, on the spec's document.
+func (s *Server) runSimulate(ctx context.Context, spec JobSpec, ts task.Set) (any, error) {
+	var err error
+	if ts == nil {
+		if ts, err = loadTasks(spec); err != nil {
+			return nil, err
+		}
 	}
 	scheme, ok := schemeByName(spec.Scheme)
 	if !ok {

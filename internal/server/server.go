@@ -20,6 +20,7 @@ import (
 	"github.com/euastar/euastar/internal/experiment"
 	"github.com/euastar/euastar/internal/jobstore"
 	"github.com/euastar/euastar/internal/storage"
+	"github.com/euastar/euastar/internal/task"
 	"github.com/euastar/euastar/internal/telemetry"
 	"github.com/euastar/euastar/internal/tenancy"
 )
@@ -150,6 +151,11 @@ type job struct {
 	done        chan struct{} // closed on terminal state
 	admittedAt  time.Time     // when the job entered the queue (or was recovered)
 	timings     JobTimings    // phase durations, filled in as phases complete
+	// tasks is the simulate job's task set as triage parsed it, for the
+	// worker to run; nil when triage did not parse it (multi-core jobs,
+	// recovered jobs, a document it could not parse) and once the run
+	// has ended.
+	tasks task.Set
 }
 
 // Server is the euad daemon core: admission, queueing, execution,
@@ -391,7 +397,7 @@ func (s *Server) execute(j *job) (result json.RawMessage, jerr *JobError) {
 	case KindAnalyze:
 		out, err = runAnalyze(j.spec)
 	case KindSimulate:
-		out, err = s.runSimulate(ctx, j.spec)
+		out, err = s.runSimulate(ctx, j.spec, j.tasks)
 	case KindSweep:
 		out, err = s.runSweep(ctx, j.spec)
 	case KindTest:
@@ -471,6 +477,7 @@ func (s *Server) finish(j *job, result json.RawMessage, jerr *JobError) {
 		s.ins.tenantFinished(j.tenant).Inc()
 	}
 	s.mu.Lock()
+	j.tasks = nil // a finished job keeps its result, not its input
 	if jerr == nil {
 		j.state = StateDone
 		j.result = result
@@ -676,7 +683,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// terminated here — journaled as a failed job so the rejection
 	// replays across restarts, but never queued. It runs before the
 	// quota so a rejection costs the tenant nothing.
-	if jerr := s.triage(spec); jerr != nil {
+	parsed, jerr := s.triage(spec)
+	if jerr != nil {
 		j := &job{spec: spec, specRaw: canonical, tenant: tenant, state: StateFailed, jerr: jerr, done: make(chan struct{})}
 		if journaled {
 			if err := s.journal.Append(jobstore.Record{
@@ -721,7 +729,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			"tenant %s over %s limit", tenant, dec.Reason)
 		return
 	}
-	j := &job{spec: spec, specRaw: canonical, tenant: tenant, unjournaled: !journaled, state: StateQueued, done: make(chan struct{}), admittedAt: time.Now()}
+	j := &job{spec: spec, specRaw: canonical, tenant: tenant, unjournaled: !journaled, state: StateQueued, done: make(chan struct{}), admittedAt: time.Now(), tasks: parsed}
 	if journaled {
 		// Durability before acknowledgment: the fsynced submission record
 		// is what lets a kill -9 after the 202 still run the job.

@@ -101,7 +101,14 @@ func (r *Registry) lookup(name, help string, k kind, bounds []float64, labels []
 			panic(fmt.Sprintf("telemetry: invalid label name %q on %s", l.Key, name))
 		}
 	}
-	key := seriesKey(labels)
+	// A labeled key is built in a stack buffer, and indexing the map
+	// with string(kb) copies nothing, so finding an existing series
+	// allocates nothing; only a new series copies its key.
+	var kb []byte
+	if len(labels) > 0 {
+		var buf [128]byte
+		kb = appendSeriesKey(buf[:0], labels)
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f := r.families[name]
@@ -116,8 +123,9 @@ func (r *Registry) lookup(name, help string, k kind, bounds []float64, labels []
 	if f.kind != k {
 		panic(fmt.Sprintf("telemetry: metric %s registered as %s, requested as %s", name, f.kind, k))
 	}
-	s := f.series[key]
+	s := f.series[string(kb)]
 	if s == nil {
+		key := string(kb)
 		s = &series{labels: append([]Label(nil), labels...)}
 		switch k {
 		case kindCounter:
@@ -163,28 +171,34 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 // seriesKey renders labels into a deterministic map key (and the
 // Prometheus label block, minus braces).
 func seriesKey(labels []Label) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	for i, l := range labels {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(l.Key)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(l.Value))
-		b.WriteByte('"')
-	}
-	return b.String()
+	return string(appendSeriesKey(nil, labels))
 }
 
-// escapeLabel escapes a label value per the Prometheus text format.
-func escapeLabel(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	v = strings.ReplaceAll(v, "\n", `\n`)
-	v = strings.ReplaceAll(v, `"`, `\"`)
-	return v
+// appendSeriesKey appends the series key of labels to dst: key="value"
+// pairs joined by commas, each value escaped per the Prometheus text
+// format (backslash, newline and double quote; every other byte as is).
+func appendSeriesKey(dst []byte, labels []Label) []byte {
+	for i, l := range labels {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, l.Key...)
+		dst = append(dst, '=', '"')
+		for j := 0; j < len(l.Value); j++ {
+			switch c := l.Value[j]; c {
+			case '\\':
+				dst = append(dst, '\\', '\\')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '"':
+				dst = append(dst, '\\', '"')
+			default:
+				dst = append(dst, c)
+			}
+		}
+		dst = append(dst, '"')
+	}
+	return dst
 }
 
 // formatValue renders a sample value the way Prometheus clients do:

@@ -434,3 +434,126 @@ func TestWriteStatsEmpty(t *testing.T) {
 		t.Fatalf("empty snapshot output = %q", b.String())
 	}
 }
+
+// TestLookupExistingSeriesAllocatesNothing: asking for a series that
+// exists already, with or without labels, allocates nothing.
+func TestLookupExistingSeriesAllocatesNothing(t *testing.T) {
+	r := NewRegistry()
+	bounds := []float64{1, 2}
+	lookups := []struct {
+		name string
+		get  func()
+	}{
+		{"counter", func() { r.Counter("c_total", "help").Inc() }},
+		{"counter/labels", func() { r.Counter("c_total", "help", L("kind", "arrival"), L("core", "0")).Inc() }},
+		{"gauge", func() { r.Gauge("g", "help").Set(1) }},
+		{"gauge/labels", func() { r.Gauge("g", "help", L("core", "1")).Set(1) }},
+		{"histogram", func() { r.Histogram("h", "help", bounds).Observe(1) }},
+		{"histogram/labels", func() { r.Histogram("h", "help", bounds, L("scheme", "EUA*")).Observe(1) }},
+	}
+	for _, c := range lookups {
+		c.get() // register the series
+		if n := testing.AllocsPerRun(100, c.get); n != 0 {
+			t.Errorf("%s: %v allocations per lookup of an existing series", c.name, n)
+		}
+	}
+}
+
+// oracleSeriesKey is the series key as the registry used to build it,
+// with a strings.Builder and strings.ReplaceAll escaping; the
+// registry's one-pass escaping must produce the same bytes.
+func oracleSeriesKey(labels []Label) string {
+	var b strings.Builder
+	for i, l := range labels {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		v := strings.ReplaceAll(l.Value, `\`, `\\`)
+		v = strings.ReplaceAll(v, "\n", `\n`)
+		v = strings.ReplaceAll(v, `"`, `\"`)
+		b.WriteString(l.Key)
+		b.WriteString(`="`)
+		b.WriteString(v)
+		b.WriteByte('"')
+	}
+	return b.String()
+}
+
+// checkSeriesKey compares the key of labels, appended after a prefix
+// and on its own, with the oracle's, and, when every key is a valid
+// label name, the exposition line of a counter carrying them.
+func checkSeriesKey(t *testing.T, labels []Label) {
+	t.Helper()
+	want := oracleSeriesKey(labels)
+	if got := seriesKey(labels); got != want {
+		t.Fatalf("seriesKey(%q) = %q, want %q", labels, got, want)
+	}
+	if got := string(appendSeriesKey([]byte("m{"), labels)); got != "m{"+want {
+		t.Fatalf("appendSeriesKey(m{, %q) = %q, want %q", labels, got, "m{"+want)
+	}
+	for _, l := range labels {
+		if !validName(l.Key) {
+			return
+		}
+	}
+	r := NewRegistry()
+	r.Counter("m", "", labels...).Inc()
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	line := "m 1\n"
+	if len(labels) > 0 {
+		line = "m{" + want + "} 1\n"
+	}
+	if got := b.String(); got != "# TYPE m counter\n"+line {
+		t.Fatalf("exposition of %q:\n%s\nwant line %q", labels, got, line)
+	}
+}
+
+func TestSeriesKeyMatchesReplaceAll(t *testing.T) {
+	for _, labels := range [][]Label{
+		nil,
+		{L("scheme", "EUA*")},
+		{L("reason", "")},
+		{L("reason", `a\b`), L("core", "0")},
+		{L("reason", "line\nbreak\n")},
+		{L("reason", `say "hi"`)},
+		{L("reason", `\"`+"\n"+`\n\\`)},
+		{L("name", "Zürich ☃ 日本")},
+		{L("name", "bad \xff\xfe utf-8 \\ \"")},
+		{L("a", `x",b="y`), L("b", "y")},
+	} {
+		checkSeriesKey(t, labels)
+	}
+}
+
+// FuzzSeriesKey holds the registry's series keys and exposition to the
+// ReplaceAll escaping of oracleSeriesKey for arbitrary label values.
+func FuzzSeriesKey(f *testing.F) {
+	f.Add("scheme", "EUA*", "")
+	f.Add("reason", `a"b\c`+"\nd", "\\")
+	f.Add("name", "Zürich \xff", `x",b="y`)
+	f.Fuzz(func(t *testing.T, key, v1, v2 string) {
+		checkSeriesKey(t, []Label{L(key, v1)})
+		checkSeriesKey(t, []Label{L(key, v1), L("second", v2)})
+	})
+}
+
+// BenchmarkRegistryLookup times asking for a counter that exists
+// already, without and with a label, as the engine's per-run flush does.
+func BenchmarkRegistryLookup(b *testing.B) {
+	r := NewRegistry()
+	b.Run("unlabeled", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			r.Counter("euastar_engine_decisions_total", "Scheduler invocations.").Inc()
+		}
+	})
+	b.Run("labeled", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			r.Counter("euastar_engine_events_total", "Processed simulation events by kind.", L("kind", "completion")).Inc()
+		}
+	})
+}
