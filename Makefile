@@ -124,11 +124,13 @@ telemetry-smoke:
 # packing + global UER + single-core identity suite), the comparison
 # schedulers internal/sched/baseline (all ten EDF and utility-accrual
 # variants), the job journal internal/jobstore, the simulation engine
-# internal/engine, the metrics registry internal/telemetry and the euad
-# service core internal/server.
+# internal/engine, the metrics registry internal/telemetry, the euad
+# service core internal/server and the experiment harness
+# internal/experiment (the scheme table, every sweep, the runner and the
+# checkpoint store).
 COVER_FLOOR_PKGS = internal/sched/eua internal/sched internal/admission internal/oracle \
 	internal/tenancy internal/storage internal/sched/partition internal/sched/baseline internal/jobstore \
-	internal/engine internal/telemetry internal/server
+	internal/engine internal/telemetry internal/server internal/experiment
 
 cover:
 	$(GO) test -coverprofile=coverage.out ./...

@@ -9,6 +9,7 @@ import (
 	"github.com/euastar/euastar/internal/admission"
 	"github.com/euastar/euastar/internal/config"
 	"github.com/euastar/euastar/internal/cpu"
+	"github.com/euastar/euastar/internal/experiment"
 )
 
 // runAdmit implements euasim -admit: load the task-set document, run the
@@ -17,6 +18,9 @@ import (
 // fast-reject path. The exit code is 0 for every verdict: the command
 // answers a question, it does not gate anything itself.
 func runAdmit(path, scheme string, load float64, jsonPath string, out io.Writer) error {
+	if _, ok := experiment.SchemeByName(scheme); !ok {
+		return fmt.Errorf("unknown scheme %q (%s)", scheme, experiment.SchemeNameList())
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return err

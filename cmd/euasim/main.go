@@ -115,7 +115,7 @@ func runWithSignals(args []string, out, diag io.Writer, sigs <-chan os.Signal) e
 		remote     = fs.String("remote", "", "submit sweeps to a euad daemon at this base URL instead of running locally (any -exp experiment but the two tables)")
 		jobID      = fs.String("job-id", "", "idempotency-key prefix for -remote submissions (default: random per invocation)")
 		admit      = fs.String("admit", "", "print the analytical admission verdict for this task-set JSON document and exit (offline triage; see -scheme and -load)")
-		admScheme  = fs.String("scheme", "EUA*", "with -admit: scheduling scheme to triage for")
+		admScheme  = fs.String("scheme", "EUA*", "with -admit: scheme to triage for: "+experiment.SchemeNameList())
 		admLoad    = fs.Float64("load", 0, "with -admit: scale the set to this system load first (0 = as given)")
 		admBench   = fs.String("admission-bench", "", "with -exp threshold: additionally write the BENCH_admission.json baseline to this file")
 		oracles    = fs.Bool("oracles", false, "annotate fig2/ablation rows with optimality-gap columns (YDS energy lower bound, branch-and-bound utility upper bound; see DESIGN.md §13)")

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/euastar/euastar/internal/experiment"
 )
 
 func TestParseLoads(t *testing.T) {
@@ -60,6 +62,23 @@ func TestRunChartAndJSON(t *testing.T) {
 func TestRunUnknownExperiment(t *testing.T) {
 	if err := run([]string{"-exp", "nonsense"}, io.Discard, io.Discard); err == nil {
 		t.Fatal("unknown experiment accepted")
+	}
+}
+
+// TestAdmitSchemes: -admit prints a verdict for a scheme of the scheme
+// table and refuses any other name with the table's names.
+func TestAdmitSchemes(t *testing.T) {
+	const doc = "../../examples/quickstart/workload.json"
+	var out bytes.Buffer
+	if err := run([]string{"-admit", doc, "-scheme", "GUS", "-load", "1.4"}, &out, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "GUS") || !strings.Contains(out.String(), "utilization=") {
+		t.Fatalf("-admit -scheme GUS printed no verdict:\n%s", out.String())
+	}
+	err := run([]string{"-admit", doc, "-scheme", "bogus"}, io.Discard, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), experiment.SchemeNameList()) {
+		t.Fatalf("-scheme bogus: error %v does not list the scheme names", err)
 	}
 }
 

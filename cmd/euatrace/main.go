@@ -5,8 +5,8 @@
 //
 // Usage:
 //
-//	euatrace -sched eua -load 0.6 -horizon 1
-//	euatrace -sched laedf-na -load 1.5 -csv trace.csv
+//	euatrace -sched 'EUA*' -load 0.6 -horizon 1
+//	euatrace -sched laEDF-NA -load 1.5 -csv trace.csv
 package main
 
 import (
@@ -19,12 +19,10 @@ import (
 	"github.com/euastar/euastar/internal/cpu"
 	"github.com/euastar/euastar/internal/energy"
 	"github.com/euastar/euastar/internal/engine"
+	"github.com/euastar/euastar/internal/experiment"
 	"github.com/euastar/euastar/internal/faults"
 	"github.com/euastar/euastar/internal/metrics"
 	"github.com/euastar/euastar/internal/rng"
-	"github.com/euastar/euastar/internal/sched"
-	"github.com/euastar/euastar/internal/sched/baseline"
-	"github.com/euastar/euastar/internal/sched/eua"
 	"github.com/euastar/euastar/internal/sched/partition"
 	"github.com/euastar/euastar/internal/task"
 	"github.com/euastar/euastar/internal/trace"
@@ -38,35 +36,10 @@ func main() {
 	}
 }
 
-func newScheduler(name string) (sched.Scheduler, bool, error) {
-	switch name {
-	case "eua":
-		return eua.New(), true, nil
-	case "eua-nodvs":
-		return eua.New(eua.WithoutDVS()), true, nil
-	case "edf":
-		return baseline.NewEDF(true), true, nil
-	case "edf-na":
-		return baseline.NewEDF(false), false, nil
-	case "ccedf":
-		return baseline.NewCCEDF(true), true, nil
-	case "laedf":
-		return baseline.NewLAEDF(true), true, nil
-	case "laedf-na":
-		return baseline.NewLAEDF(false), false, nil
-	case "dasa":
-		return baseline.NewDASA(), true, nil
-	case "gus":
-		return baseline.NewGUS(), true, nil
-	default:
-		return nil, false, fmt.Errorf("unknown scheduler %q (eua|eua-nodvs|edf|edf-na|ccedf|laedf|laedf-na|dasa|gus)", name)
-	}
-}
-
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("euatrace", flag.ContinueOnError)
 	var (
-		schedName = fs.String("sched", "eua", "scheduler: eua|eua-nodvs|edf|edf-na|ccedf|laedf|laedf-na|dasa|gus")
+		schedName = fs.String("sched", "EUA*", "scheme: "+experiment.SchemeNameList())
 		preset    = fs.String("energy", "E1", "energy setting: E1|E2|E3")
 		load      = fs.Float64("load", 0.6, "target system load")
 		app       = fs.String("app", "A2", "Table 1 application: A1|A2|A3")
@@ -92,15 +65,11 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	_, abort, err := newScheduler(*schedName)
-	if err != nil {
-		return err
+	scheme, ok := experiment.SchemeByName(*schedName)
+	if !ok {
+		return fmt.Errorf("unknown scheme %q (%s)", *schedName, experiment.SchemeNameList())
 	}
-	name := *schedName
-	scheduler, err := partition.Place(*cores, *partFlag, func() sched.Scheduler {
-		s, _, _ := newScheduler(name)
-		return s
-	})
+	scheduler, err := partition.Place(*cores, *partFlag, scheme.New)
 	if err != nil {
 		return err
 	}
@@ -159,7 +128,7 @@ func run(args []string, out io.Writer) error {
 		Energy:             model,
 		Horizon:            *horizon,
 		Seed:               *seed,
-		AbortAtTermination: abort,
+		AbortAtTermination: scheme.Abort,
 		RecordTrace:        true,
 		Faults:             plan,
 	})

@@ -7,28 +7,35 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/euastar/euastar/internal/experiment"
 )
 
-func TestNewScheduler(t *testing.T) {
-	names := []string{"eua", "eua-nodvs", "edf", "edf-na", "ccedf", "laedf", "laedf-na", "dasa", "gus"}
-	for _, n := range names {
-		s, abort, err := newScheduler(n)
-		if err != nil || s == nil {
-			t.Fatalf("%s: %v", n, err)
+// TestSchedTakesSchemeNames: -sched takes every name of the scheme table
+// and runs the scheduler of that name; any other name is refused with
+// the table's names.
+func TestSchedTakesSchemeNames(t *testing.T) {
+	for _, name := range strings.Split(experiment.SchemeNameList(), "|") {
+		var out bytes.Buffer
+		if err := run([]string{"-sched", name, "-horizon", "0.05"}, &out); err != nil {
+			t.Fatalf("-sched %s: %v", name, err)
 		}
-		if strings.HasSuffix(n, "-na") && abort {
-			t.Fatalf("%s: NA variant aborts", n)
+		if first, _, _ := strings.Cut(out.String(), "\n"); first != "scheduler     "+name {
+			t.Errorf("-sched %s printed %q", name, first)
 		}
 	}
-	if _, _, err := newScheduler("bogus"); err == nil {
-		t.Fatal("unknown scheduler accepted")
+	for _, name := range []string{"bogus", "eua"} {
+		err := run([]string{"-sched", name}, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), experiment.SchemeNameList()) {
+			t.Errorf("-sched %s: error %v does not list the scheme names", name, err)
+		}
 	}
 }
 
 func TestRunDefaultScenario(t *testing.T) {
 	for _, args := range [][]string{
 		{"-horizon", "0.2"},
-		{"-sched", "laedf-na", "-load", "1.4", "-horizon", "0.2"},
+		{"-sched", "laEDF-NA", "-load", "1.4", "-horizon", "0.2"},
 		{"-app", "A1", "-tuf", "linear", "-horizon", "0.2"},
 		{"-app", "A3", "-energy", "E3", "-horizon", "0.2", "-gantt", "-width", "40"},
 	} {
@@ -93,7 +100,7 @@ func TestShippedWorkloadFileLoads(t *testing.T) {
 // in the golden file's sibling JSON comment.
 var goldenArgs = []string{
 	"-tasks", "testdata/golden_tasks.json",
-	"-sched", "eua", "-seed", "7",
+	"-sched", "EUA*", "-seed", "7",
 	"-load", "0.8", "-horizon", "0.4",
 	"-gantt", "-width", "72",
 }
@@ -106,7 +113,7 @@ var goldenArgs = []string{
 // this directory (the test's working directory) to keep it stable:
 //
 //	cd cmd/euatrace && go run . -tasks testdata/golden_tasks.json \
-//	    -sched eua -seed 7 -load 0.8 -horizon 0.4 -gantt -width 72 \
+//	    -sched 'EUA*' -seed 7 -load 0.8 -horizon 0.4 -gantt -width 72 \
 //	    > testdata/golden_output.txt
 func TestGoldenTrace(t *testing.T) {
 	want, err := os.ReadFile("testdata/golden_output.txt")
@@ -134,7 +141,7 @@ var goldenDegradedArgs = append(append([]string{}, goldenArgs...),
 // scheduler reacts to them. Regenerate like the healthy golden:
 //
 //	cd cmd/euatrace && go run . -tasks testdata/golden_tasks.json \
-//	    -sched eua -seed 7 -load 0.8 -horizon 0.4 -gantt -width 72 \
+//	    -sched 'EUA*' -seed 7 -load 0.8 -horizon 0.4 -gantt -width 72 \
 //	    -faults seed=1,overrun=0.03,sticky=0.1 > testdata/golden_degraded.txt
 func TestGoldenDegradedTrace(t *testing.T) {
 	want, err := os.ReadFile("testdata/golden_degraded.txt")

@@ -30,9 +30,10 @@
 //		Req:     euastar.Requirement{Nu: 1, Rho: 0.96},
 //	}}
 //	res, err := euastar.Simulate(euastar.SimConfig{
-//		Tasks:     tasks,
-//		Scheduler: euastar.NewEUA(),
-//		Horizon:   2, // seconds
+//		Tasks:              tasks,
+//		Scheduler:          euastar.NewEUA(),
+//		Horizon:            2, // seconds
+//		AbortAtTermination: true,
 //	})
 //	report := euastar.Analyze(res)
 //
@@ -247,9 +248,9 @@ func NewProfiler(priorMean, priorVariance float64, minSamples int) (*Profiler, e
 type Profiler = profile.Estimator
 
 // Simulate runs one simulation. Unset platform fields default to the
-// paper's: the PowerNow! K6-2+ frequency table, energy model E1, and
-// abortion at termination time for schedulers that abort (EDF-NA-style
-// configs should set AbortAtTermination explicitly).
+// paper's: the PowerNow! K6-2+ frequency table and energy model E1.
+// AbortAtTermination stays as given: set it for the paper's
+// termination-time exception, which every scheme but the -NA ones raises.
 func Simulate(cfg SimConfig) (*Result, error) {
 	if cfg.Freqs == nil {
 		cfg.Freqs = PowerNowK6()

@@ -11,6 +11,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strings"
 	"time"
 
 	"github.com/euastar/euastar/internal/cpu"
@@ -39,57 +40,93 @@ type Scheme struct {
 	Abort bool // abort jobs at their termination time
 }
 
+// schemeTable is the one map from a scheme name to its scheduler and abort
+// policy: the sweeps, euad's simulate jobs, euatrace -sched and euasim
+// -admit all resolve names here. Each name is its scheduler's Name(), so
+// the telemetry scheme label and a run's scheduler name agree with it,
+// and only the -NA schemes run without abortion at termination time.
+var schemeTable = []Scheme{
+	{Name: "EDF-fm", New: func() sched.Scheduler { return baseline.NewEDF(true) }, Abort: true},
+	{Name: "EDF-fm-NA", New: func() sched.Scheduler { return baseline.NewEDF(false) }, Abort: false},
+	{Name: "EUA*", New: func() sched.Scheduler { return eua.New() }, Abort: true},
+	{Name: "ccEDF", New: func() sched.Scheduler { return baseline.NewCCEDF(true) }, Abort: true},
+	{Name: "laEDF", New: func() sched.Scheduler { return baseline.NewLAEDF(true) }, Abort: true},
+	{Name: "laEDF-NA", New: func() sched.Scheduler { return baseline.NewLAEDF(false) }, Abort: false},
+	{Name: "EUA*-noUER", New: func() sched.Scheduler { return eua.New(eua.WithoutUERInsertion()) }, Abort: true},
+	{Name: "EUA*-noFo", New: func() sched.Scheduler { return eua.New(eua.WithoutFoClamp()) }, Abort: true},
+	{Name: "EUA*-noWin", New: func() sched.Scheduler { return eua.New(eua.WithoutWindowedDemand()) }, Abort: true},
+	{Name: "EUA*-noPhantom", New: func() sched.Scheduler { return eua.New(eua.WithoutPhantomReservation()) }, Abort: true},
+	{Name: "EUA*-strictBreak", New: func() sched.Scheduler { return eua.New(eua.WithStrictBreak()) }, Abort: true},
+	{Name: "EUA*-noDVS", New: func() sched.Scheduler { return eua.New(eua.WithoutDVS()) }, Abort: true},
+	{Name: "DASA", New: func() sched.Scheduler { return baseline.NewDASA() }, Abort: true},
+	{Name: "GUS", New: func() sched.Scheduler { return baseline.NewGUS() }, Abort: true},
+}
+
+// SchemeByName returns the scheme called name.
+func SchemeByName(name string) (Scheme, bool) {
+	for _, sc := range schemeTable {
+		if sc.Name == name {
+			return sc, true
+		}
+	}
+	return Scheme{}, false
+}
+
+// SchemeNameList returns every scheme name in table order, joined by "|",
+// for flag help and unknown-name errors.
+func SchemeNameList() string { return strings.Join(schemeNames(schemeTable), "|") }
+
+// schemeNames returns the names of schemes, in order.
+func schemeNames(schemes []Scheme) []string {
+	names := make([]string, len(schemes))
+	for i, sc := range schemes {
+		names[i] = sc.Name
+	}
+	return names
+}
+
+// mustScheme returns the table's scheme called name. The sweeps pass
+// their own constant names, so a miss is a bug.
+func mustScheme(name string) Scheme {
+	sc, ok := SchemeByName(name)
+	if !ok {
+		panic("experiment: no scheme " + name)
+	}
+	return sc
+}
+
+// schemesNamed picks the named schemes from the table, in order.
+func schemesNamed(names ...string) []Scheme {
+	out := make([]Scheme, len(names))
+	for i, name := range names {
+		out[i] = mustScheme(name)
+	}
+	return out
+}
+
 // BaselineScheme is the normalization baseline used throughout Section 5:
 // EDF that always uses the highest frequency, with abortion.
-func BaselineScheme() Scheme {
-	return Scheme{Name: "EDF-fm", New: func() sched.Scheduler { return baseline.NewEDF(true) }, Abort: true}
-}
+func BaselineScheme() Scheme { return mustScheme("EDF-fm") }
 
 // Figure2Schemes are the schemes compared in Figure 2, paper order:
 // EUA*, ccEDF, laEDF, and the no-abort laEDF-NA that exposes the domino
 // effect.
-func Figure2Schemes() []Scheme {
-	return []Scheme{
-		{Name: "EUA*", New: func() sched.Scheduler { return eua.New() }, Abort: true},
-		{Name: "ccEDF", New: func() sched.Scheduler { return baseline.NewCCEDF(true) }, Abort: true},
-		{Name: "laEDF", New: func() sched.Scheduler { return baseline.NewLAEDF(true) }, Abort: true},
-		{Name: "laEDF-NA", New: func() sched.Scheduler { return baseline.NewLAEDF(false) }, Abort: false},
-	}
-}
+func Figure2Schemes() []Scheme { return schemesNamed("EUA*", "ccEDF", "laEDF", "laEDF-NA") }
 
-// AblationSchemes isolates each EUA* mechanism (DESIGN.md Section 5).
-func AblationSchemes() []Scheme {
-	mk := func(opts ...eua.Option) func() sched.Scheduler {
-		return func() sched.Scheduler { return eua.New(opts...) }
-	}
-	return append([]Scheme{
-		{Name: "EUA*", New: mk(), Abort: true},
-		{Name: "EUA*-noUER", New: mk(eua.WithoutUERInsertion()), Abort: true},
-		{Name: "EUA*-noFo", New: mk(eua.WithoutFoClamp()), Abort: true},
-		{Name: "EUA*-noWin", New: mk(eua.WithoutWindowedDemand()), Abort: true},
-		{Name: "EUA*-noPhantom", New: mk(eua.WithoutPhantomReservation()), Abort: true},
-		{Name: "EUA*-strictBreak", New: mk(eua.WithStrictBreak()), Abort: true},
-		{Name: "EUA*-noDVS", New: mk(eua.WithoutDVS()), Abort: true},
-	}, uaSchemes()...)
-}
-
-// uaSchemes are the two non-EDF utility-accrual baselines: DASA and its
+// AblationSchemes isolates each EUA* mechanism (DESIGN.md Section 5),
+// followed by the two non-EDF utility-accrual baselines: DASA and its
 // blocking-chain-aware generalization GUS, both at f_m.
-func uaSchemes() []Scheme {
-	return []Scheme{
-		{Name: "DASA", New: func() sched.Scheduler { return baseline.NewDASA() }, Abort: true},
-		{Name: "GUS", New: func() sched.Scheduler { return baseline.NewGUS() }, Abort: true},
-	}
+func AblationSchemes() []Scheme {
+	return schemesNamed("EUA*", "EUA*-noUER", "EUA*-noFo", "EUA*-noWin", "EUA*-noPhantom",
+		"EUA*-strictBreak", "EUA*-noDVS", "DASA", "GUS")
 }
 
 // ComparisonSchemes is the scheduler family the gaps and threshold
-// sweeps compare: the baseline, the Figure 2 family, and the two non-EDF
-// utility-accrual baselines. The baseline is included as a scheme of its
-// own so its gaps are reported too (its normalized columns are
-// trivially 1).
+// sweeps compare: the baseline, the Figure 2 family, and DASA and GUS.
+// The baseline is included as a scheme of its own so its gaps are
+// reported too (its normalized columns are trivially 1).
 func ComparisonSchemes() []Scheme {
-	schemes := append([]Scheme{BaselineScheme()}, Figure2Schemes()...)
-	return append(schemes, uaSchemes()...)
+	return schemesNamed("EDF-fm", "EUA*", "ccEDF", "laEDF", "laEDF-NA", "DASA", "GUS")
 }
 
 // DefaultLoads is the Figure 2/3 load sweep: 0.2 to 1.8.
@@ -511,8 +548,7 @@ func Fig3App() workload.App {
 // fig3Cell builds the (load, bound, seed) cell function of the Figure 3
 // sweep.
 func fig3Cell(cfg Config, bounds []int, g unitGrid) func(i int, interrupt <-chan struct{}) (float64, error) {
-	noDVS := Scheme{Name: "EUA*-noDVS", New: func() sched.Scheduler { return eua.New(eua.WithoutDVS()) }, Abort: true}
-	dvs := Scheme{Name: "EUA*", New: func() sched.Scheduler { return eua.New() }, Abort: true}
+	noDVS, dvs := mustScheme("EUA*-noDVS"), mustScheme("EUA*")
 	return func(i int, interrupt <-chan struct{}) (float64, error) {
 		c := g.coords(i)
 		load, a, seed := cfg.Loads[c[0]], bounds[c[1]], cfg.Seeds[c[2]]
@@ -607,14 +643,6 @@ type assuranceUnit struct {
 	Ratio     map[string]float64 `json:"ratio"`
 }
 
-// assuranceSchemes are the schemes the Section 4 verification compares.
-func assuranceSchemes() []Scheme {
-	return []Scheme{
-		{Name: "EUA*", New: func() sched.Scheduler { return eua.New() }, Abort: true},
-		BaselineScheme(),
-	}
-}
-
 // assuranceCell builds the (load, seed) cell function of the assurance
 // sweep.
 func assuranceCell(cfg Config, schemes []Scheme, g unitGrid) func(i int, interrupt <-chan struct{}) (assuranceUnit, error) {
@@ -648,7 +676,7 @@ func Assurance(cfg Config) ([]AssuranceRow, error) { return assurance(cfg).rows(
 
 func assurance(cfg Config) *sweep[assuranceUnit, AssuranceRow] {
 	cfg = cfg.withDefaults()
-	schemes := assuranceSchemes()
+	schemes := schemesNamed("EUA*", "EDF-fm")
 	g := grid(len(cfg.Loads), len(cfg.Seeds))
 	return &sweep[assuranceUnit, AssuranceRow]{
 		name:   "assurance",

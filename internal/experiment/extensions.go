@@ -7,11 +7,8 @@ import (
 	"text/tabwriter"
 
 	"github.com/euastar/euastar/internal/cpu"
-	"github.com/euastar/euastar/internal/energy"
-	"github.com/euastar/euastar/internal/engine"
 	"github.com/euastar/euastar/internal/metrics"
 	"github.com/euastar/euastar/internal/sched"
-	"github.com/euastar/euastar/internal/sched/baseline"
 	"github.com/euastar/euastar/internal/sched/eua"
 	"github.com/euastar/euastar/internal/task"
 	"github.com/euastar/euastar/internal/workload"
@@ -40,12 +37,14 @@ func budget(cfg Config, fracs []float64) *sweep[map[string]float64, BudgetRow] {
 	if len(fracs) == 0 {
 		fracs = []float64{0.1, 0.2, 0.4, 0.7, 1.0}
 	}
+	// EUA*-budget is not in the scheme table: it takes the sweep's horizon.
+	base := BaselineScheme()
 	schemes := []Scheme{
-		{Name: "EUA*", New: func() sched.Scheduler { return eua.New() }, Abort: true},
+		mustScheme("EUA*"),
 		{Name: "EUA*-budget", New: func() sched.Scheduler {
 			return eua.New(eua.WithBudgetAwareness(cfg.Horizon))
 		}, Abort: true},
-		{Name: "EDF-fm", New: func() sched.Scheduler { return baseline.NewEDF(true) }, Abort: true},
+		base,
 	}
 	return seedMeans("budget", cfg, axis[float64]{load: 0.6, param: "fracs", coord: "frac", points: fracs},
 		func(frac float64, seed uint64, interrupt <-chan struct{}) (map[string]float64, error) {
@@ -55,9 +54,9 @@ func budget(cfg Config, fracs []float64) *sweep[map[string]float64, BudgetRow] {
 			}
 			ts = ts.ScaleToLoad(0.6, cpu.PowerNowK6().Max())
 			// Reference: the full-run energy of the EDF-f_m baseline.
-			ref, err := runOne(cfg, BaselineScheme(), ts, seed, runOptions{interrupt: interrupt})
+			ref, err := runOne(cfg, base, ts, seed, runOptions{interrupt: interrupt})
 			if err != nil {
-				return nil, &schemeError{BaselineScheme().Name, err}
+				return nil, &schemeError{base.Name, err}
 			}
 			budget := frac * ref.TotalEnergy
 			u := make(map[string]float64, len(schemes))
@@ -150,11 +149,11 @@ func (u energyUtility) fields() []float64 { return []float64{u.Energy, u.Utility
 // (EUA* additionally with switchLatency) and returns EUA*'s ratios.
 func euaVsBaseline(cfg Config, ts task.Set, seed uint64, opts runOptions, switchLatency float64) (energyUtility, error) {
 	var u energyUtility
-	base, err := runOne(cfg, BaselineScheme(), ts, seed, opts)
+	baseScheme, euaScheme := BaselineScheme(), mustScheme("EUA*")
+	base, err := runOne(cfg, baseScheme, ts, seed, opts)
 	if err != nil {
-		return u, &schemeError{BaselineScheme().Name, err}
+		return u, &schemeError{baseScheme.Name, err}
 	}
-	euaScheme := Scheme{Name: "EUA*", New: func() sched.Scheduler { return eua.New() }, Abort: true}
 	opts.switchLatency = switchLatency
 	rep, err := runOne(cfg, euaScheme, ts, seed, opts)
 	if err != nil {
@@ -231,9 +230,12 @@ type contUnit struct {
 
 func contention(cfg Config, fracs []float64) *sweep[contUnit, ContentionRow] {
 	cfg = cfg.withDefaults()
+	// The engine runs resource sections on one core only.
+	cfg.Cores = 0
 	if len(fracs) == 0 {
 		fracs = []float64{0, 0.1, 0.25, 0.5, 0.8}
 	}
+	euaScheme := mustScheme("EUA*")
 	// Each cell synthesizes its own task set, so mutating Sections here
 	// never races with another cell.
 	return seedMeans("contention", cfg, axis[float64]{load: 0.6, param: "fracs", coord: "section", points: fracs},
@@ -249,20 +251,9 @@ func contention(cfg Config, fracs []float64) *sweep[contUnit, ContentionRow] {
 					t.Sections = []task.Section{{Resource: 1, Start: 0.1, End: 0.1 + frac*0.9}}
 				}
 			}
-			ft := cpu.PowerNowK6()
-			model, err := energy.NewPreset(cfg.Energy, ft.Max())
+			res, err := runRaw(cfg, euaScheme, ts, seed, runOptions{interrupt: interrupt})
 			if err != nil {
-				return u, err
-			}
-			res, err := engine.Run(engine.Config{
-				Tasks: ts, Scheduler: eua.New(), Freqs: ft, Energy: model,
-				Horizon: cfg.Horizon, Seed: seed, AbortAtTermination: true,
-				Faults: cfg.Faults, AbortCost: cfg.AbortCost,
-				SafeModeMisses: cfg.SafeModeMisses, SafeModeShed: cfg.SafeModeShed,
-				Interrupt: interrupt, Telemetry: cfg.Telemetry,
-			})
-			if err != nil {
-				return u, &schemeError{"EUA*", err}
+				return u, &schemeError{euaScheme.Name, err}
 			}
 			rep := metrics.Analyze(res)
 			return contUnit{Utility: rep.UtilityRatio(), Inheritances: float64(res.Inheritances)}, nil

@@ -151,6 +151,24 @@ func TestContentionSweep(t *testing.T) {
 	}
 }
 
+// TestContentionRunsOnOneCore: the engine runs resource sections on one
+// core only, so the contention sweep runs one whatever Config.Cores says,
+// and its header claims no cores.
+func TestContentionRunsOnOneCore(t *testing.T) {
+	cfg := quickCfg(0.6)
+	cfg.Horizon = 0.2
+	x, _ := Lookup("contention")
+	for _, cores := range []int{0, 2, 4} {
+		cfg.Cores = cores
+		if d := x.Describe(cfg); strings.Contains(d, "cores=") {
+			t.Errorf("cores=%d: contention describes %q", cores, d)
+		}
+	}
+	if _, err := Contention(cfg, []float64{0.5}); err != nil {
+		t.Fatalf("contention with Cores %d: %v", cfg.Cores, err)
+	}
+}
+
 func TestContentionRejectsBadFrac(t *testing.T) {
 	if _, err := Contention(quickCfg(0.6), []float64{1.5}); err == nil {
 		t.Fatal("bad fraction accepted")

@@ -6,11 +6,8 @@ import (
 	"text/tabwriter"
 
 	"github.com/euastar/euastar/internal/cpu"
-	"github.com/euastar/euastar/internal/energy"
-	"github.com/euastar/euastar/internal/engine"
 	"github.com/euastar/euastar/internal/faults"
 	"github.com/euastar/euastar/internal/metrics"
-	"github.com/euastar/euastar/internal/sched/eua"
 	"github.com/euastar/euastar/internal/workload"
 )
 
@@ -74,6 +71,10 @@ func faultSweep(cfg Config, intensities []float64) *sweep[faultUnit, FaultRow] {
 	if cfg.SafeModeMisses == 0 {
 		cfg.SafeModeMisses = 4 // arm the safe mode so shedding is observable
 	}
+	// Each cell sets its runs' plans itself: none for the clean run,
+	// planFor's for the faulty one.
+	cfg.Faults = nil
+	euaScheme := mustScheme("EUA*")
 	const load = 1.0
 	return seedMeans("faults", cfg, axis[float64]{load: load, param: "intensities", coord: "intensity", points: intensities},
 		func(intensity float64, seed uint64, interrupt <-chan struct{}) (faultUnit, error) {
@@ -82,28 +83,14 @@ func faultSweep(cfg Config, intensities []float64) *sweep[faultUnit, FaultRow] {
 			if err != nil {
 				return u, err
 			}
-			ft := cpu.PowerNowK6()
-			ts = ts.ScaleToLoad(load, ft.Max())
-			model, err := energy.NewPreset(cfg.Energy, ft.Max())
+			ts = ts.ScaleToLoad(load, cpu.PowerNowK6().Max())
+			clean, err := runRaw(cfg, euaScheme, ts, seed, runOptions{interrupt: interrupt})
 			if err != nil {
-				return u, err
+				return u, &schemeError{euaScheme.Name, err}
 			}
-			mk := func(plan *faults.Plan) engine.Config {
-				return engine.Config{
-					Tasks: ts, Scheduler: eua.New(), Freqs: ft, Energy: model,
-					Horizon: cfg.Horizon, Seed: seed, AbortAtTermination: true,
-					AbortCost: cfg.AbortCost, Faults: plan,
-					SafeModeMisses: cfg.SafeModeMisses, SafeModeShed: cfg.SafeModeShed,
-					Interrupt: interrupt, Telemetry: cfg.Telemetry,
-				}
-			}
-			clean, err := engine.Run(mk(nil))
+			faulty, err := runRaw(cfg, euaScheme, ts, seed, runOptions{interrupt: interrupt, faults: planFor(intensity)})
 			if err != nil {
-				return u, &schemeError{"EUA*", err}
-			}
-			faulty, err := engine.Run(mk(planFor(intensity)))
-			if err != nil {
-				return u, &schemeError{"EUA*+faults", err}
+				return u, &schemeError{euaScheme.Name + "+faults", err}
 			}
 			cleanRep, faultyRep := metrics.Analyze(clean), metrics.Analyze(faulty)
 			if cleanRep.AccruedUtility > 0 {

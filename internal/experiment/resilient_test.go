@@ -12,7 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/euastar/euastar/internal/engine"
 	"github.com/euastar/euastar/internal/faults"
+	"github.com/euastar/euastar/internal/telemetry"
 )
 
 // faultyCfg is quickCfg plus a fault plan: the determinism and resume
@@ -351,5 +353,29 @@ func TestFaultSweepDegradesGracefully(t *testing.T) {
 	}
 	if _, err := FaultSweep(cfg, []float64{-0.1}); err == nil {
 		t.Fatal("negative intensity accepted")
+	}
+}
+
+// TestFaultSweepCoresAndPlan: the fault sweep runs on Config.Cores cores
+// (worst-fit packing puts tasks on both), and since each cell sets its own fault plans, a Config.Faults plan
+// enters neither its runs nor its fingerprint.
+func TestFaultSweepCoresAndPlan(t *testing.T) {
+	cfg := quickCfg(1.0)
+	cfg.Horizon = 0.2
+	cfg.Cores, cfg.Partition = 2, "wf"
+	cfg.Telemetry = telemetry.NewRegistry()
+	if _, err := FaultSweep(cfg, []float64{0.2}); err != nil {
+		t.Fatal(err)
+	}
+	snap := cfg.Telemetry.Snapshot()
+	if m := snap.Find(engine.MetricCoreDispatch, telemetry.L("core", "1")); m == nil || m.Value == 0 {
+		t.Fatalf("a 2-core fault sweep dispatched nothing on core 1: %v", m)
+	}
+
+	plain := faultSweep(quickCfg(1.0), nil).plan().Fingerprint()
+	withPlan := quickCfg(1.0)
+	withPlan.Faults = &faults.Plan{Seed: 7, OverrunProb: 0.1}
+	if got := faultSweep(withPlan, nil).plan().Fingerprint(); got != plain {
+		t.Fatalf("a -faults plan moved the fault sweep's fingerprint:\n%s\nvs\n%s", got, plain)
 	}
 }

@@ -6,8 +6,6 @@ import (
 
 	"github.com/euastar/euastar/internal/cpu"
 	"github.com/euastar/euastar/internal/metrics"
-	"github.com/euastar/euastar/internal/sched"
-	"github.com/euastar/euastar/internal/sched/eua"
 	"github.com/euastar/euastar/internal/workload"
 )
 
@@ -34,7 +32,7 @@ type speedupUnit struct {
 // uniprocessor EUA* reference run and one m-core partitioned run on the
 // identical workload, reduced to the utility and energy ratios.
 func speedupCell(cfg Config, coreCounts []int, g unitGrid) func(i int, interrupt <-chan struct{}) (speedupUnit, error) {
-	scheme := Scheme{Name: "EUA*", New: func() sched.Scheduler { return eua.New() }, Abort: true}
+	scheme := mustScheme("EUA*")
 	return func(i int, interrupt <-chan struct{}) (speedupUnit, error) {
 		var u speedupUnit
 		c := g.coords(i)

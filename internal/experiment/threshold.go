@@ -67,15 +67,11 @@ type thresholdUnit struct {
 func threshold(cfg Config) *sweep[thresholdUnit, ThresholdRow] {
 	cfg = cfg.withDefaults()
 	schemes := ComparisonSchemes()
-	names := make([]string, len(schemes))
-	for i, sc := range schemes {
-		names[i] = sc.Name
-	}
 	g := grid(len(schemes))
 	return &sweep[thresholdUnit, ThresholdRow]{
 		name:   "threshold",
 		cfg:    cfg,
-		params: fmt.Sprintf("schemes=%v range=[%g,%g] iters=%d", names, thresholdLo, thresholdHi, empiricalIters),
+		params: fmt.Sprintf("schemes=%v range=[%g,%g] iters=%d", schemeNames(schemes), thresholdLo, thresholdHi, empiricalIters),
 		g:      g,
 		coords: func(c []int) Coords {
 			return Coords{Extra: fmt.Sprintf("scheme=%s", schemes[c[0]].Name)}

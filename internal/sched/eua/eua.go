@@ -128,6 +128,10 @@ func (s *Scheduler) Name() string {
 		return "EUA*-noFo"
 	case s.noWindowed:
 		return "EUA*-noWin"
+	case s.noPhantom:
+		return "EUA*-noPhantom"
+	case s.strictBreak:
+		return "EUA*-strictBreak"
 	case s.budgetAware:
 		return "EUA*-budget"
 	default:

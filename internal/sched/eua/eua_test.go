@@ -55,6 +55,12 @@ func TestName(t *testing.T) {
 	if eua.New(eua.WithoutWindowedDemand()).Name() != "EUA*-noWin" {
 		t.Fatal("noWin name")
 	}
+	if eua.New(eua.WithoutPhantomReservation()).Name() != "EUA*-noPhantom" {
+		t.Fatal("noPhantom name")
+	}
+	if eua.New(eua.WithStrictBreak()).Name() != "EUA*-strictBreak" {
+		t.Fatal("strictBreak name")
+	}
 	if eua.New(eua.WithBudgetAwareness(1)).Name() != "EUA*-budget" {
 		t.Fatal("budget name")
 	}

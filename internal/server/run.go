@@ -115,7 +115,7 @@ func (s *Server) runSimulate(ctx context.Context, spec JobSpec, ts task.Set) (an
 			return nil, err
 		}
 	}
-	scheme, ok := schemeByName(spec.Scheme)
+	scheme, ok := experiment.SchemeByName(spec.Scheme)
 	if !ok {
 		return nil, invalidf("unknown scheme %q", spec.Scheme)
 	}

@@ -155,24 +155,27 @@ func TestAnalyzeJob(t *testing.T) {
 }
 
 // TestSimulateJob: a single simulation job completes and reports a
-// plausible summary.
+// plausible summary, its scheduler named as the scheme it asked for.
 func TestSimulateJob(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2})
 	defer s.Close()
-	spec := fmt.Sprintf(`{"id":"sim-1","kind":"simulate","scheme":"EUA*","load":0.5,"horizon":0.2,"tasks":%s}`, tasksDoc)
-	if resp, data := post(t, ts.URL, spec); resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: %d %s", resp.StatusCode, data)
-	}
-	st := waitJob(t, ts.URL, "sim-1")
-	if st.State != StateDone {
-		t.Fatalf("job state %s, error %v", st.State, st.Error)
-	}
-	var res simulateResult
-	if err := json.Unmarshal(st.Result, &res); err != nil {
-		t.Fatal(err)
-	}
-	if res.Scheduler == "" || res.Released == 0 || len(res.PerTask) != 2 {
-		t.Fatalf("implausible simulate result: %+v", res)
+	for i, scheme := range []string{"EUA*", "EDF-fm-NA", "EUA*-noPhantom"} {
+		id := fmt.Sprintf("sim-%d", i+1)
+		spec := fmt.Sprintf(`{"id":%q,"kind":"simulate","scheme":%q,"load":0.5,"horizon":0.2,"tasks":%s}`, id, scheme, tasksDoc)
+		if resp, data := post(t, ts.URL, spec); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %s: %d %s", scheme, resp.StatusCode, data)
+		}
+		st := waitJob(t, ts.URL, id)
+		if st.State != StateDone {
+			t.Fatalf("%s: job state %s, error %v", scheme, st.State, st.Error)
+		}
+		var res simulateResult
+		if err := json.Unmarshal(st.Result, &res); err != nil {
+			t.Fatal(err)
+		}
+		if res.Scheduler != scheme || res.Released == 0 || len(res.PerTask) != 2 {
+			t.Fatalf("implausible %s simulate result: %+v", scheme, res)
+		}
 	}
 }
 

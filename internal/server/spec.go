@@ -118,7 +118,7 @@ func (s *JobSpec) Validate(testJobs bool) error {
 		if len(s.Tasks) == 0 {
 			return fmt.Errorf("simulate needs a tasks document")
 		}
-		if _, ok := schemeByName(s.Scheme); !ok {
+		if _, ok := experiment.SchemeByName(s.Scheme); !ok {
 			return fmt.Errorf("unknown scheme %q", s.Scheme)
 		}
 	case KindTest:
@@ -146,25 +146,6 @@ func (s *JobSpec) timeout(def, max time.Duration) time.Duration {
 		d = max
 	}
 	return d
-}
-
-// schemeByName resolves a scheduling scheme by its experiment name
-// (baseline, Figure 2 and ablation families).
-func schemeByName(name string) (experiment.Scheme, bool) {
-	if sc := experiment.BaselineScheme(); sc.Name == name {
-		return sc, true
-	}
-	for _, sc := range experiment.Figure2Schemes() {
-		if sc.Name == name {
-			return sc, true
-		}
-	}
-	for _, sc := range experiment.AblationSchemes() {
-		if sc.Name == name {
-			return sc, true
-		}
-	}
-	return experiment.Scheme{}, false
 }
 
 // Error codes a job can fail with. They are part of the API: clients
